@@ -5,12 +5,14 @@ mix of UNIX and TCP listeners.  The design targets thousands of concurrent
 clients in front of a single-threaded decision core:
 
 Batching
-    Readers never call the core directly.  They enqueue parsed requests on
-    a central queue; a single dispatcher coroutine wakes, drains everything
-    queued in that event-loop tick (bounded by ``batch_limit``), and runs
-    it through :meth:`PermissionService.apply_many` -- one core pass per
-    tick, so consecutive queries coalesce into ``send_many``-style netlink
-    flushes no matter how many sockets they arrived on.
+    Each connection is a buffered :mod:`asyncio` protocol whose
+    ``data_received`` splits every complete frame out of each read and
+    queues the parsed requests centrally; readers never call the core.  A
+    non-empty queue schedules one dispatch pass (``call_soon``), which runs
+    up to ``batch_limit`` requests through one
+    :meth:`PermissionService.apply_many` and re-schedules itself while work
+    remains -- so reads from any number of sockets coalesce into one core
+    pass, and each connection's answers from a pass leave in one write.
 
 Backpressure
     Each connection has a bounded in-flight budget (``max_pending``).  A
@@ -24,8 +26,9 @@ Backpressure
 Graceful drain
     SIGTERM/SIGINT (or :meth:`begin_drain`) stops the listeners, answers
     any *newly arriving* requests with ``SHUTTING_DOWN``, lets the
-    dispatcher finish every in-flight request, flushes the responses, and
-    only then closes the connections and returns.
+    dispatcher finish every in-flight request, flushes the responses for
+    up to ``DRAIN_FLUSH_TIMEOUT`` seconds (then aborts), and only then
+    closes the connections and returns.
 
 Observability
     The daemon shares a :class:`repro.obs.counters.Counters` registry with
@@ -38,21 +41,15 @@ from __future__ import annotations
 
 import asyncio
 import signal
-import struct
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
-
 from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.obs.counters import Counters
 from repro.service.core import PermissionService
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
-    HEADER_SIZE,
-    LENGTH_MASK,
-    PACKED_BIT,
     PROTOCOL_VERSION,
     WIRE_VERSION,
-    E_FRAME_TOO_LARGE,
     E_INTERNAL,
     E_RETRY_LATER,
     E_SHUTTING_DOWN,
@@ -61,22 +58,101 @@ from repro.service.protocol import (
     encode_response_frame,
     error_response,
     ok_response,
+    split_frames,
     unpack_body,
 )
 
-_HEADER = struct.Struct("!I")
+#: Seconds a graceful drain waits for the connections to take their last
+#: responses before it aborts the ones that will not.
+DRAIN_FLUSH_TIMEOUT = 5.0
+#: Bytes one socket read may take (asyncio's own per-read maximum).
+RECV_SIZE = 256 * 1024
 
 
-class _Connection:
-    """Per-socket state: the writer, the in-flight budget, liveness."""
+class _Connection(asyncio.BufferedProtocol):
+    """One client socket: its receive buffer, in-flight budget and liveness.
 
-    __slots__ = ("writer", "pending", "closed", "peer")
+    Reads land in the daemon's one receive area rather than a fresh
+    allocation per read; ``data_received`` takes them from there.
+    """
 
-    def __init__(self, writer: asyncio.StreamWriter, peer: str) -> None:
-        self.writer = writer
+    __slots__ = ("daemon", "transport", "buffer", "pending", "closed", "farewell")
+
+    def __init__(self, daemon: "ServiceDaemon") -> None:
+        self.daemon = daemon
+        self.transport: Any = None
+        self.buffer = bytearray()
         self.pending = 0
         self.closed = False
-        self.peer = peer
+        #: The diagnostic frame owed to a booted peer, sent after its last
+        #: in-flight answer; reading stops once it is set.
+        self.farewell: Optional[bytes] = None
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.daemon._connections.add(self)
+        self.daemon.counters.inc("service.connections")
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.daemon._recv_area
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(self.daemon._recv_area[:nbytes])
+
+    def data_received(self, data: Any) -> None:
+        """Queue every request completed by *data*; answer the rest now."""
+        daemon = self.daemon
+        counters = daemon.counters
+        queue = daemon._queue
+        replies: List[bytes] = []
+        self.buffer += data
+        try:
+            for packed, body in split_frames(self.buffer, daemon.max_frame):
+                request = unpack_body(body) if packed else decode_body(body)
+                if daemon._draining:
+                    counters.inc("service.refused_draining")
+                    replies.append(encode_response_frame(error_response(
+                        request.get("id"), E_SHUTTING_DOWN, "daemon is draining"
+                    ), packed))
+                elif request.get("op") == "hello":
+                    # Wire-encoding negotiation is a transport concern the
+                    # core never sees; each side answers frames in kind.
+                    offered = request.get("encodings")
+                    takes_packed = isinstance(offered, list) and "packed" in offered
+                    replies.append(encode_response_frame(ok_response(request.get("id"), {
+                        "encoding": "packed" if takes_packed else "json",
+                        "wire_version": WIRE_VERSION if takes_packed else 1,
+                        "version": PROTOCOL_VERSION,
+                    })))
+                elif self.pending >= daemon.max_pending:
+                    # Backpressure: answer now, buffer nothing.
+                    counters.inc("service.retry_later")
+                    replies.append(encode_response_frame(error_response(
+                        request.get("id"),
+                        E_RETRY_LATER,
+                        f"connection has {self.pending} requests in flight "
+                        f"(budget {daemon.max_pending}); retry later",
+                    ), packed))
+                else:
+                    self.pending += 1
+                    queue.append((self, request, packed))
+        except FrameError as error:
+            # An oversized prefix (refused before its body is buffered) or a
+            # garbage body: one diagnostic, after any answers owed, then the boot.
+            counters.inc("service.frames_rejected")
+            self.farewell = encode_response_frame(error_response(None, error.code, str(error)))
+            self.transport.pause_reading()
+        if queue:
+            daemon._schedule()
+        if replies or self.farewell is not None:
+            daemon._write(self, replies)
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.closed = True
+        daemon = self.daemon
+        daemon._connections.discard(self)
+        if daemon._all_closed is not None and not daemon._connections:
+            daemon._all_closed.set()
 
 
 class ServiceDaemon:
@@ -120,10 +196,14 @@ class ServiceDaemon:
         self._servers: List[asyncio.AbstractServer] = []
         self._connections: Set[_Connection] = set()
         self._queue: Deque[Tuple[_Connection, Dict[str, Any], bool]] = deque()
-        self._queue_event = asyncio.Event()
+        self._scheduled = False
         self._draining = False
         self._stopped = asyncio.Event()
-        self._dispatcher: Optional[asyncio.Task] = None
+        #: Created when the drain starts; set once no connection is left.
+        self._all_closed: Optional[asyncio.Event] = None
+        self._loop: Any = None
+        self._recv_area = memoryview(bytearray(RECV_SIZE))
+        self._task: Optional[asyncio.Task] = None  # a gated batch, or the drain
         #: Test hook: when set to an asyncio.Event, the dispatcher waits on
         #: it before every batch -- lets tests pile requests up
         #: deterministically to exercise backpressure and drain.
@@ -132,7 +212,7 @@ class ServiceDaemon:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listeners and start the dispatcher."""
+        """Restore any snapshots and bind the listeners."""
         if self.snapshot_dir is not None:
             from repro.service.snapshot import load_snapshots
 
@@ -141,17 +221,17 @@ class ServiceDaemon:
                 shard_index=self.shard_index, shard_count=self.shard_count,
             )
             self.counters.inc("service.tenants_restored", len(restored))
+        loop = self._loop = asyncio.get_running_loop()
         if self.unix_path is not None:
-            server = await asyncio.start_unix_server(self._on_connect, path=self.unix_path)
+            server = await loop.create_unix_server(lambda: _Connection(self), path=self.unix_path)
             self._servers.append(server)
         if self.tcp_host is not None:
-            server = await asyncio.start_server(
-                self._on_connect, host=self.tcp_host, port=self.tcp_port
+            server = await loop.create_server(
+                lambda: _Connection(self), host=self.tcp_host, port=self.tcp_port
             )
             # Record the kernel-assigned port for port-0 binds.
             self.tcp_port = server.sockets[0].getsockname()[1]
             self._servers.append(server)
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
 
     def begin_drain(self) -> None:
         """Stop accepting, finish in-flight work, then shut down."""
@@ -160,7 +240,7 @@ class ServiceDaemon:
         self._draining = True
         for server in self._servers:
             server.close()
-        self._queue_event.set()  # wake the dispatcher even if idle
+        self._schedule()  # an idle dispatcher finishes the drain
 
     async def wait_stopped(self) -> None:
         """Block until the drain has fully completed."""
@@ -183,185 +263,92 @@ class ServiceDaemon:
                 except NotImplementedError:  # pragma: no cover
                     pass
 
-    # -- connection handling ---------------------------------------------------
+    # -- dispatch --------------------------------------------------------------
 
-    async def _on_connect(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        peername = writer.get_extra_info("peername")
-        conn = _Connection(writer, peer=repr(peername))
-        self._connections.add(conn)
-        self.counters.inc("service.connections")
-        try:
-            await self._read_loop(reader, conn)
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            BrokenPipeError,
-        ):
-            pass  # client went away; queued requests are dropped on reply
-        finally:
+    def _schedule(self) -> None:
+        if not self._scheduled:
+            self._scheduled = True
+            self._loop.call_soon(self._dispatch)
+
+    def _dispatch(self) -> None:
+        """One pass: a batch through ``apply_many``, one write per connection."""
+        queue = self._queue
+        gate = self.dispatch_gate
+        if queue and gate is not None and not gate.is_set():
+            self._task = self._loop.create_task(gate.wait())  # stays scheduled meanwhile
+            self._task.add_done_callback(lambda task: task.cancelled() or self._dispatch())
+            return
+        self._scheduled = False
+        if queue:
+            counters = self.counters
+            depth = len(queue)
+            if depth > counters.get("service.queue_depth_high"):
+                counters.set("service.queue_depth_high", depth)
+            batch = [queue.popleft() for _ in range(min(depth, self.batch_limit))]
+            counters.inc("service.batches")
+            counters.inc("service.batched_requests", len(batch))
+            if len(batch) > counters.get("service.batch_size_high"):
+                counters.set("service.batch_size_high", len(batch))
+            try:
+                responses = self.service.apply_many([req for _, req, _ in batch])
+            except Exception as error:  # noqa: BLE001 - the last line of defence
+                # A request that detonates past every per-request guard must
+                # not leave a zombie that answers nothing and leaks credits:
+                # the whole batch gets E_INTERNAL, and dispatch goes on.
+                counters.inc("service.dispatch_errors")
+                detail = f"batch dispatch failed: {type(error).__name__}: {error}"
+                responses = [error_response(
+                    request.get("id") if isinstance(request, dict) else None,
+                    E_INTERNAL, detail,
+                ) for _, request, _ in batch]
+            out: Dict[_Connection, List[bytes]] = {}
+            for (conn, _, packed), response in zip(batch, responses):
+                conn.pending -= 1
+                out.setdefault(conn, []).append(encode_response_frame(response, packed))
+            for conn, frames in out.items():
+                self._write(conn, frames)
+        if queue:
+            self._schedule()  # the yield that lets readers grow the next batch
+        elif self._draining and self._all_closed is None:
+            self._all_closed = asyncio.Event()
+            self._task = self._loop.create_task(self._finish_drain())
+
+    def _write(self, conn: _Connection, frames: List[bytes]) -> None:
+        """Send *frames* in one write unless the connection is gone or hopeless."""
+        transport = conn.transport
+        if conn.closed or transport.is_closing():
+            self.counters.inc("service.responses_dropped", len(frames))
+            return
+        if conn.farewell is not None and not conn.pending:
+            frames.append(conn.farewell)
             conn.closed = True
-            self._connections.discard(conn)
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - transport already dead
-                pass
-
-    async def _read_loop(self, reader: asyncio.StreamReader, conn: _Connection) -> None:
-        while True:
-            header = await reader.readexactly(HEADER_SIZE)
-            (raw,) = _HEADER.unpack(header)
-            packed = bool(raw & PACKED_BIT)
-            length = raw & LENGTH_MASK
-            if length > self.max_frame:
-                # Refuse before buffering the body; the stream position is
-                # unrecoverable after a lie this size, so also close.
-                self.counters.inc("service.frames_rejected")
-                self._send(conn, error_response(
-                    None,
-                    E_FRAME_TOO_LARGE,
-                    f"frame of {length} bytes exceeds the {self.max_frame}-byte bound",
-                ))
-                return
-            body = await reader.readexactly(length)
-            try:
-                request = unpack_body(body) if packed else decode_body(body)
-            except FrameError as error:
-                # Parse failures are answerable (the stream framing is
-                # intact), but a peer speaking garbage gets one diagnostic
-                # and the boot.
-                self.counters.inc("service.frames_rejected")
-                self._send(conn, error_response(None, error.code, str(error)))
-                return
-            if self._draining:
-                self.counters.inc("service.refused_draining")
-                self._send(conn, error_response(
-                    request.get("id"), E_SHUTTING_DOWN, "daemon is draining"
-                ), packed)
-                continue
-            if request.get("op") == "hello":
-                # Wire-encoding negotiation is a transport concern the
-                # request engine never sees.  Answer which encodings this
-                # daemon accepts; the client flips to packed (or not) and
-                # each side keeps answering frames in the arrival encoding.
-                offered = request.get("encodings")
-                takes_packed = isinstance(offered, list) and "packed" in offered
-                self._send(conn, ok_response(request.get("id"), {
-                    "encoding": "packed" if takes_packed else "json",
-                    "wire_version": WIRE_VERSION if takes_packed else 1,
-                    "version": PROTOCOL_VERSION,
-                }))
-                continue
-            if conn.pending >= self.max_pending:
-                # Backpressure: answer now, buffer nothing.
-                self.counters.inc("service.retry_later")
-                self._send(conn, error_response(
-                    request.get("id"),
-                    E_RETRY_LATER,
-                    f"connection has {conn.pending} requests in flight "
-                    f"(budget {self.max_pending}); retry later",
-                ), packed)
-                continue
-            conn.pending += 1
-            self._queue.append((conn, request, packed))
-            self._queue_event.set()
-
-    def _send(
-        self, conn: _Connection, response: Dict[str, Any], packed: bool = False
-    ) -> None:
-        """Write one frame unless the connection is gone or hopeless.
-
-        *packed* is the encoding the request arrived in; the response
-        answers in kind (error envelopes always fall back to JSON).
-        """
+        transport.write(b"".join(frames))
         if conn.closed:
-            self.counters.inc("service.responses_dropped")
-            return
-        writer = conn.writer
-        transport = writer.transport
-        if transport is None or transport.is_closing():
-            self.counters.inc("service.responses_dropped")
-            return
-        writer.write(encode_response_frame(response, packed))
-        if transport.get_write_buffer_size() > self.write_high:
+            transport.close()
+        elif transport.get_write_buffer_size() > self.write_high:
             # The client stopped reading; its response backlog is the one
             # buffer with no request-side bound, so cut it here rather
             # than grow without limit.
             self.counters.inc("service.slow_client_drops")
             conn.closed = True
-            writer.close()
-
-    # -- dispatch --------------------------------------------------------------
-
-    async def _dispatch_loop(self) -> None:
-        queue = self._queue
-        counters = self.counters
-        try:
-            while True:
-                while not queue:
-                    if self._draining:
-                        await self._finish_drain()
-                        return
-                    self._queue_event.clear()
-                    await self._queue_event.wait()
-                if self.dispatch_gate is not None:
-                    await self.dispatch_gate.wait()
-                depth = len(queue)
-                if depth > counters.get("service.queue_depth_high"):
-                    counters.set("service.queue_depth_high", depth)
-                batch = [queue.popleft() for _ in range(min(depth, self.batch_limit))]
-                counters.inc("service.batches")
-                counters.inc("service.batched_requests", len(batch))
-                if len(batch) > counters.get("service.batch_size_high"):
-                    counters.set("service.batch_size_high", len(batch))
-                try:
-                    responses = self.service.apply_many([req for _, req, _ in batch])
-                except Exception as error:  # noqa: BLE001 - the last line of defence
-                    # A request that detonates past every per-request guard
-                    # in the core must not take the dispatcher with it --
-                    # that made the daemon a zombie: accepting frames,
-                    # answering nothing, leaking pending credits.  Answer
-                    # the whole batch with E_INTERNAL, return the credits,
-                    # and keep dispatching.
-                    counters.inc("service.dispatch_errors")
-                    detail = f"{type(error).__name__}: {error}"
-                    for conn, request, packed in batch:
-                        conn.pending -= 1
-                        request_id = (
-                            request.get("id") if isinstance(request, dict) else None
-                        )
-                        self._send(conn, error_response(
-                            request_id, E_INTERNAL, f"batch dispatch failed: {detail}"
-                        ))
-                    await asyncio.sleep(0)
-                    continue
-                for (conn, _, packed), response in zip(batch, responses):
-                    conn.pending -= 1
-                    self._send(conn, response, packed)
-                # One cooperative yield per batch: lets readers refill the
-                # queue (growing the next coalesced batch) and writers
-                # actually flush.
-                await asyncio.sleep(0)
-        except asyncio.CancelledError:  # pragma: no cover - hard stop path
-            raise
+            transport.close()
 
     async def _finish_drain(self) -> None:
         """Flush and close every connection, then mark the daemon stopped."""
-        for server in self._servers:
-            try:
-                await server.wait_closed()
-            except Exception:  # pragma: no cover
-                pass
         for conn in list(self._connections):
             conn.closed = True
+            conn.transport.close()  # flushes what is buffered, then hangs up
+        if self._connections:
             try:
-                if conn.writer.transport is not None and not conn.writer.transport.is_closing():
-                    await conn.writer.drain()
-                conn.writer.close()
-            except Exception:
-                pass
+                await asyncio.wait_for(self._all_closed.wait(), DRAIN_FLUSH_TIMEOUT)
+            except asyncio.TimeoutError:
+                # A client that stopped reading would hold the drain forever.
+                for conn in list(self._connections):
+                    self.counters.inc("service.drain_aborts")
+                    conn.transport.abort()
         self._connections.clear()
+        for server in self._servers:
+            await server.wait_closed()
         if self.snapshot_dir is not None:
             # Every in-flight request is answered by now, so the journals
             # are complete: persist them for the next warm start.

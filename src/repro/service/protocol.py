@@ -88,7 +88,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 #: Version of the request/response envelope.  Bump on breaking changes;
 #: the daemon answers old versions with E_UNSUPPORTED_VERSION rather than
@@ -427,13 +427,37 @@ def error_response(request_id: Any, code: str, message: str) -> Dict[str, Any]:
     }
 
 
+def split_frames(buffer: bytearray, max_frame: int) -> Iterator[Tuple[bool, bytes]]:
+    """Yield each complete ``(packed, body)`` frame at the head of *buffer*.
+
+    The consumed bytes leave *buffer* when the iteration ends, however it
+    ends.  An oversized length prefix raises :class:`FrameError` as soon as
+    its header is in, before any of its body is buffered.
+    """
+    pos = 0
+    size = len(buffer)
+    try:
+        while size - pos >= HEADER_SIZE:
+            (raw,) = _HEADER.unpack_from(buffer, pos)
+            length = raw & LENGTH_MASK
+            if length > max_frame:
+                raise FrameError(E_FRAME_TOO_LARGE,
+                                 f"frame of {length} bytes exceeds the {max_frame}-byte bound")
+            start = pos + HEADER_SIZE
+            if size - start < length:
+                return
+            pos = start + length
+            yield bool(raw & PACKED_BIT), bytes(buffer[start:pos])
+    finally:
+        del buffer[:pos]
+
+
 class FrameDecoder:
-    """Incremental frame parser for stream transports (the sync client).
+    """Incremental frame parser for the blocking client and load generators.
 
     Feed it raw bytes as they arrive; it yields complete envelope dicts --
-    JSON and packed (wire v2) frames alike, transparently.  The asyncio
-    side uses ``readexactly`` instead and never buffers more than one
-    frame.
+    JSON and packed (wire v2) frames alike, transparently.  The daemon
+    splits its receive buffer with the same :func:`split_frames`.
     """
 
     def __init__(self, max_frame: int = DEFAULT_MAX_FRAME) -> None:
@@ -443,24 +467,10 @@ class FrameDecoder:
     def feed(self, data: bytes) -> List[Dict[str, Any]]:
         """Append *data*; return every complete envelope now available."""
         self._buffer.extend(data)
-        frames: List[Dict[str, Any]] = []
-        while True:
-            if len(self._buffer) < HEADER_SIZE:
-                return frames
-            (raw,) = _HEADER.unpack_from(self._buffer)
-            packed = bool(raw & PACKED_BIT)
-            length = raw & LENGTH_MASK
-            if length > self.max_frame:
-                raise FrameError(
-                    E_FRAME_TOO_LARGE,
-                    f"frame of {length} bytes exceeds the {self.max_frame}-byte bound",
-                )
-            end = HEADER_SIZE + length
-            if len(self._buffer) < end:
-                return frames
-            body = bytes(self._buffer[HEADER_SIZE:end])
-            del self._buffer[:end]
-            frames.append(unpack_body(body) if packed else decode_body(body))
+        return [
+            unpack_body(body) if packed else decode_body(body)
+            for packed, body in split_frames(self._buffer, self.max_frame)
+        ]
 
     @property
     def pending_bytes(self) -> int:

@@ -7,10 +7,12 @@ deterministically where a test needs an observable queue.
 """
 
 import asyncio
+import socket
 import struct
 
 import pytest
 
+from repro.service import daemon as daemon_module
 from repro.service.client import AsyncServiceClient, ServiceError
 from repro.service.core import PermissionService
 from repro.service.daemon import ServiceDaemon
@@ -20,7 +22,10 @@ from repro.service.protocol import (
     E_BAD_REQUEST,
     E_RETRY_LATER,
     E_SHUTTING_DOWN,
+    FrameDecoder,
     encode_frame,
+    encode_request_frame,
+    encode_response_frame,
 )
 
 
@@ -75,6 +80,144 @@ class TestFrameRejection:
             writer.close()
             daemon.begin_drain()
             await daemon.wait_stopped()
+
+        run(body)
+
+
+def transcript():
+    """Pipelined query/interact/advance/spawn requests, JSON and packed mixed.
+
+    Returns ``(request frames, expected response bytes)``; the expected
+    bytes come from in-process ``apply_many``, answered in kind.
+    """
+    spawn = {"v": PROTOCOL_VERSION, "id": 1, "op": "spawn", "tenant": "t0", "name": "alpha"}
+    pid = PermissionService().apply_many([spawn])[0]["result"]["pid"]
+    requests = [
+        (spawn, False),
+        ({"v": PROTOCOL_VERSION, "id": 2, "op": "query", "tenant": "t0", "pid": pid,
+          "operation": "paste"}, True),
+        ({"v": PROTOCOL_VERSION, "id": 3, "op": "interact", "tenant": "t0", "pid": pid}, True),
+        ({"v": PROTOCOL_VERSION, "id": 4, "op": "query", "tenant": "t0", "pid": pid,
+          "operation": "paste"}, False),
+        ({"v": PROTOCOL_VERSION, "id": 5, "op": "advance", "tenant": "t0", "dt": 10**9}, False),
+        ({"v": PROTOCOL_VERSION, "id": 6, "op": "query", "tenant": "t0", "pid": pid,
+          "operation": "copy"}, True),
+        ({"v": PROTOCOL_VERSION, "id": 7, "op": "spawn", "tenant": "t1", "name": "beta"}, True),
+        ({"v": PROTOCOL_VERSION, "id": 8, "op": "interact", "tenant": "t0", "pid": pid,
+          "at": 5}, True),
+    ]
+    responses = PermissionService().apply_many([request for request, _ in requests])
+    frames = [encode_request_frame(request, packed) for request, packed in requests]
+    expected = b"".join(
+        encode_response_frame(response, packed)
+        for response, (_, packed) in zip(responses, requests)
+    )
+    return frames, expected
+
+
+class TestFramingReadPath:
+    """The protocol front end: frames split out of arbitrary read chunks."""
+
+    def test_one_byte_writes_answer_like_one_write_and_in_process(self, tmp_path):
+        frames, expected = transcript()
+        assert any(frame[0] & 0x80 for frame in frames)  # packed frames are in the mix
+
+        async def exchange(path, byte_at_a_time):
+            reader, writer = await raw_connection(path)
+            stream = b"".join(frames)
+            if byte_at_a_time:
+                for index in range(len(stream)):
+                    writer.write(stream[index:index + 1])
+                    await writer.drain()
+                    await asyncio.sleep(0)
+            else:
+                writer.write(stream)
+            answer = await asyncio.wait_for(reader.readexactly(len(expected)), timeout=5)
+            writer.close()
+            return answer
+
+        async def body(byte_at_a_time):
+            daemon, path = await start_daemon(tmp_path)
+            try:
+                return await exchange(path, byte_at_a_time)
+            finally:
+                daemon.begin_drain()
+                await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
+
+        trickled = run(body, True)
+        whole = run(body, False)
+        assert trickled == whole == expected
+
+    def test_valid_frame_then_garbage_in_one_chunk(self, tmp_path):
+        async def body():
+            daemon, path = await start_daemon(tmp_path)
+            reader, writer = await raw_connection(path)
+            garbage = b"{not json"
+            writer.write(
+                encode_frame({"v": PROTOCOL_VERSION, "id": 1, "op": "ping"})
+                + struct.pack("!I", len(garbage)) + garbage
+            )
+            first = await asyncio.wait_for(read_frame(reader), timeout=5)
+            assert first["id"] == 1 and first["ok"] is True
+            second = await asyncio.wait_for(read_frame(reader), timeout=5)
+            assert second["error"] == E_BAD_REQUEST
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            assert daemon.counters.get("service.frames_rejected") == 1
+            writer.close()
+            daemon.begin_drain()
+            await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
+
+        run(body)
+
+    def test_oversized_prefix_split_across_writes_refused_before_body(self, tmp_path):
+        async def body():
+            daemon, path = await start_daemon(tmp_path, max_frame=128)
+            reader, writer = await raw_connection(path)
+            header = struct.pack("!I", 1 << 20)
+            writer.write(header[:2])
+            await writer.drain()
+            await asyncio.sleep(0.02)
+            assert daemon.counters.get("service.frames_rejected") == 0
+            writer.write(header[2:])  # no body byte is ever sent
+            response = await asyncio.wait_for(read_frame(reader), timeout=5)
+            assert response["error"] == E_FRAME_TOO_LARGE
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            assert daemon.counters.get("service.frames_rejected") == 1
+            writer.close()
+            daemon.begin_drain()
+            await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
+
+        run(body)
+
+    def test_one_batch_leaves_a_connection_in_one_write(self, tmp_path):
+        async def body():
+            daemon, path = await start_daemon(tmp_path)
+            gate = asyncio.Event()
+            daemon.dispatch_gate = gate
+            reader, writer = await raw_connection(path)
+            count = 5
+            writer.write(b"".join(
+                encode_frame({"v": PROTOCOL_VERSION, "id": i, "op": "ping"})
+                for i in range(count)
+            ))
+            while daemon.queue_depth < count:
+                await asyncio.sleep(0.005)
+            (conn,) = daemon._connections
+            writes = []
+            write = conn.transport.write
+            conn.transport.write = lambda data: (writes.append(bytes(data)), write(data))
+            gate.set()
+            decoder = FrameDecoder()
+            answers = []
+            while len(answers) < count:
+                answers += decoder.feed(await asyncio.wait_for(reader.read(1 << 16), timeout=5))
+            assert [answer["id"] for answer in answers] == list(range(count))
+            assert daemon.counters.get("service.batches") == 1
+            assert len(writes) == 1
+            assert len(FrameDecoder().feed(writes[0])) == count
+            writer.close()
+            daemon.begin_drain()
+            await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
 
         run(body)
 
@@ -201,6 +344,33 @@ class TestGracefulDrain:
             await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
             assert daemon.connection_count == 0
             await client.close()
+
+        run(body)
+
+    def test_drain_aborts_a_client_that_stopped_reading(self, tmp_path, monkeypatch):
+        """Replies buffered under ``write_high`` must not hold the drain forever."""
+        monkeypatch.setattr(daemon_module, "DRAIN_FLUSH_TIMEOUT", 0.2, raising=False)
+
+        async def body():
+            daemon, path = await start_daemon(tmp_path, max_pending=1024)
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(path)
+            spawns = [{"v": PROTOCOL_VERSION, "id": i, "op": "spawn", "tenant": f"t{i}",
+                       "name": "alpha"} for i in range(60)]
+            stats = [{"v": PROTOCOL_VERSION, "id": 60 + i, "op": "stats"} for i in range(300)]
+            sock.sendall(b"".join(encode_frame(request) for request in spawns + stats))
+            try:
+                while daemon.counters.get("service.batched_requests") < 360:
+                    await asyncio.sleep(0.005)
+                # The replies (about half a megabyte) sit in the daemon's
+                # buffer, under write_high: stuck, but never cut.
+                assert daemon.counters.get("service.slow_client_drops") == 0
+                daemon.begin_drain()
+                await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
+                assert daemon.counters.get("service.drain_aborts") == 1
+                assert daemon.connection_count == 0
+            finally:
+                sock.close()
 
         run(body)
 

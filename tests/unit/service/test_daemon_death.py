@@ -107,7 +107,7 @@ class TestAsyncClientDaemonDeath:
             # Kill the daemon abruptly: abort every client transport (the
             # moral equivalent of kill -9 mid-pipeline).
             for conn in list(daemon._connections):
-                conn.writer.transport.abort()
+                conn.transport.abort()
             results = await asyncio.wait_for(
                 asyncio.gather(*futures, return_exceptions=True), timeout=TIMEOUT
             )
