@@ -12,7 +12,7 @@ Three pieces reproduce that:
 
 - :class:`SensitiveDeviceMap` -- the kernel-side map from filesystem path to
   device class; the *only* writer is the authenticated udev-helper channel.
-- :class:`DevfsManager` -- mounts ``/dev``, creates nodes with dynamic names
+- :class:`DevfsManager` -- populates ``/dev``, creates nodes with dynamic names
   (``video0``, ``video1``, ...), and emits change events.
 - :class:`UdevHelper` -- the superuser-owned userspace helper that reacts to
   devfs changes and pushes map updates over netlink.
@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.kernel.credentials import ROOT
 from repro.kernel.device import Device, DeviceClass, DeviceInventory
 from repro.kernel.errors import InvalidArgument, NoDevice, OperationNotPermitted
 from repro.kernel.netlink import (
@@ -32,7 +33,7 @@ from repro.kernel.netlink import (
     NetlinkSubsystem,
 )
 from repro.kernel.task import Task
-from repro.kernel.vfs import DeviceNode, Filesystem
+from repro.kernel.vfs import DeviceNode, Directory, Filesystem
 from repro.sim.time import Timestamp
 
 DEV_DIR = "/dev"
@@ -117,17 +118,19 @@ _CLASS_NAME_PREFIXES = {
 
 
 class DevfsManager:
-    """Mounts ``/dev`` and manages dynamic device node naming."""
+    """Populates ``/dev`` (made by the boot image) and manages dynamic node naming."""
 
-    def __init__(self, filesystem: Filesystem, netlink: NetlinkSubsystem) -> None:
+    def __init__(
+        self, filesystem: Filesystem, netlink: NetlinkSubsystem, dev_dir: Directory
+    ) -> None:
         self._filesystem = filesystem
         self._netlink = netlink
+        #: The mounted ``/dev`` directory; nodes are linked straight into it.
+        self._dev_dir = dev_dir
         self.sensitive_map = SensitiveDeviceMap()
         self._next_index: Dict[DeviceClass, int] = {}
         self._node_paths: Dict[str, str] = {}  # device name -> /dev path
         self._helper: Optional["UdevHelper"] = None
-        if not filesystem.exists(DEV_DIR):
-            filesystem.mkdir(DEV_DIR)
         self.install_kernel_handler()
 
     def install_kernel_handler(self) -> None:
@@ -172,12 +175,13 @@ class DevfsManager:
         prefix = _CLASS_NAME_PREFIXES[device.device_class]
         index = self._next_index.get(device.device_class, 0)
         self._next_index[device.device_class] = index + 1
-        path = f"{DEV_DIR}/{prefix}{index}"
+        name = f"{prefix}{index}"
+        path = f"{DEV_DIR}/{name}"
         # Desktop distributions grant the seated user device access via
         # logind ACLs / the audio+video groups; 0o666 models that, and is
         # the paper's premise -- classic UNIX checks *pass* for user-level
         # malware, which is exactly the gap Overhaul closes.
-        self._filesystem.create_device_node(path, device, mode=0o666, now=now)
+        self._filesystem.link(self._dev_dir, name, DeviceNode(ROOT, 0o666, now, device), path)
         self._node_paths[device.name] = path
         return DevfsChange("add", path, device.device_class, now)
 

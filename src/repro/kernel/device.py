@@ -50,6 +50,10 @@ class DeviceAccessRecord:
 
 _device_serials = itertools.count(0)
 
+#: Two periods of the 0..255 byte ramp: any 256-byte window of it is one
+#: period of a device stream, starting at the window's offset.
+_RAMP = bytes(range(256)) * 2
+
 
 class DeviceHandle:
     """A per-open handle; reads produce the device's synthetic stream."""
@@ -140,9 +144,9 @@ class Device:
         and a monotone position counter, so captured data is attributable to
         (device, position) in experiment assertions.
         """
-        start = self._stream_position
+        offset = (self.serial * 31 + self._stream_position) % 256
         self._stream_position += count
-        return bytes((self.serial * 31 + (start + i)) % 256 for i in range(count))
+        return (_RAMP[offset : offset + 256] * (count // 256 + 1))[:count]
 
     def __repr__(self) -> str:
         return f"Device({self.name!r}, class={self.device_class.label}, opens={self.open_count})"

@@ -26,7 +26,7 @@ from typing import Dict, Optional
 from repro.kernel.audit import AuditLog
 from repro.kernel.credentials import DEFAULT_USER, ROOT, Credentials
 from repro.kernel.device import DeviceInventory, standard_inventory
-from repro.kernel.devfs import DevfsManager, UdevHelper
+from repro.kernel.devfs import DEV_DIR, DevfsManager, UdevHelper
 from repro.kernel.errors import InvalidArgument, IsADirectory
 from repro.kernel.ipc import (
     MessageQueueSubsystem,
@@ -52,11 +52,33 @@ from repro.kernel.vfs import (
     Filesystem,
     OpenFile,
     OpenMode,
+    RegularFile,
     StatResult,
 )
 from repro.obs.tracer import Tracer
 from repro.sim.scheduler import EventScheduler
 from repro.sim.time import Timestamp
+
+
+#: The boot image as (path, owner, mode, contents), parents first; None
+#: contents make a directory.  The files are the trusted binaries.
+_BOOT_IMAGE = (
+    (DEV_DIR, ROOT, 0o755, None),
+    ("/usr", ROOT, 0o755, None),
+    ("/usr/bin", ROOT, 0o755, None),
+    ("/usr/sbin", ROOT, 0o755, None),
+    ("/usr/lib", ROOT, 0o755, None),
+    ("/usr/lib/xorg", ROOT, 0o755, None),
+    ("/sbin", ROOT, 0o755, None),
+    ("/home", ROOT, 0o755, None),
+    ("/var", ROOT, 0o755, None),
+    ("/var/log", ROOT, 0o755, None),
+    ("/tmp", ROOT, 0o777, None),
+    ("/home/user", DEFAULT_USER, 0o755, None),
+    ("/sbin/init", ROOT, 0o755, b"\x7fELF init"),
+    (DISPLAY_MANAGER_PATH, ROOT, 0o755, b"\x7fELF Xorg"),
+    (UDEV_HELPER_PATH, ROOT, 0o755, b"\x7fELF devmapd"),
+)
 
 
 class Kernel:
@@ -74,6 +96,7 @@ class Kernel:
         self.tracer = tracer if tracer is not None else Tracer()
         self.tracer.bind_clock(lambda: self.scheduler.now)
         self.filesystem = Filesystem()
+        dev_dir = self._install_base_filesystem()
         self.tracking = TrackingPolicy(enabled=False)
         self.tracking.tracer = self.tracer
         self.audit = AuditLog()
@@ -81,7 +104,7 @@ class Kernel:
         self.netlink = NetlinkSubsystem(
             self.filesystem, lambda: self.scheduler.now, tracer=self.tracer
         )
-        self.devfs = DevfsManager(self.filesystem, self.netlink)
+        self.devfs = DevfsManager(self.filesystem, self.netlink, dev_dir)
         self.pipes = PipeSubsystem(self.tracking, self.filesystem)
         self.sockets = UnixSocketSubsystem(self.tracking)
         self.msg_queues = MessageQueueSubsystem(self.tracking)
@@ -96,7 +119,6 @@ class Kernel:
         self.permission_monitor: Optional[object] = None
 
         self.inventory = inventory if inventory is not None else standard_inventory()
-        self._install_base_filesystem()
         self._register_procfs_nodes()
         self.process_table.on_exit(self.ptrace.on_task_exit)
         self.udev_helper = self._start_udev_helper()
@@ -107,18 +129,19 @@ class Kernel:
 
     # -- boot ---------------------------------------------------------------
 
-    def _install_base_filesystem(self) -> None:
-        """Create the directory skeleton and the trusted superuser binaries."""
+    def _install_base_filesystem(self) -> Directory:
+        """Build the boot image by linking each inode into its parent; return /dev."""
         fs = self.filesystem
-        for directory in ("/usr", "/usr/bin", "/usr/sbin", "/usr/lib", "/usr/lib/xorg",
-                          "/sbin", "/home", "/var", "/var/log"):
-            if not fs.exists(directory):
-                fs.makedirs(directory)
-        fs.mkdir("/tmp", owner=ROOT, mode=0o777)
-        fs.mkdir("/home/user", owner=DEFAULT_USER, mode=0o755)
-        fs.create_file("/sbin/init", owner=ROOT, mode=0o755, data=b"\x7fELF init")
-        fs.create_file(DISPLAY_MANAGER_PATH, owner=ROOT, mode=0o755, data=b"\x7fELF Xorg")
-        fs.create_file(UDEV_HELPER_PATH, owner=ROOT, mode=0o755, data=b"\x7fELF devmapd")
+        directories = {"": fs.root}
+        for path, owner, mode, contents in _BOOT_IMAGE:
+            parent, _, name = path.rpartition("/")
+            if contents is None:
+                inode = directories[path] = Directory(owner, mode, 0)
+            else:
+                inode = RegularFile(owner, mode, 0)
+                inode.data.extend(contents)
+            fs.link(directories[parent], name, inode, path)
+        return directories[DEV_DIR]
 
     def _register_procfs_nodes(self) -> None:
         def set_ptrace_protection(value: bool) -> None:

@@ -46,8 +46,14 @@ class PageProtection(enum.Flag):
 
     @classmethod
     def rx(cls) -> "PageProtection":
-        return cls.READ | cls.EXEC
+        return PROT_RX
 
+
+# Precomputed: ``Flag.__or__``/``__and__`` are Python code that builds a
+# new member, and every exec maps an image and every netlink connect
+# inspects one.
+PROT_RX = PageProtection.READ | PageProtection.EXEC
+_EXEC_BIT = PageProtection.EXEC.value
 
 _area_ids = itertools.count(1)
 
@@ -161,7 +167,7 @@ class AddressSpace:
         """Map a file as the task's main executable image (exec path)."""
         return self.map_area(
             num_pages,
-            PageProtection.rx(),
+            PROT_RX,
             shared=False,
             backing_path=path,
         )
@@ -186,7 +192,7 @@ class AddressSpace:
         Returns None for tasks with no mapped executable (kernel threads).
         """
         for area in self.areas:
-            if area.backing_path is not None and bool(area.original_prot & PageProtection.EXEC):
+            if area.backing_path is not None and area.original_prot._value_ & _EXEC_BIT:
                 return area
         return None
 

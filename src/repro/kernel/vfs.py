@@ -54,13 +54,18 @@ class OpenMode(enum.Flag):
     WRITE = enum.auto()
     CREATE = enum.auto()
 
+    # Raw-value tests: ``Flag.__and__`` is slow Python, and these run per open and read.
     @property
     def wants_read(self) -> bool:
-        return bool(self & OpenMode.READ)
+        return bool(self._value_ & _READ_BIT)
 
     @property
     def wants_write(self) -> bool:
-        return bool(self & OpenMode.WRITE)
+        return bool(self._value_ & _WRITE_BIT)
+
+
+_READ_BIT = OpenMode.READ.value
+_WRITE_BIT = OpenMode.WRITE.value
 
 
 _inode_numbers = itertools.count(1)
@@ -225,6 +230,11 @@ def split_path(path: str) -> List[str]:
     return [part for part in path.split("/") if part]
 
 
+def _join(parts: List[str]) -> str:
+    """The absolute path *parts* spell (the inverse of :func:`split_path`)."""
+    return "/" + "/".join(parts)
+
+
 class Filesystem:
     """The mounted tree: resolution, creation, deletion, stat.
 
@@ -242,14 +252,20 @@ class Filesystem:
 
     def resolve(self, path: str) -> Inode:
         """Walk *path* from the root; raises ENOENT / ENOTDIR."""
+        return self._walk(split_path(path), path)
+
+    def _walk(self, parts: List[str], path: Optional[str] = None) -> Inode:
+        """Follow *parts* from the root; errors name *path* (default: the parts)."""
         node: Inode = self.root
-        for part in split_path(path):
+        for part in parts:
             if not isinstance(node, Directory):
-                raise NotADirectory(f"{path!r}: {part!r} crossed a non-directory")
+                raise NotADirectory(
+                    f"{path or _join(parts)!r}: {part!r} crossed a non-directory"
+                )
             try:
                 node = node.entries[part]
             except KeyError:
-                raise FileNotFound(path) from None
+                raise FileNotFound(path or _join(parts)) from None
         return node
 
     def resolve_parent(self, path: str) -> Tuple[Directory, str]:
@@ -257,24 +273,34 @@ class Filesystem:
         parts = split_path(path)
         if not parts:
             raise InvalidArgument("path refers to the root directory")
-        parent_path = "/" + "/".join(parts[:-1])
-        parent = self.resolve(parent_path)
+        parent = self._walk(parts[:-1])
         if not isinstance(parent, Directory):
-            raise NotADirectory(parent_path)
+            raise NotADirectory(_join(parts[:-1]))
         return parent, parts[-1]
 
     def exists(self, path: str) -> bool:
         """True if *path* resolves."""
-        try:
-            self.resolve(path)
-            return True
-        except (FileNotFound, NotADirectory):
-            return False
+        node: Optional[Inode] = self.root
+        for part in split_path(path):
+            if not isinstance(node, Directory):
+                return False
+            node = node.entries.get(part)
+            if node is None:
+                return False
+        return True
 
     # -- creation -----------------------------------------------------------
 
     def _attach(self, path: str, inode: Inode) -> Inode:
         parent, name = self.resolve_parent(path)
+        return self.link(parent, name, inode, path)
+
+    def link(self, parent: Directory, name: str, inode: Inode, path: str) -> Inode:
+        """Enter *inode* as *name* in *parent*; *path* names it in errors.
+
+        For callers that already hold the parent directory (boot's fixed
+        layout, devfs), so creation needs no path walk.
+        """
         if name in parent.entries:
             raise FileExists(path)
         parent.entries[name] = inode
@@ -295,14 +321,15 @@ class Filesystem:
 
     def makedirs(self, path: str, owner: Credentials = ROOT, now: Timestamp = 0) -> Directory:
         """Create *path* and any missing ancestors (mkdir -p)."""
+        parts = split_path(path)
         node: Inode = self.root
-        walked = ""
-        for part in split_path(path):
-            walked += "/" + part
-            if isinstance(node, Directory) and part in node.entries:
-                node = node.entries[part]
-                continue
-            node = self.mkdir(walked, owner=owner, now=now)
+        for depth, part in enumerate(parts):
+            if not isinstance(node, Directory):
+                raise NotADirectory(_join(parts[:depth]))
+            child = node.entries.get(part)
+            if child is None:
+                child = self.link(node, part, Directory(owner, 0o755, now), path)
+            node = child
         if not isinstance(node, Directory):
             raise NotADirectory(path)
         return node
@@ -321,19 +348,6 @@ class Filesystem:
             regular.data.extend(data)
         self._attach(path, regular)
         return regular
-
-    def create_device_node(
-        self,
-        path: str,
-        device: object,
-        owner: Credentials = ROOT,
-        mode: int = 0o660,
-        now: Timestamp = 0,
-    ) -> DeviceNode:
-        """Create a device node referencing *device* (mknod equivalent)."""
-        node = DeviceNode(owner, mode, now, device)
-        self._attach(path, node)
-        return node
 
     def create_fifo(
         self,

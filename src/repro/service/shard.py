@@ -50,6 +50,7 @@ import tempfile
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.counters import Counters
+from repro.service import daemon as daemon_module
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
     HEADER_SIZE,
@@ -265,11 +266,6 @@ class ShardedDaemon:
                     pass
 
     async def _finish_drain(self) -> None:
-        for server in self._servers:
-            try:
-                await server.wait_closed()
-            except Exception:  # pragma: no cover
-                pass
         # Every response the workers still owe us empties the route table;
         # only then is it safe to tell them to drain (their queues are empty
         # of our traffic, so their snapshots are complete).
@@ -297,13 +293,22 @@ class ShardedDaemon:
                     pass
         for conn in list(self._connections):
             conn.closed = True
-            try:
-                if conn.writer.transport is not None and not conn.writer.transport.is_closing():
-                    await conn.writer.drain()
-                conn.writer.close()
-            except Exception:
-                pass
+            conn.writer.close()  # flushes what is buffered, then hangs up
+        # A connection leaves the set when its transport is lost, i.e. once
+        # flushed; a client that stopped reading would hold the drain forever.
+        deadline = loop.time() + daemon_module.DRAIN_FLUSH_TIMEOUT
+        while self._connections and loop.time() < deadline:
+            await asyncio.sleep(0.005)
+        for conn in list(self._connections):
+            self.counters.inc("service.drain_aborts")
+            conn.writer.transport.abort()
         self._connections.clear()
+        # Last: from Python 3.12 this also waits for every client connection.
+        for server in self._servers:
+            try:
+                await server.wait_closed()
+            except Exception:  # pragma: no cover
+                pass
         if self._socket_dir is not None:
             shutil.rmtree(self._socket_dir, ignore_errors=True)
         self._stopped.set()

@@ -40,6 +40,19 @@ class TestDevice:
         # Same serial ordering produces the same stream.
         assert len(first) == 8
 
+    @pytest.mark.parametrize("serial", [0, 1, 9, 200])
+    @pytest.mark.parametrize("start", [0, 1, 100, 250, 255, 256, 300, 1023])
+    def test_stream_matches_the_per_byte_formula(self, serial, start):
+        """The ramp slice equals ``(serial*31 + position) % 256``, byte for byte."""
+        device = Device("mic0", DeviceClass.MICROPHONE)
+        device.serial = serial
+        device._stream_position = start
+        position = start
+        for count in (0, 1, 255, 256, 257, 1000):
+            expected = bytes((serial * 31 + position + i) % 256 for i in range(count))
+            assert device.generate(count) == expected
+            position += count
+
     def test_release_idempotent(self):
         mic = Device("mic0", DeviceClass.MICROPHONE)
         handle = mic.open(1, "x", 0)

@@ -51,6 +51,53 @@ class TestPathResolution:
         assert not fs.exists("/home/nobody")
 
 
+class TestErrorContract:
+    """Errno and message of each failed walk, as the path-rebuilding VFS gave them."""
+
+    @pytest.fixture
+    def fs(self, fs):
+        fs.create_file("/home/user/f", owner=DEFAULT_USER)
+        return fs
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda fs: fs.resolve_parent("/no/such/leaf"), FileNotFound,
+             "[ENOENT] /no/such"),
+            (lambda fs: fs.resolve_parent("/home/user/f/x"), NotADirectory,
+             "[ENOTDIR] /home/user/f"),
+            (lambda fs: fs.resolve_parent("/home/user/f/x/y"), NotADirectory,
+             "[ENOTDIR] '/home/user/f/x': 'x' crossed a non-directory"),
+            (lambda fs: fs.resolve_parent("/"), InvalidArgument,
+             "[EINVAL] path refers to the root directory"),
+            (lambda fs: fs.resolve_parent("//"), InvalidArgument,
+             "[EINVAL] path refers to the root directory"),
+            (lambda fs: fs.resolve("/home/user/f/deeper"), NotADirectory,
+             "[ENOTDIR] '/home/user/f/deeper': 'deeper' crossed a non-directory"),
+            (lambda fs: fs.resolve("/home//nope"), FileNotFound, "[ENOENT] /home//nope"),
+            (lambda fs: fs.makedirs("/home/user/f/a/b"), NotADirectory,
+             "[ENOTDIR] /home/user/f"),
+            (lambda fs: fs.makedirs("/home/user/f"), NotADirectory, "[ENOTDIR] /home/user/f"),
+        ],
+    )
+    def test_errno_and_message(self, fs, call, error, message):
+        with pytest.raises(error) as excinfo:
+            call(fs)
+        assert str(excinfo.value) == message
+
+    def test_exists_through_a_file_is_false(self, fs):
+        assert fs.exists("/home/user/f")
+        assert not fs.exists("/home/user/f/x")
+        assert not fs.exists("/home/user/f/x/y")
+
+    def test_makedirs_reuses_existing_ancestors(self, fs):
+        home = fs.resolve("/home/user")
+        created = fs.makedirs("/home/user/a/b")
+        assert fs.resolve("/home/user/a/b") is created
+        assert fs.resolve("/home/user") is home
+        assert fs.makedirs("/home/user/a/b") is created
+
+
 class TestCreation:
     def test_create_file_with_data(self, fs):
         fs.create_file("/home/user/x", owner=DEFAULT_USER, data=b"abc")

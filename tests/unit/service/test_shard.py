@@ -7,11 +7,14 @@ stats, and warm restarts across a drain/restart boundary.
 """
 
 import asyncio
+import socket
 import threading
 
 import pytest
 
+from repro.service import daemon as daemon_module
 from repro.service.client import ServiceClient
+from repro.service.protocol import PROTOCOL_VERSION, encode_frame
 from repro.service.scenario import (
     collect_digests,
     run_against_daemon,
@@ -172,3 +175,41 @@ class TestShardedWarmRestart:
             warm = collect_digests(tenants, unix_path=rig.socket_path)
 
         assert warm == cold
+
+
+class TestShardedDrain:
+    def test_drain_aborts_a_client_that_stopped_reading(self, tmp_path, monkeypatch):
+        """Replies buffered under ``write_high`` must not hold the router's drain forever."""
+        monkeypatch.setattr(daemon_module, "DRAIN_FLUSH_TIMEOUT", 0.2)
+        path = str(tmp_path / "router.sock")
+
+        async def body():
+            router = ShardedDaemon(1, unix_path=path)
+            await router.start()
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            sock.connect(path)
+            spawns = [{"v": PROTOCOL_VERSION, "id": i, "op": "spawn", "tenant": f"t{i}",
+                       "name": "alpha"} for i in range(60)]
+            stats = [{"v": PROTOCOL_VERSION, "id": 60 + i, "op": "stats"} for i in range(200)]
+            sock.sendall(b"".join(encode_frame(request) for request in spawns + stats))
+
+            async def replies_stuck_in_router():
+                # Past the transport's 64 KiB high-water mark a flush can only wait.
+                while sum(conn.writer.transport.get_write_buffer_size()
+                          for conn in router._connections) < 128 * 1024:
+                    await asyncio.sleep(0.005)
+
+            try:
+                await asyncio.wait_for(replies_stuck_in_router(), timeout=TIMEOUT)
+                # About half a megabyte of stats replies, under write_high:
+                # stuck, but never cut.
+                assert router.counters.get("shard.slow_client_drops") == 0
+                router.begin_drain()
+                await asyncio.wait_for(router.wait_stopped(), timeout=TIMEOUT)
+                assert router.counters.get("service.drain_aborts") == 1
+                assert router.connection_count == 0
+            finally:
+                sock.close()
+                await router._kill_workers()
+
+        asyncio.run(body())
