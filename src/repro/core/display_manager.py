@@ -148,8 +148,6 @@ class DisplayManagerExtension:
         # channel (kernel restart of the link, teardown race) degrades to
         # fail-closed: the notification is lost, so the access it would
         # have justified stays denied.
-        from repro.kernel.errors import KernelError
-
         payload = {"pid": client.pid, "timestamp": now}
         if self.config.graybox_enabled:
             # Gray-box enrichment (Section VII): describe the input so the

@@ -132,10 +132,11 @@ class ProcessTable:
 
     def get_live(self, pid: int) -> Task:
         """Resolve a pid that must still be running."""
-        task = self.get(pid)
-        if not task.is_alive:
-            raise NoSuchProcess(f"pid {pid} is a zombie")
-        return task
+        task = self._tasks.get(pid)
+        if task is not None and task.state is TaskState.RUNNING:
+            return task
+        self.get(pid)  # ESRCH for missing and reaped pids
+        raise NoSuchProcess(f"pid {pid} is a zombie")
 
     def live_tasks(self) -> List[Task]:
         """All currently running tasks, in pid order."""

@@ -131,7 +131,9 @@ class XEvent:
     @property
     def is_authentic_input(self) -> bool:
         """True iff this is a hardware-generated input event."""
-        return self.kind.is_input and self.provenance.is_user_authentic
+        return (
+            self.provenance is EventProvenance.HARDWARE and self.kind in _INPUT_KINDS
+        )
 
     def __repr__(self) -> str:
         return (

@@ -19,10 +19,11 @@ by the naive cell model in the property suite):
 
 The optional numpy path (``use_numpy``, gated by
 ``OverhaulConfig.fast_numpy_blit``) vectorizes multi-row copies through a
-2D view of the same backing buffer.  It is engaged only when the source
-rows all lie inside the content buffer (no zero-extension needed) and the
-rect is tall enough to amortize the view setup; everything else takes the
-pure-python row loop.  Both produce identical bytes -- the differential
+2D view of the same backing buffer: one reshaped copy for the rows inside
+the content, at most one partial row, and one zero fill for the rest.  It
+is engaged when the rect is tall enough to amortize the view setup and no
+wider than the source stride; everything else takes the pure-python row
+loop.  Both produce identical bytes -- the differential
 suite drives them against the reference composer.  numpy itself is an
 *optional* dependency (the ``repro[fast]`` extra): when the import fails
 the flag degrades silently to the pure-python loop.
@@ -119,22 +120,28 @@ class Framebuffer:
             return False
         clen = len(content)
         src = ry * stride + rx
-        if (
-            self.use_numpy
-            and rh >= _NUMPY_MIN_ROWS
-            and src + (rh - 1) * stride + rw <= clen
-        ):
-            # All source rows lie inside the content buffer: one strided 2D
-            # copy, no zero-extension bookkeeping.
-            flat = _np.frombuffer(content, dtype=_np.uint8)
-            rows = _np.lib.stride_tricks.as_strided(
-                flat[src:], shape=(rh, rw), strides=(stride, 1)
-            )
-            self._grid()[sy : sy + rh, sx : sx + rw] = rows
+        if self.use_numpy and rh >= _NUMPY_MIN_ROWS and rw <= stride:
+            grid = self._grid()[sy : sy + rh, sx : sx + rw]
+            # Rows whose whole stride lies inside the content: one 2D copy.
+            full = (clen - src) // stride if clen > src else 0
+            if full > rh:
+                full = rh
+            if full:
+                rows = _np.frombuffer(content, _np.uint8, full * stride, src)
+                grid[:full] = rows.reshape(full, stride)[:, :rw]
+            if full < rh:
+                # Zero-extension: with rw <= stride at most the next row
+                # still reaches into the content; every later cell is zero.
+                grid[full:] = 0
+                src += full * stride
+                if src < clen:
+                    tail = min(rw, clen - src)
+                    grid[full, :tail] = _np.frombuffer(content, _np.uint8, tail, src)
             self.epoch += 1
             return True
         data = self.data
         dst = sy * width + sx
+        zeros = bytes(rw)
         for _ in range(rh):
             end = src + rw
             if end <= clen:
@@ -142,9 +149,9 @@ class Framebuffer:
             elif src < clen:
                 avail = clen - src
                 data[dst : dst + avail] = content[src:clen]
-                data[dst + avail : dst + rw] = bytes(rw - avail)
+                data[dst + avail : dst + rw] = zeros[avail:]
             else:
-                data[dst : dst + rw] = bytes(rw)
+                data[dst : dst + rw] = zeros
             src += stride
             dst += width
         self.epoch += 1

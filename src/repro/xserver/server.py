@@ -1045,8 +1045,7 @@ class XServer:
                     if not patched:
                         # Banner-only repatch: the grid is untouched.
                         self.compose_partial_hits += 1
-                    body = bytes(fb.data)
-                    image = body + banner if banner else body
+                    image = b"".join((fb.data, banner))
                     cache.fb_epoch = fb.epoch
                     cache.banner = banner
                     cache.band_epoch = band_epoch
@@ -1147,8 +1146,7 @@ class XServer:
                     clipped.x - geometry.x, clipped.y - geometry.y,
                     clipped.width, clipped.height,
                 )
-        body = bytes(fb.data)
-        image = body + banner if banner else body
+        image = b"".join((fb.data, banner))
         self._compose_cache = _ComposeCache(
             stacking.generation,
             windows,

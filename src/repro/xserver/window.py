@@ -124,14 +124,6 @@ class Rect(NamedTuple):
 _MAX_PENDING_RECTS = 8
 
 
-def _covered_area(a: Rect, b: Rect) -> int:
-    """Cells covered by ``a ∪ b`` as a *region* (inclusion-exclusion)."""
-    ow = min(a.x + a.width, b.x + b.width) - max(a.x, b.x)
-    oh = min(a.y + a.height, b.y + b.height) - max(a.y, b.y)
-    overlap = ow * oh if (ow > 0 and oh > 0) else 0
-    return a.width * a.height + b.width * b.height - overlap
-
-
 def coalesce_rect(rects: List[Rect], rect: Rect, cap: int = _MAX_PENDING_RECTS) -> int:
     """Fold *rect* into the pending set in place; returns merges performed.
 
@@ -146,8 +138,14 @@ def coalesce_rect(rects: List[Rect], rect: Rect, cap: int = _MAX_PENDING_RECTS) 
       bands extend into taller bands and columns stack into columns, but
       a 1-px column never widens into a full-width band;
     - past the cap, the *least-waste* pair merges (the pair whose union
-      adds the fewest uncovered cells), repeatedly until within bounds --
-      bounded local slack instead of one screen-wide bounding rect.
+      adds the fewest uncovered cells; the first such pair in ``(i, j)``
+      order), repeatedly until within bounds -- bounded local slack
+      instead of one screen-wide bounding rect.
+
+    For non-empty rects the bounding union covers no extra cell exactly
+    when one rect contains the other, or the two share their extent on one
+    axis and overlap or abut on the other; the tight-union test checks
+    that closed form.  Both it and the pair search work on unpacked ints.
     """
     if rects and rects[-1] == rect:
         return 1
@@ -156,29 +154,49 @@ def coalesce_rect(rects: List[Rect], rect: Rect, cap: int = _MAX_PENDING_RECTS) 
     changed = True
     while changed:
         changed = False
+        x, y, w, h = rect
+        right = x + w
+        bottom = y + h
         for i, other in enumerate(rects):
-            union = rect.union(other)
-            if union.width * union.height == _covered_area(rect, other):
+            ox, oy, ow, oh = other
+            oright = ox + ow
+            obottom = oy + oh
+            if (
+                (x == ox and right == oright and y <= obottom and oy <= bottom)
+                or (y == oy and bottom == obottom and x <= oright and ox <= right)
+                or (x <= ox and y <= oy and right >= oright and bottom >= obottom)
+                or (ox <= x and oy <= y and oright >= right and obottom >= bottom)
+            ):
                 del rects[i]
-                rect = union
+                rect = rect.union(other)
                 merged += 1
                 changed = True
                 break
     rects.append(rect)
     while len(rects) > cap:
-        best_waste = None
+        boxes = [(r.x, r.y, r.x + r.width, r.y + r.height) for r in rects]
+        best_waste = -1
         best_i = best_j = 0
-        best_union = None
-        for i in range(len(rects) - 1):
-            a = rects[i]
-            for j in range(i + 1, len(rects)):
-                union = a.union(rects[j])
-                waste = union.width * union.height - _covered_area(a, rects[j])
-                if best_waste is None or waste < best_waste:
+        for i in range(len(boxes) - 1):
+            ax, ay, ar, ab = boxes[i]
+            a_area = (ar - ax) * (ab - ay)
+            for j in range(i + 1, len(boxes)):
+                bx, by, br, bb = boxes[j]
+                # Bounding area minus inclusion-exclusion area.
+                waste = (
+                    ((ar if ar > br else br) - (ax if ax < bx else bx))
+                    * ((ab if ab > bb else bb) - (ay if ay < by else by))
+                    - a_area
+                    - (br - bx) * (bb - by)
+                )
+                ow = (ar if ar < br else br) - (bx if ax < bx else ax)
+                oh = (ab if ab < bb else bb) - (by if ay < by else ay)
+                if ow > 0 and oh > 0:
+                    waste += ow * oh
+                if best_waste < 0 or waste < best_waste:
                     best_waste = waste
-                    best_i, best_j, best_union = i, j, union
-        del rects[best_j]
-        rects[best_i] = best_union
+                    best_i, best_j = i, j
+        rects[best_i] = rects[best_i].union(rects.pop(best_j))
         merged += 1
     return merged
 

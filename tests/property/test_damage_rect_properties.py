@@ -5,7 +5,8 @@ them: ``Rect.overlaps``/``union``/``span`` feed the per-drawable
 coalescer, and the coalescer's pending set is what the incremental
 snapshot splice trusts to cover every dirty byte.  These properties pin
 the algebra (symmetry, bounding, linear-only spans), the coalescer's
-invariants (bounded pending set, full coverage), and the splice path's
+invariants (bounded pending set, full coverage), the coalescer's
+equivalence to its original area-based formulation, and the splice path's
 equivalence to a naive 2D cell model.
 """
 
@@ -13,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xserver.window import _MAX_PENDING_RECTS, Geometry, Pixmap, Rect, Window
+from repro.xserver.window import (
+    _MAX_PENDING_RECTS,
+    Geometry,
+    Pixmap,
+    Rect,
+    Window,
+    coalesce_rect,
+)
 
 #: Small coordinates keep the cell-level coverage checks cheap while still
 #: exercising every adjacency/containment case.
@@ -130,7 +138,102 @@ class TestClipping:
             assert clipped.y == 0 and clipped.height == 1
 
 
+def _covered_area(a, b):
+    """Cells covered by ``a | b`` as a region (inclusion-exclusion)."""
+    ow = min(a.x + a.width, b.x + b.width) - max(a.x, b.x)
+    oh = min(a.y + a.height, b.y + b.height) - max(a.y, b.y)
+    overlap = ow * oh if (ow > 0 and oh > 0) else 0
+    return a.width * a.height + b.width * b.height - overlap
+
+
+def area_coalesce_rect(rects, rect, cap=_MAX_PENDING_RECTS):
+    """The oracle: ``coalesce_rect`` stated with areas -- bounding area
+    against covered area -- for both the tight-union test and the
+    least-waste pair search."""
+    if rects and rects[-1] == rect:
+        return 1
+    merged = 0
+    changed = True
+    while changed:
+        changed = False
+        for i, other in enumerate(rects):
+            union = rect.union(other)
+            if union.width * union.height == _covered_area(rect, other):
+                del rects[i]
+                rect = union
+                merged += 1
+                changed = True
+                break
+    rects.append(rect)
+    while len(rects) > cap:
+        best_waste = None
+        best_i = best_j = 0
+        best_union = None
+        for i in range(len(rects) - 1):
+            a = rects[i]
+            for j in range(i + 1, len(rects)):
+                union = a.union(rects[j])
+                waste = union.width * union.height - _covered_area(a, rects[j])
+                if best_waste is None or waste < best_waste:
+                    best_waste = waste
+                    best_i, best_j, best_union = i, j, union
+        del rects[best_j]
+        rects[best_i] = best_union
+        merged += 1
+    return merged
+
+
+@st.composite
+def rect_streams(draw):
+    """Damage streams rich in the shapes the tight-union test decides:
+    exact repeats, bands abutting or overlapping an earlier rect along a
+    shared extent, rects nested in (or enclosing) an earlier one, and
+    enough distinct rects to push the pending set past its cap."""
+    stream = [draw(rects)]
+    for _ in range(draw(st.integers(0, 40))):
+        base = draw(st.sampled_from(stream))
+        shape = draw(st.sampled_from(["fresh", "repeat", "band", "column", "nest", "enclose"]))
+        step = draw(st.integers(-1, 1))
+        size = draw(st.integers(1, 6))
+        if shape == "fresh":
+            rect = draw(rects)
+        elif shape == "repeat":
+            rect = base
+        elif shape == "band":
+            rect = Rect(base.x, max(base.y + base.height + step, 0), base.width, size)
+        elif shape == "column":
+            rect = Rect(max(base.x + base.width + step, 0), base.y, size, base.height)
+        elif shape == "nest":
+            dx = draw(st.integers(0, base.width - 1))
+            dy = draw(st.integers(0, base.height - 1))
+            rect = Rect(
+                base.x + dx,
+                base.y + dy,
+                draw(st.integers(1, base.width - dx)),
+                draw(st.integers(1, base.height - dy)),
+            )
+        else:
+            rect = Rect(
+                max(base.x - size, 0), max(base.y - step, 0),
+                base.width + 2 * size, base.height + 2,
+            )
+        stream.append(rect)
+    return stream
+
+
 class TestCoalescer:
+    @given(stream=rect_streams())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_area_based_oracle(self, stream):
+        """Differential: after every step the pending list and the merge
+        count equal the area-based formulation's, including the least-waste
+        tie-break and merge order once the set passes its cap."""
+        fast, oracle = [], []
+        for rect in stream:
+            assert coalesce_rect(fast, rect) == area_coalesce_rect(oracle, rect)
+            assert fast == oracle
+
+
     @given(damage=st.lists(rects, min_size=1, max_size=24))
     @settings(max_examples=200, deadline=None)
     def test_pending_set_is_bounded_and_covering(self, damage):

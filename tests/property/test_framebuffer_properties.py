@@ -12,7 +12,7 @@ bookkeeping and return values.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.xserver.framebuffer import NUMPY_AVAILABLE, Framebuffer
+from repro.xserver.framebuffer import _NUMPY_MIN_ROWS, NUMPY_AVAILABLE, Framebuffer
 
 #: Screen dimensions small enough for the quadratic cell model.
 dims = st.tuples(st.integers(1, 12), st.integers(1, 10))
@@ -30,6 +30,32 @@ blits = st.tuples(
     st.integers(0, 8),              # rw
     st.integers(0, 8),              # rh
 )
+
+
+@st.composite
+def tall_blits(draw):
+    """A blit the numpy path engages on (``rh >= _NUMPY_MIN_ROWS``, rect
+    inside the window's stride, nothing clipped on a 16x16 screen) whose
+    content is empty, ends mid-row, or ends exactly on a row boundary --
+    the three shapes of zero-extension."""
+    stride = draw(st.integers(2, 12))
+    rx = draw(st.integers(0, stride - 1))
+    rw = draw(st.integers(1, stride - rx))
+    ry = draw(st.integers(0, 2))
+    rh = draw(st.integers(_NUMPY_MIN_ROWS, 10))
+    rows = draw(st.integers(0, ry + rh + 1))
+    end = draw(st.sampled_from(["empty", "mid-row", "row-boundary"]))
+    if end == "empty":
+        clen = 0
+    elif end == "mid-row":
+        clen = rows * stride + draw(st.integers(1, stride - 1))
+    else:
+        clen = rows * stride
+    content = draw(st.binary(min_size=clen, max_size=clen))
+    return (
+        draw(st.integers(0, 16 - stride)), draw(st.integers(0, 4)),
+        stride, content, rx, ry, rw, rh,
+    )
 
 
 def _model_blit(model, width, height, wx, wy, stride, content, rx, ry, rw, rh):
@@ -88,3 +114,15 @@ class TestBlitDifferential:
         assert fb.epoch == before + (1 if wrote else 0)
         if not wrote:
             assert fb.snapshot() == bytes(dims[0] * dims[1])
+
+    @given(script=st.lists(tall_blits(), min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_zero_extension_on_numpy_path_matches_model(self, script):
+        """Tall blits of short content: the numpy path's row copy, partial
+        row and zero fill must land exactly the cells of the cell model."""
+        fast = Framebuffer(16, 16, use_numpy=True)
+        model = bytearray(16 * 16)
+        for step in script:
+            assert fast.blit(*step) == _model_blit(model, 16, 16, *step)
+            assert fast.snapshot() == bytes(model)
+        assert fast.epoch == len(script)

@@ -156,6 +156,27 @@ class TestLookup:
         with pytest.raises(NoSuchProcess):
             table.get_live(task.pid)
 
+    def test_get_live_error_contract(self, table):
+        """Missing, reaped and zombie pids each keep their exact
+        exception type and message."""
+        dead = table.spawn(table.init, "/usr/bin/dead")
+        table.exit(dead)
+        table.wait(table.init)
+        zombie = table.spawn(table.init, "/usr/bin/zombie")
+        table.exit(zombie)
+        assert dead.state is TaskState.DEAD
+        assert zombie.state is TaskState.ZOMBIE
+        cases = [
+            (99999, "[ESRCH] pid 99999"),
+            (dead.pid, f"[ESRCH] pid {dead.pid}"),
+            (zombie.pid, f"[ESRCH] pid {zombie.pid} is a zombie"),
+        ]
+        for pid, message in cases:
+            with pytest.raises(NoSuchProcess) as excinfo:
+                table.get_live(pid)
+            assert type(excinfo.value) is NoSuchProcess
+            assert str(excinfo.value) == message
+
     def test_contains_and_len(self, table):
         task = table.spawn(table.init, "/usr/bin/app")
         assert task.pid in table
