@@ -88,8 +88,6 @@ class SimApp:
         self._selection_data: Optional[bytes] = None
         #: Completed pastes (data received), for assertions.
         self.pasted: List[bytes] = []
-        #: Extra event hooks subclasses/tests may add.
-        self._event_hooks: List[Callable[[XEvent], None]] = []
         #: SelectionNotify payloads, reused across repeat transfers of the
         #: same (selection, property) pair -- real clipboard owners reuse
         #: their reply buffers the same way.
@@ -142,16 +140,19 @@ class SimApp:
     # -- events --------------------------------------------------------------------
 
     def on_event(self, hook: Callable[[XEvent], None]) -> None:
-        """Register an additional event hook."""
-        self._event_hooks.append(hook)
+        """Register an additional event hook.
+
+        Hooks run after the default event loop, in registration order.
+        They live on the X client, which drops them when it disconnects:
+        a hook is typically a bound method of this app, and an app-side
+        list of them would tie the app into a cycle with itself.
+        """
+        self.client.on_event(hook)
 
     def _dispatch_event(self, event: XEvent) -> None:
-        """Default event loop: serve selection requests, run hooks."""
+        """Default event loop: serve selection requests."""
         if event.kind is EventKind.SELECTION_REQUEST:
             self._handle_selection_request(event)
-        if self._event_hooks:
-            for hook in list(self._event_hooks):
-                hook(event)
 
     # -- ICCCM clipboard: owner role (Figure 6 steps 2-4, 8-9) ------------------------
 

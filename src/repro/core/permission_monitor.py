@@ -173,6 +173,11 @@ class PermissionMonitor:
         if self.prompt_arbiter is not None:
             self.prompt_arbiter.install()
 
+    def close(self) -> None:
+        """Drop the kernel and the prompt arbiter, which points back here."""
+        self._kernel = None  # type: ignore[assignment]
+        self.prompt_arbiter = None
+
     def _require_display_manager(self, channel: NetlinkChannel) -> None:
         if channel.label != "display-manager":
             raise NoSuchProcess(

@@ -130,6 +130,30 @@ class Machine:
         if overhaul_config is not None:
             self.overhaul = OverhaulSystem(self, overhaul_config)
 
+    # -- lifecycle ----------------------------------------------------------------
+
+    def close(self) -> None:
+        """End the machine's life: break every reference cycle it holds.
+
+        Each layer drops the references it owns -- the Overhaul stack's
+        back-references, the X server's clients and drawables, the
+        kernel's handler tables, channels and tasks, and the scheduler's
+        pending events -- so once the caller lets go, reference counting
+        frees the whole machine without the cycle collector.  Idempotent;
+        a closed machine is not used again.
+        """
+        if self.overhaul is not None:
+            self.overhaul.monitor.close()
+        self.xserver.close()
+        self.kernel.close()
+        self.scheduler.close()
+
+    def __enter__(self) -> "Machine":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod

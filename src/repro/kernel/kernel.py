@@ -94,7 +94,10 @@ class Kernel:
         #: The (machine-shared) decision-path tracer; disabled by default,
         #: so an unconfigured kernel pays only an `enabled` test per site.
         self.tracer = tracer if tracer is not None else Tracer()
-        self.tracer.bind_clock(lambda: self.scheduler.now)
+        # Clock closures capture the scheduler, never the kernel, so they
+        # put no cycle through it.
+        scheduler = self.scheduler
+        self.tracer.bind_clock(lambda: scheduler.now)
         self.filesystem = Filesystem()
         dev_dir = self._install_base_filesystem()
         self.tracking = TrackingPolicy(enabled=False)
@@ -102,7 +105,7 @@ class Kernel:
         self.audit = AuditLog()
         self.process_table = ProcessTable(self.scheduler)
         self.netlink = NetlinkSubsystem(
-            self.filesystem, lambda: self.scheduler.now, tracer=self.tracer
+            self.filesystem, lambda: scheduler.now, tracer=self.tracer
         )
         self.devfs = DevfsManager(self.filesystem, self.netlink, dev_dir)
         self.pipes = PipeSubsystem(self.tracking, self.filesystem)
@@ -144,12 +147,14 @@ class Kernel:
         return directories[DEV_DIR]
 
     def _register_procfs_nodes(self) -> None:
+        ptrace = self.ptrace
+
         def set_ptrace_protection(value: bool) -> None:
-            self.ptrace.protection_enabled = value
+            ptrace.protection_enabled = value
 
         self.procfs.register_bool_node(
             PTRACE_PROTECTION_NODE,
-            getter=lambda: self.ptrace.protection_enabled,
+            getter=lambda: ptrace.protection_enabled,
             setter=set_ptrace_protection,
         )
 
@@ -161,6 +166,19 @@ class Kernel:
         helper = UdevHelper(helper_task, self.netlink)
         self.devfs.attach_helper(helper)
         return helper
+
+    # -- teardown --------------------------------------------------------------
+
+    def close(self) -> None:
+        """Break the kernel's reference cycles; see :meth:`Machine.close`.
+
+        Netlink drops its handler tables and channels, the process table
+        severs its tasks, and the device mediator lets go of the kernel.
+        (The installed monitor lets go of it in its own ``close``.)
+        """
+        self.netlink.close()
+        self.process_table.close()
+        self.device_mediator.close()
 
     # -- time ----------------------------------------------------------------
 

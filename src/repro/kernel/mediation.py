@@ -43,6 +43,10 @@ class DeviceMediator:
         #: identical either way, see :mod:`repro.kernel.audit`.
         self.use_deferred_audit = False
 
+    def close(self) -> None:
+        """Drop the back-reference to the kernel (machine teardown)."""
+        self._kernel = None  # type: ignore[assignment]
+
     def gate_open(self, task: Task, path: str) -> None:
         """Decide whether *task* may open the device node at *path*.
 

@@ -222,8 +222,9 @@ class NetlinkChannel:
             self.userspace_receiver(message)
 
     def close(self) -> None:
-        """Tear the channel down (endpoint exit)."""
+        """Tear the channel down (endpoint exit); idempotent."""
         self.closed = True
+        self.userspace_receiver = None
         self._subsystem.forget_channel(self)
 
     def __repr__(self) -> str:
@@ -354,6 +355,18 @@ class NetlinkSubsystem:
         current = self._channels_by_label.get(channel.label)
         if current is channel:
             del self._channels_by_label[channel.label]
+
+    def close(self) -> None:
+        """Drop every handler and close every channel (machine teardown).
+
+        The handlers are bound methods and closures over the kernel-side
+        objects that own this subsystem, so the tables are where a
+        finished machine's netlink cycles run through.
+        """
+        self._kernel_handlers.clear()
+        self._fast_handlers.clear()
+        for channel in list(self._channels_by_label.values()):
+            channel.close()
 
     # -- routing ---------------------------------------------------------------
 

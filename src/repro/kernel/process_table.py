@@ -178,6 +178,11 @@ class ProcessTable:
         for hook in self._exit_hooks:
             hook(task)
 
+    def close(self) -> None:
+        """Sever every task's links (machine teardown); see :meth:`Task.sever`."""
+        for task in self._tasks.values():
+            task.sever()
+
     def wait(self, parent: Task) -> Optional[Task]:
         """Reap one zombie child of *parent*; None if there is none."""
         for child in parent.children:

@@ -115,6 +115,19 @@ class Task:
     def add_child(self, child: "Task") -> None:
         self.children.append(child)
 
+    def sever(self) -> None:
+        """Break the cycles this task is part of (machine teardown).
+
+        A parent and its children point at each other, and so do an open
+        device handle and its device: the children list is dropped, and
+        open descriptors are closed, as on exit, so their device handles
+        leave their devices.
+        """
+        for open_file in self._fd_table.values():
+            if not open_file.closed:
+                open_file.close()
+        self.children.clear()
+
     # -- file descriptors ----------------------------------------------------
 
     def install_fd(self, open_file: "OpenFile") -> int:

@@ -148,8 +148,9 @@ def run_counted_trial(
         machine = Machine.with_overhaul(config, name=f"rt-{scenario.name}")
     else:
         machine = Machine.baseline(name=f"rt-{scenario.name}-baseline")
-    outcome = scenario.run_trial(machine, rng, config)
-    return outcome, collect_counters(machine).snapshot()
+    with machine:
+        outcome = scenario.run_trial(machine, rng, config)
+        return outcome, collect_counters(machine).snapshot()
 
 
 def run_scenario_trial(

@@ -159,19 +159,19 @@ def sweep_delta(
         attack_successes = 0
         benign_grants = 0
         for stamp_age, response in draws:
-            machine = Machine.with_overhaul(_delta_config(delta), name="sweep-delta")
-            adversary = SimApp(machine, "/usr/bin/staler", comm="staler")
-            machine.settle()
-            adversary.click()
-            machine.run_for(stamp_age)
-            if _mic_granted(adversary):
-                attack_successes += 1
-            benign = SimApp(machine, "/usr/bin/notes", comm="notes")
-            machine.settle()
-            benign.click()
-            machine.run_for(response)
-            if _mic_granted(benign):
-                benign_grants += 1
+            with Machine.with_overhaul(_delta_config(delta), name="sweep-delta") as machine:
+                adversary = SimApp(machine, "/usr/bin/staler", comm="staler")
+                machine.settle()
+                adversary.click()
+                machine.run_for(stamp_age)
+                if _mic_granted(adversary):
+                    attack_successes += 1
+                benign = SimApp(machine, "/usr/bin/notes", comm="notes")
+                machine.settle()
+                benign.click()
+                machine.run_for(response)
+                if _mic_granted(benign):
+                    benign_grants += 1
         result.points.append(
             SweepPoint(
                 value=delta,
@@ -206,23 +206,23 @@ def sweep_visibility(
         benign_grants = 0
         for exposure, benign_age in draws:
             config = OverhaulConfig(window_visibility_threshold=threshold)
-            machine = Machine.with_overhaul(config, name="sweep-visibility")
-            machine.settle()
-            ambusher = SimApp(
-                machine, "/usr/bin/ambush", comm="ambush", map_window=False
-            )
-            machine.xserver.map_window(ambusher.client, ambusher.window.drawable_id)
-            machine.run_for(exposure)
-            machine.mouse.click_window(ambusher.window)
-            if _mic_granted(ambusher):
-                attack_successes += 1
+            with Machine.with_overhaul(config, name="sweep-visibility") as machine:
+                machine.settle()
+                ambusher = SimApp(
+                    machine, "/usr/bin/ambush", comm="ambush", map_window=False
+                )
+                machine.xserver.map_window(ambusher.client, ambusher.window.drawable_id)
+                machine.run_for(exposure)
+                machine.mouse.click_window(ambusher.window)
+                if _mic_granted(ambusher):
+                    attack_successes += 1
 
-            benign_machine = Machine.with_overhaul(config, name="sweep-benign")
-            benign = SimApp(benign_machine, "/usr/bin/notes", comm="notes")
-            benign_machine.run_for(benign_age)
-            benign.click()
-            if _mic_granted(benign):
-                benign_grants += 1
+            with Machine.with_overhaul(config, name="sweep-benign") as benign_machine:
+                benign = SimApp(benign_machine, "/usr/bin/notes", comm="notes")
+                benign_machine.run_for(benign_age)
+                benign.click()
+                if _mic_granted(benign):
+                    benign_grants += 1
         result.points.append(
             SweepPoint(
                 value=threshold,

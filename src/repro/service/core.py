@@ -234,6 +234,10 @@ class PermissionService:
         #: journal without bound.
         self.journal = journal
         self._tenants: Dict[str, TenantState] = {}
+        #: Tenants reset inside the batch being parsed: requests parsed
+        #: before the reset still run against them, so their machines are
+        #: closed only once the batch has run.
+        self._retired: List[TenantState] = []
 
     # -- tenancy -------------------------------------------------------------
 
@@ -256,11 +260,17 @@ class PermissionService:
         return state
 
     def reset_tenant(self, tenant_id: str) -> bool:
-        """Discard a tenant's partition; True when one existed."""
-        existed = self._tenants.pop(tenant_id, None) is not None
-        if existed:
+        """Discard a tenant's partition and free its machine; True when one existed."""
+        state = self._retire(tenant_id)
+        if state is not None:
+            state.machine.close()
+        return state is not None
+
+    def _retire(self, tenant_id: str) -> Optional[TenantState]:
+        state = self._tenants.pop(tenant_id, None)
+        if state is not None:
             self.counters.inc("service.tenants_reset")
-        return existed
+        return state
 
     def _tenant_for(self, request: Dict[str, Any]) -> TenantState:
         tenant_id = request.get("tenant")
@@ -333,6 +343,8 @@ class PermissionService:
                 for offset, (entry, result) in enumerate(zip(run, results)):
                     responses[index + offset] = ok_response(entry[1][0], result)
             index = end
+        while self._retired:
+            self._retired.pop().machine.close()
         self.counters.inc("service.requests", len(requests))
         return responses  # type: ignore[return-value]
 
@@ -375,7 +387,6 @@ class PermissionService:
                     raise RequestError(E_BAD_REQUEST, "'operation' must be a non-empty string")
                 at = _field_opt_int(request, "at")
                 self.counters.inc("service.queries")
-                self.counters.inc(f"service.tenant_requests.{tenant.tenant_id}")
                 # The payload is built at *flush* time, not here: an ``at``
                 # of None means "the tenant's clock when this query runs",
                 # and an earlier action in the same batch (an ``advance``)
@@ -392,7 +403,6 @@ class PermissionService:
                     raise RequestError(
                         E_BAD_REQUEST, "'name' must be a 1-64 char token of [A-Za-z0-9_.-]"
                     )
-                self.counters.inc(f"service.tenant_requests.{tenant.tenant_id}")
                 return self._action(
                     request_id, tenant, lambda: tenant.spawn(name),
                     entry={"op": "spawn", "tenant": tenant.tenant_id, "name": name},
@@ -401,7 +411,6 @@ class PermissionService:
                 tenant = self._tenant_for(request)
                 pid = _field_int(request, "pid")
                 at = _field_opt_int(request, "at")
-                self.counters.inc(f"service.tenant_requests.{tenant.tenant_id}")
                 entry = {"op": "interact", "tenant": tenant.tenant_id, "pid": pid}
                 if at is not None:
                     entry["at"] = at
@@ -411,7 +420,6 @@ class PermissionService:
             if op == "advance":
                 tenant = self._tenant_for(request)
                 dt = _field_int(request, "dt", minimum=0)
-                self.counters.inc(f"service.tenant_requests.{tenant.tenant_id}")
                 return self._action(
                     request_id, tenant, lambda: tenant.advance(dt),
                     entry={"op": "advance", "tenant": tenant.tenant_id, "dt": dt},
@@ -437,7 +445,9 @@ class PermissionService:
                 # Deliberately history-free: whether a partition already
                 # existed depends on what ran before on this daemon, and a
                 # reset response must be byte-identical across runs.
-                self.reset_tenant(tenant_id)
+                retired = self._retire(tenant_id)
+                if retired is not None:
+                    self._retired.append(retired)
                 return _KIND_RESPONSE, ok_response(request_id, {"reset": True})
             raise RequestError(E_BAD_REQUEST, f"unknown op {op!r}")
         except RequestError as error:

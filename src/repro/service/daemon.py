@@ -32,9 +32,11 @@ Graceful drain
 
 Observability
     The daemon shares a :class:`repro.obs.counters.Counters` registry with
-    its service: batch counts and sizes, queue depth high-water, retries,
-    drops, and per-tenant request counts all land in one snapshot that the
-    ``stats`` verb (no tenant) reports over the wire.
+    its service: batch counts and sizes, queue depth high-water, retries
+    and drops all land in one snapshot that the ``stats`` verb (no tenant)
+    reports over the wire.  The key set is bounded: no key names a tenant.
+    A tenant's own request total is the ``requests`` field of its
+    tenant-scoped ``stats``.
 """
 
 from __future__ import annotations

@@ -267,6 +267,20 @@ class EventScheduler:
             self._running = False
         return dispatched
 
+    def close(self) -> None:
+        """Drop every queued event and what its callback captured.
+
+        Part of :meth:`repro.core.system.Machine.close`: pending callbacks
+        are bound methods and closures over the machine's objects, and
+        each event points back at this scheduler, so the heap would
+        otherwise keep the finished machine's object graph cyclic.  A
+        handle still held elsewhere stays safe to cancel.
+        """
+        for event in self._heap:
+            event.callback = None  # type: ignore[assignment]
+        self._heap.clear()
+        self._cancelled = 0
+
     def __repr__(self) -> str:
         return (
             f"EventScheduler(now={format_timestamp(self.now)}, "

@@ -191,9 +191,10 @@ def run_longterm_study(
     protected/unprotected pair differs only in the installed defence --
     matching the paper's two-computer design as closely as a simulation can.
     """
-    results, _machine = _run_study_with_machine(
+    results, machine = _run_study_with_machine(
         protected, seed=seed, days=days, config=config
     )
+    machine.close()
     return results
 
 
@@ -260,22 +261,24 @@ def run_longterm_shard(
     from repro.obs.counters import collect_counters
 
     name = f"fleet-machine-{machine_index:05d}"
-    protected, protected_machine = _run_study_with_machine(
-        True, seed=seed, days=days, config=config, machine_name=name
-    )
-    unprotected, unprotected_machine = _run_study_with_machine(
-        False, seed=seed, days=days, config=config, machine_name=name
-    )
+    arms: Dict[str, Any] = {}
+    counters: Dict[str, Any] = {}
+    # Each machine is closed once its counters are read, so the first
+    # arm's state is freed before the second arm boots.
+    for arm, protected in (("protected", True), ("unprotected", False)):
+        results, machine = _run_study_with_machine(
+            protected, seed=seed, days=days, config=config, machine_name=name
+        )
+        with machine:
+            arms[arm] = results.to_dict()
+            counters[arm] = collect_counters(machine).snapshot()
     return {
         "machine_index": machine_index,
         "seed": seed,
         "days": days,
-        "protected": protected.to_dict(),
-        "unprotected": unprotected.to_dict(),
-        "counters": {
-            "protected": collect_counters(protected_machine).snapshot(),
-            "unprotected": collect_counters(unprotected_machine).snapshot(),
-        },
+        "protected": arms["protected"],
+        "unprotected": arms["unprotected"],
+        "counters": counters,
     }
 
 

@@ -213,8 +213,10 @@ def run_participant(
     participant produces the same outcome whether they are run in the
     46-person in-process study or as one of 10 000 fleet-sharded users.
     """
-    task1 = _run_task1_skype_call(Machine.with_overhaul(config))
-    task2 = _run_task2_hidden_camera(Machine.with_overhaul(config), rng)
+    with Machine.with_overhaul(config) as machine:
+        task1 = _run_task1_skype_call(machine)
+    with Machine.with_overhaul(config) as machine:
+        task2 = _run_task2_hidden_camera(machine, rng)
     return ParticipantOutcome(
         participant_id=index,
         likert_score=task1.likert_score,

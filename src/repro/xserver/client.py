@@ -73,7 +73,12 @@ class XClient:
         return len(self.event_queue)
 
     def disconnect(self) -> None:
+        """Stop accepting events and drop the handlers: they are bound
+        methods of the application holding this client, so keeping them
+        would tie the two into a cycle."""
         self.connected = False
+        self._handlers.clear()
+        self._handler_snapshot = ()
 
     def __repr__(self) -> str:
         state = "connected" if self.connected else "disconnected"

@@ -26,18 +26,35 @@ wider than the source stride; everything else takes the pure-python row
 loop.  Both produce identical bytes -- the differential
 suite drives them against the reference composer.  numpy itself is an
 *optional* dependency (the ``repro[fast]`` extra): when the import fails
-the flag degrades silently to the pure-python loop.
+the flag degrades silently to the pure-python loop.  It is imported by the
+first framebuffer that engages it, so processes that never compose a
+frame (the service daemon and its shard workers) never load it.
 """
 
 from __future__ import annotations
 
-try:  # pragma: no cover - exercised via the fallback unit test
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import importlib.util
 
-#: True when the optional numpy dependency is importable.
-NUMPY_AVAILABLE = _np is not None
+#: True when the optional numpy dependency is installed.
+NUMPY_AVAILABLE = importlib.util.find_spec("numpy") is not None
+
+_UNLOADED = object()
+
+#: The numpy module, ``None`` when it cannot be imported, or
+#: ``_UNLOADED`` until a framebuffer first asks for it.
+_np = _UNLOADED
+
+
+def _load_numpy():
+    """Import numpy on first use; ``None`` when it is not importable."""
+    global _np
+    if _np is _UNLOADED:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - numpy is an optional extra
+            numpy = None
+        _np = numpy
+    return _np
 
 #: Minimum clipped rect height before the numpy path is worth the view
 #: setup; short rects (cursor rows, scroll lines) stay on the slice loop.
@@ -54,7 +71,7 @@ class Framebuffer:
         self.height = height
         self.data = bytearray(width * height)
         #: numpy engagement: requested AND importable.
-        self.use_numpy = bool(use_numpy) and _np is not None
+        self.use_numpy = bool(use_numpy) and _load_numpy() is not None
         #: Bumped by every mutating blit/clear; the composer compares it to
         #: decide whether the cached frame snapshot is stale.
         self.epoch = 0

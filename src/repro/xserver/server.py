@@ -269,6 +269,25 @@ class XServer:
     def damage_rects_coalesced(self, value: int) -> None:
         self._coalesce_cell[0] = value
 
+    # -- teardown ---------------------------------------------------------------
+
+    def close(self) -> None:
+        """Break the display side's reference cycles; see ``Machine.close``.
+
+        Every client is disconnected, dropping the application handlers
+        it holds.  Every drawable loses its damage sink, a bound method
+        of this server, and so does the server itself.  The installed
+        extension and prompt interceptor, which point back at the
+        server, go too.
+        """
+        for client in self._clients.values():
+            client.disconnect()
+        for drawable in (*self._windows.values(), *self._pixmaps.values()):
+            drawable.damage_sink = None
+        self._damage_sink = None  # type: ignore[assignment]
+        self.overhaul = None
+        self.prompt_interceptor = None
+
     # -- time -----------------------------------------------------------------
 
     @property

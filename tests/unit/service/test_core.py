@@ -249,3 +249,51 @@ class TestDecisionCacheSizing:
         service = PermissionService(config_factory=tiny)
         tenant = service.tenant("t0")
         assert tenant._monitor._decision_cache_limit == 7
+
+
+class TestServiceCounters:
+    @staticmethod
+    def _counter_keys(tenants):
+        service = PermissionService()
+        for index in range(tenants):
+            tenant = f"t{index}"
+            service.apply(req("query", tenant=tenant, pid=1, operation="paste"))
+        return set(service.apply(req("stats"))["result"]["counters"])
+
+    def test_key_set_does_not_grow_with_tenants(self):
+        """No service-wide counter is named after a tenant."""
+        assert self._counter_keys(500) == self._counter_keys(1)
+
+    def test_tenant_stats_keep_the_per_tenant_total(self):
+        service = PermissionService()
+        pid = spawn_pid(service, "t0")
+        service.apply(req("interact", tenant="t0", pid=pid))
+        service.apply(req("query", tenant="t0", pid=pid, operation="paste"))
+        assert service.apply(req("stats", tenant="t0"))["result"]["requests"] == 3
+
+
+def test_spawning_tenants_never_imports_numpy():
+    """The service never composes a frame, so it never loads numpy."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    script = (
+        "import sys\n"
+        "from repro.service.core import PermissionService\n"
+        "from repro.service.protocol import PROTOCOL_VERSION\n"
+        "service = PermissionService()\n"
+        "for index in range(3):\n"
+        "    service.apply({'v': PROTOCOL_VERSION, 'id': index, 'op': 'spawn',\n"
+        "                   'tenant': f't{index}', 'name': 'alpha'})\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

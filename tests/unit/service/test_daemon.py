@@ -355,7 +355,10 @@ class TestGracefulDrain:
             daemon, path = await start_daemon(tmp_path, max_pending=1024)
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.connect(path)
-            spawns = [{"v": PROTOCOL_VERSION, "id": i, "op": "spawn", "tenant": f"t{i}",
+            # Long tenant ids make each tenant-less stats reply (which
+            # lists every tenant) about 2.4 KB.
+            spawns = [{"v": PROTOCOL_VERSION, "id": i, "op": "spawn",
+                       "tenant": f"tenant-{i:02d}-" + "x" * 25,
                        "name": "alpha"} for i in range(60)]
             stats = [{"v": PROTOCOL_VERSION, "id": 60 + i, "op": "stats"} for i in range(300)]
             sock.sendall(b"".join(encode_frame(request) for request in spawns + stats))
