@@ -4,9 +4,11 @@ Table I reports end-to-end overhead; this harness breaks the Overhaul
 addition into its components so the EXPERIMENTS.md discussion ("the added
 cost per operation is a small constant") is backed by direct measurement:
 
-- the temporal decision itself (``PermissionMonitor.decide``);
+- the temporal decision itself, through the fast core production runs
+  (``PermissionMonitor.authorize``);
 - a netlink query round trip (display manager -> kernel -> response);
-- an audit-log append;
+- a batched audit-log append (``AuditLog.record_deferred``, the mediation
+  paths' append);
 - an alert request (coalesced vs uncoalesced);
 - one P2 stamp embed/adopt pair;
 - one shm fault service.
@@ -62,8 +64,8 @@ def measure_components(ops: int = 5_000) -> List[ComponentCost]:
 
     results.append(
         ComponentCost(
-            "decision (PermissionMonitor.decide)",
-            _time_per_op(lambda: monitor.decide(task, now, "bench"), ops),
+            "decision (authorize -> _decide_core)",
+            _time_per_op(lambda: monitor.authorize(task, now, "bench"), ops),
         )
     )
 
@@ -78,7 +80,7 @@ def measure_components(ops: int = 5_000) -> List[ComponentCost]:
         )
 
     results.append(
-        ComponentCost("netlink query round trip (incl. decide)", _time_per_op(query, ops))
+        ComponentCost("netlink query (fast handler + decide)", _time_per_op(query, ops))
     )
 
     from repro.kernel.audit import AuditCategory, AuditDecision
@@ -86,9 +88,9 @@ def measure_components(ops: int = 5_000) -> List[ComponentCost]:
     audit = machine.kernel.audit
     results.append(
         ComponentCost(
-            "audit-log append",
+            "audit append (record_deferred)",
             _time_per_op(
-                lambda: audit.record(
+                lambda: audit.record_deferred(
                     now, AuditCategory.DEVICE, AuditDecision.GRANTED, task.pid, "cbench", "op"
                 ),
                 ops,

@@ -22,18 +22,18 @@ Table I methodology.
 Hot-path structure
 ------------------
 
-Every mediated operation runs the decision rule, so the monitor carries two
-implementations that must stay observably identical:
+Every mediated operation runs the decision rule, :meth:`_rule`, which two
+entry points share:
 
 - :meth:`decide` is the reference path: tracer spans, a
   :class:`~repro.core.notifications.PermissionResponse` per call, eager
   audit appends.  It always runs when tracing is enabled (span-tree
   fidelity) or when the fast paths are toggled off.
-- :meth:`_decide_core` is the fast core: no span plumbing, constant-string
-  reasons, and a per-pid memo of the ptrace verdict keyed by the
-  ``(interaction_ts, ptrace.version)`` epoch -- a new interaction, a fork
-  (fresh pid; pids are never reused), or any trace-state change invalidates
-  in O(1).  The fast netlink handlers (:meth:`_fast_handle_interaction`,
+- :meth:`_decide_core` is the fast core: no span plumbing, and a per-pid
+  memo of the ptrace verdict keyed by the ``(interaction_ts,
+  ptrace.version)`` epoch -- a new interaction, a fork (fresh pid; pids are
+  never reused), or any trace-state change invalidates in O(1).  The fast
+  netlink handlers (:meth:`_fast_handle_interaction`,
   :meth:`_fast_handle_query`) sit on top and skip datagram construction
   entirely.
 
@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 from repro.kernel.audit import AuditCategory, AuditDecision
 from repro.kernel.errors import NoSuchProcess
 from repro.kernel.netlink import NetlinkChannel, NetlinkMessage
-from repro.kernel.task import Task
+from repro.kernel.task import Task, TaskState
 from repro.core.config import OverhaulConfig
 from repro.core.notifications import (
     MSG_INTERACTION,
@@ -66,8 +66,9 @@ if TYPE_CHECKING:  # pragma: no cover
 class Decision(NamedTuple):
     """One permission decision, for the monitor's decision log.
 
-    A ``NamedTuple``: one of these is appended per mediated operation, and
-    tuple construction is the cheapest instantiation Python offers.
+    A ``NamedTuple``: one of these is appended per mediated operation.  The
+    monitor builds them with ``tuple.__new__(Decision, fields)``, which
+    skips the namedtuple's Python-level ``__new__``.
     """
 
     timestamp: Timestamp
@@ -118,6 +119,9 @@ class PermissionMonitor:
     def __init__(self, kernel: "Kernel", config: OverhaulConfig) -> None:
         self._kernel = kernel
         self.config = config
+        #: The process table's pid -> task dict, which it never replaces:
+        #: the fast handlers resolve a pid with one probe of it.
+        self._tasks = kernel.process_table._tasks
         self.decisions: List[Decision] = []
         self.notifications_received = 0
         self.queries_answered = 0
@@ -250,9 +254,10 @@ class PermissionMonitor:
             self._require_display_manager(channel)  # raises canonically
         pid = payload["pid"]
         timestamp = payload["timestamp"]
-        try:
-            task = self._kernel.process_table.get_live(pid)
-        except NoSuchProcess:
+        # ProcessTable.get_live, inlined; its ESRCH/zombie error would be
+        # swallowed here anyway.
+        task = self._tasks.get(pid)
+        if task is None or task.state is not TaskState.RUNNING:
             return  # the client raced with its own exit; nothing to record
         # record_interaction, inlined (single write path semantics kept:
         # newer timestamps win).
@@ -271,18 +276,20 @@ class PermissionMonitor:
         pid = payload["pid"]
         operation = payload["operation"]
         timestamp = payload["timestamp"]
-        try:
-            task = self._kernel.process_table.get_live(pid)
-        except NoSuchProcess:
+        task = self._tasks.get(pid)  # ProcessTable.get_live, inlined
+        if task is None or task.state is not TaskState.RUNNING:
             return {"granted": False, "reason": f"no such process {pid}",
                     "interaction_age": None}
         granted, reason, age = self._decide_core(task, timestamp, operation)
         self.queries_answered += 1
+        category = _CATEGORY_CACHE.get(operation)
+        if category is None:
+            category = _category_for(operation)
         audit = self._kernel.audit
         append = audit.record_deferred if self.config.fast_audit_batch else audit.record
         append(
             timestamp,
-            _category_for(operation),
+            category,
             AuditDecision.GRANTED if granted else AuditDecision.DENIED,
             pid,
             task.comm,
@@ -293,16 +300,16 @@ class PermissionMonitor:
     # -- the decision rule ---------------------------------------------------------
 
     def _decide_core(self, task: Task, op_time: Timestamp, operation: str) -> Tuple[bool, str, Timestamp]:
-        """The temporal-proximity rule, fast form: ``(granted, reason, age)``.
+        """The decision, fast form: ``(granted, reason, age)``.
 
         Only valid when neither the prompt arbiter nor the gray-box
         registry is active (``_fast_core_ok``); callers route through
-        :meth:`decide` otherwise.  Counter updates and the decision-log
-        append are identical to the reference path.
+        :meth:`decide` otherwise.  It runs the same :meth:`_rule` as
+        :meth:`decide`; only the ptrace verdict may come from the epoch
+        memo, and no span or response object is built.
         """
-        interaction_ts = task.interaction_ts
-        age = op_time - interaction_ts
         if self._use_decision_cache:
+            interaction_ts = task.interaction_ts
             ptrace = self._kernel.ptrace
             version = ptrace.version
             cache = self._decision_cache
@@ -318,6 +325,47 @@ class PermissionMonitor:
                 self.cache_misses += 1
         else:
             disabled = self._kernel.ptrace.permissions_disabled(task)
+        return self._rule(task, op_time, operation, disabled)
+
+    def decide(self, task: Task, op_time: Timestamp, operation: str) -> PermissionResponse:
+        """The reference decision: :meth:`_rule` under a tracer span.
+
+        :meth:`_decide_core` is the fast twin the mediation hot paths use.
+        """
+        tracer = self._kernel.tracer
+        span = None
+        if tracer.enabled:
+            span = tracer.start(
+                "monitor.decide",
+                "decision",
+                pid=task.pid,
+                comm=task.comm,
+                operation=operation,
+                age=task.interaction_age(op_time),
+                threshold=self.config.interaction_threshold,
+            )
+        granted, reason, age = self._rule(
+            task, op_time, operation, self._kernel.ptrace.permissions_disabled(task)
+        )
+        if span is not None:
+            tracer.finish(span, granted=granted, reason=reason)
+        return PermissionResponse(granted, reason, interaction_age=age)
+
+    def _rule(
+        self, task: Task, op_time: Timestamp, operation: str, disabled: bool
+    ) -> Tuple[bool, str, Timestamp]:
+        """The temporal-proximity rule: grant iff ``0 <= n < delta``.
+
+        ``n`` is the time between the task's most recent authentic
+        interaction and the privileged operation.  Interactions *after* the
+        operation never count (n < 0 is a deny), and a task whose
+        permissions are *disabled* (ptrace'd, hardening on) is denied
+        outright.  The gray-box and prompt extensions apply on top, then
+        ``force_grant``; the outcome is counted and logged.  Reasons are
+        constant strings: the age is logged beside them.
+        """
+        interaction_ts = task.interaction_ts
+        age = op_time - interaction_ts
         if disabled:
             granted = False
             reason = "permissions disabled: task is being traced"
@@ -333,6 +381,8 @@ class PermissionMonitor:
         else:
             granted = False
             reason = "interaction too old (age >= delta)"
+        if not self._fast_core_ok:
+            granted, reason = self._extensions(task, op_time, operation, disabled, granted, reason)
 
         if granted:
             self.grant_count += 1
@@ -346,67 +396,33 @@ class PermissionMonitor:
             self.deny_count += 1
         decisions = self.decisions
         decisions.append(
-            Decision(op_time, task.pid, task.comm, operation, age, granted, reason)
+            tuple.__new__(Decision, (op_time, task.pid, task.comm, operation, age, granted, reason))
         )
         if len(decisions) > self.DECISION_LOG_LIMIT:
             del decisions[: -self.DECISION_LOG_LIMIT // 2]
         return granted, reason, age
 
-    def decide(self, task: Task, op_time: Timestamp, operation: str) -> PermissionResponse:
-        """The temporal-proximity rule: grant iff ``0 <= n < delta``.
-
-        ``n`` is the time between the task's most recent authentic
-        interaction and the privileged operation.  Interactions *after* the
-        operation never count (n < 0 is a deny), and ptrace'd tasks are
-        denied outright when the hardening is on.
-
-        This is the reference implementation; :meth:`_decide_core` is the
-        fast twin the mediation hot paths use.
-        """
-        # Reasons are constant strings: the decision path is the hottest
-        # code in the system (every mediated operation runs it), and the
-        # age is stored alongside, so nothing is lost.
-        age = task.interaction_age(op_time)
-        tracer = self._kernel.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.start(
-                "monitor.decide",
-                "decision",
-                pid=task.pid,
-                comm=task.comm,
-                operation=operation,
-                age=age,
-                threshold=self.config.interaction_threshold,
-            )
-        if self._kernel.ptrace.permissions_disabled(task):
-            granted = False
-            reason = "permissions disabled: task is being traced"
-        elif task.interaction_ts == NEVER:
-            granted = False
-            reason = "no user interaction on record"
-        elif age < 0:
-            granted = False
-            reason = "interaction is in the operation's future"
-        elif age < self.config.interaction_threshold:
-            granted = True
-            reason = "interaction within threshold"
-            if self.graybox is not None and not self.graybox.check(
-                task.comm, operation, task.last_input_descriptor
-            ):
-                # The gray-box conjunct: the blessing input must express
-                # intent for *this* operation per the app's profile.
-                granted = False
-                reason = "gray-box: input does not express intent for this operation"
-        else:
-            granted = False
-            reason = "interaction too old (age >= delta)"
-
+    def _extensions(
+        self,
+        task: Task,
+        op_time: Timestamp,
+        operation: str,
+        disabled: bool,
+        granted: bool,
+        reason: str,
+    ) -> Tuple[bool, str]:
+        """The gray-box conjunct and prompt mode, on the temporal verdict."""
         if (
-            not granted
-            and self.prompt_arbiter is not None
-            and not self._kernel.ptrace.permissions_disabled(task)
+            granted
+            and self.graybox is not None
+            and not self.graybox.check(task.comm, operation, task.last_input_descriptor)
         ):
+            # The gray-box conjunct: the blessing input must express
+            # intent for *this* operation per the app's profile.
+            granted = False
+            reason = "gray-box: input does not express intent for this operation"
+
+        if not granted and self.prompt_arbiter is not None and not disabled:
             # Prompt mode: an unexpired user answer for this exact
             # (process, operation) overrides the temporal check; with no
             # answer on record, a prompt is raised and the call fails now
@@ -420,33 +436,7 @@ class PermissionMonitor:
             else:
                 self.prompt_arbiter.post_prompt(task, operation, op_time)
                 reason = "pending user prompt"
-
-        if self.config.force_grant and not granted:
-            # Benchmark methodology (Section V-A): the full decision path
-            # ran; now override so the benchmarked operation proceeds.
-            granted = True
-            reason = "force_grant override"
-
-        if granted:
-            self.grant_count += 1
-        else:
-            self.deny_count += 1
-        self.decisions.append(
-            Decision(
-                timestamp=op_time,
-                pid=task.pid,
-                comm=task.comm,
-                operation=operation,
-                interaction_age=age,
-                granted=granted,
-                reason=reason,
-            )
-        )
-        if len(self.decisions) > self.DECISION_LOG_LIMIT:
-            del self.decisions[: -self.DECISION_LOG_LIMIT // 2]
-        if span is not None:
-            tracer.finish(span, granted=granted, reason=reason)
-        return PermissionResponse(granted, reason, interaction_age=age)
+        return granted, reason
 
     # -- the Kernel-facing mediation interface ----------------------------------------
 

@@ -25,6 +25,7 @@ cheap without changing what a reader ever sees:
 from __future__ import annotations
 
 import enum
+from functools import partial
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.sim.time import Timestamp, format_timestamp
@@ -68,6 +69,10 @@ class AuditRecord(NamedTuple):
             f"{self.decision.value:8s} pid={self.pid} comm={self.comm} {self.detail}"
         )
 
+
+#: ``AuditRecord(*fields)`` at C speed: the namedtuple's own ``__new__``
+#: and ``_make`` are Python-level.
+_new_record = partial(tuple.__new__, AuditRecord)
 
 #: Deferred appends are flushed once the batch reaches this size, bounding
 #: the memory held outside the retention window.
@@ -128,21 +133,25 @@ class AuditLog:
     def _flush(self) -> None:
         """Materialise deferred appends through the retention rule.
 
-        Replays each pending tuple exactly as :meth:`record` would have
-        appended it (append, then trim when the window exceeds the limit),
-        so retention boundaries land on the same record indices regardless
-        of batching.
+        When the batch fits under the limit no trim can happen, so it joins
+        the window in one pass.  Otherwise each pending tuple is replayed
+        exactly as :meth:`record` would have appended it (append, then trim
+        when the window exceeds the limit), so retention boundaries land on
+        the same record indices regardless of batching.
         """
         records = self._records
+        pending = self._pending
         limit = self.RECORD_LIMIT
-        keep = -(limit // 2)
-        make = AuditRecord._make
-        append = records.append
-        for fields in self._pending:
-            append(make(fields))
-            if len(records) > limit:
-                del records[:keep]
-        self._pending.clear()
+        if len(records) + len(pending) <= limit:
+            records.extend(map(_new_record, pending))
+        else:
+            keep = -(limit // 2)
+            append = records.append
+            for fields in pending:
+                append(_new_record(fields))
+                if len(records) > limit:
+                    del records[:keep]
+        pending.clear()
 
     def __len__(self) -> int:
         if self._pending:

@@ -33,7 +33,7 @@ from repro.kernel.errors import (
     OperationNotPermitted,
     PermissionDenied,
 )
-from repro.kernel.task import Task
+from repro.kernel.task import Task, TaskState
 from repro.kernel.vfs import Filesystem
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.time import Timestamp
@@ -97,7 +97,7 @@ class NetlinkChannel:
                 f"pid {task.pid} is not the authenticated owner "
                 f"(pid {self.owner.pid}) of channel {self.label!r}"
             )
-        if not task.is_alive:
+        if task.state is not TaskState.RUNNING:  # Task.is_alive, inlined
             raise OperationNotPermitted(f"channel owner pid {task.pid} is dead")
         self.sent_to_kernel += 1
         subsystem = self._subsystem
@@ -171,7 +171,7 @@ class NetlinkChannel:
                 f"pid {task.pid} is not the authenticated owner "
                 f"(pid {self.owner.pid}) of channel {self.label!r}"
             )
-        if not task.is_alive:
+        if task.state is not TaskState.RUNNING:  # Task.is_alive, inlined
             raise OperationNotPermitted(f"channel owner pid {task.pid} is dead")
         count = len(payloads)
         self.sent_to_kernel += count

@@ -57,14 +57,11 @@ class EventKind(enum.Enum):
     UNMAP_NOTIFY = "unmap-notify"
     CLIENT_MESSAGE = "client-message"
 
-    @property
-    def is_input(self) -> bool:
-        """True for the device-input event kinds."""
-        return self in _INPUT_KINDS
+    #: True for the device-input event kinds; a plain per-member attribute,
+    #: set below from ``_INPUT_KINDS``.
+    is_input: bool
 
 
-#: Membership set for :attr:`EventKind.is_input` -- the property is on the
-#: selection/input hot paths, so the tuple is built once, not per call.
 _INPUT_KINDS = frozenset(
     (
         EventKind.KEY_PRESS,
@@ -74,6 +71,12 @@ _INPUT_KINDS = frozenset(
         EventKind.MOTION,
     )
 )
+# Set once here rather than tested per call: a set lookup hashes the member
+# through the Python-level ``Enum.__hash__``, and every routed input event
+# asks this.
+for _kind in EventKind:
+    _kind.is_input = _kind in _INPUT_KINDS
+del _kind
 
 _event_serials = itertools.count(1)
 
@@ -131,9 +134,7 @@ class XEvent:
     @property
     def is_authentic_input(self) -> bool:
         """True iff this is a hardware-generated input event."""
-        return (
-            self.provenance is EventProvenance.HARDWARE and self.kind in _INPUT_KINDS
-        )
+        return self.provenance is EventProvenance.HARDWARE and self.kind.is_input
 
     def __repr__(self) -> str:
         return (

@@ -571,11 +571,13 @@ class XServer:
                 pid=client.pid,
             )
         try:
-            if self.overhaul is not None:
-                if event.is_authentic_input:
-                    self.overhaul.on_authentic_input(client, window, event)
-                elif event.kind.is_input:
-                    self.overhaul.on_synthetic_input(client, window, event)
+            overhaul = self.overhaul
+            if overhaul is not None and event.kind.is_input:
+                # XEvent.is_authentic_input, inlined: this runs per event.
+                if event.provenance is EventProvenance.HARDWARE:
+                    overhaul.on_authentic_input(client, window, event)
+                else:
+                    overhaul.on_synthetic_input(client, window, event)
             self.input_events_routed += 1
             client.deliver(event)
         finally:

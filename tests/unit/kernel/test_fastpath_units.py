@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import Machine, paper_config, reference_config
 from repro.core.notifications import MSG_INTERACTION, MSG_PERMISSION_QUERY
-from repro.kernel.audit import AuditCategory, AuditDecision, AuditLog
+from repro.kernel.audit import AuditCategory, AuditDecision, AuditLog, AuditRecord
 from repro.kernel.credentials import ROOT
 from repro.kernel.errors import InvalidArgument
 
@@ -45,6 +45,25 @@ class TestAuditBatching:
             deferred.record_deferred(*_record_args(i))
         assert list(eager) == list(deferred)
         assert eager.total_recorded == deferred.total_recorded == 1_000
+
+    def test_flush_whose_batch_crosses_the_limit_mid_batch(self):
+        """The first flush fits under the limit (one-pass branch); the
+        second batch crosses it part-way (per-record replay branch), so
+        the trim must land on the same record as with eager appends."""
+        eager, deferred = AuditLog(), AuditLog()
+        eager.RECORD_LIMIT = deferred.RECORD_LIMIT = 100
+        for i in range(60):
+            eager.record(*_record_args(i))
+            deferred.record_deferred(*_record_args(i))
+        assert list(eager) == list(deferred)  # flushes 60 <= 100
+        for i in range(60, 130):
+            eager.record(*_record_args(i))
+            deferred.record_deferred(*_record_args(i))
+        assert len(deferred._pending) == 70  # 60 + 70 crosses 100 at record 101
+        assert list(eager) == list(deferred)
+        assert [r.timestamp for r in deferred][0] == 51
+        assert all(type(r) is AuditRecord for r in deferred)
+        assert eager.render() == deferred.render()
 
     def test_total_recorded_exact_before_flush(self):
         log = AuditLog()

@@ -1,6 +1,6 @@
 """LRU eviction for the display-side object pools.
 
-The selection reuse pool and the payload-dict pools used to clear
+The selection reuse pool and the PropertyNotify payload pool used to clear
 wholesale when full, so any workload cycling through more than the bound
 of distinct keys lost its entire hot set at once.  These tests pin the
 LRU behaviour: recently used entries survive arbitrary churn, and hit
@@ -107,22 +107,3 @@ class TestPropertyNotifyPoolLRU:
         assert ("P0", False) not in pool  # oldest evicted
         assert (f"P{_PROP_NOTIFY_POOL_LIMIT + 9}", False) in pool  # newest kept
 
-
-class TestQueryPayloadPoolLRU:
-    def test_pool_bounded_and_recent_keys_kept(self):
-        machine, app = _quiet_machine_with_app()
-        dm = machine.overhaul.extension
-        for i in range(1_100):
-            dm._query(app.client, f"op-{i}", machine.now)
-        pool = dm._query_payloads
-        assert len(pool) <= 1_024
-        assert (app.client.client_id, "op-1099") in pool
-        assert (app.client.client_id, "op-0") not in pool
-
-    def test_repeat_operation_reuses_the_payload_dict(self):
-        machine, app = _quiet_machine_with_app()
-        dm = machine.overhaul.extension
-        dm._query(app.client, "paste", machine.now)
-        payload = dm._query_payloads[(app.client.client_id, "paste")]
-        dm._query(app.client, "paste", machine.now)
-        assert dm._query_payloads[(app.client.client_id, "paste")] is payload

@@ -5,7 +5,7 @@ import pytest
 from repro.kernel.credentials import DEFAULT_USER
 from repro.sim.scheduler import EventScheduler
 from repro.xserver.errors import BadAccess, BadMatch, BadWindow
-from repro.xserver.events import EventKind, EventProvenance
+from repro.xserver.events import EventKind, EventProvenance, XEvent
 from repro.xserver.input_drivers import HardwareKeyboard, HardwareMouse
 from repro.xserver.server import XServer
 from repro.xserver.window import Geometry
@@ -139,6 +139,66 @@ class TestInputRouting:
         server.map_window(client, window.drawable_id)
         mouse.click(5, 5)
         assert client.event_queue[-1].window_id == window.drawable_id
+
+
+class _RecordingExtension:
+    """Stands in for the display manager's Overhaul hooks."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_authentic_input(self, client, window, event):
+        self.calls.append("authentic")
+
+    def on_synthetic_input(self, client, window, event):
+        self.calls.append("synthetic")
+
+
+_OLD_INPUT_KINDS = frozenset(
+    (
+        EventKind.KEY_PRESS,
+        EventKind.KEY_RELEASE,
+        EventKind.BUTTON_PRESS,
+        EventKind.BUTTON_RELEASE,
+        EventKind.MOTION,
+    )
+)
+
+
+class TestInputKindRule:
+    """``EventKind.is_input`` is a per-member flag and ``_route_input``
+    inlines the authenticity test; for every provenance x kind both must
+    agree with the frozenset rule they replaced (``_OLD_INPUT_KINDS``)."""
+
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_is_input_matches_the_frozenset_rule(self, kind):
+        assert kind.is_input is (kind in _OLD_INPUT_KINDS)
+
+    @pytest.mark.parametrize("provenance", list(EventProvenance))
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_is_authentic_input_matches_the_frozenset_rule(self, kind, provenance):
+        event = XEvent(kind, 0, provenance)
+        expected = provenance is EventProvenance.HARDWARE and kind in _OLD_INPUT_KINDS
+        assert event.is_authentic_input is expected
+
+    @pytest.mark.parametrize("provenance", list(EventProvenance))
+    @pytest.mark.parametrize("kind", list(EventKind))
+    def test_hook_matches_the_frozenset_rule(self, rig, kind, provenance):
+        scheduler, server, _, _ = rig
+        client = server.connect(FakeTask(5))
+        window = server.create_window(client, Geometry(0, 0, 10, 10))
+        server.map_window(client, window.drawable_id)
+        extension = _RecordingExtension()
+        server.overhaul = extension
+        server._route_input(window, XEvent(kind, scheduler.now, provenance))
+        if provenance is EventProvenance.HARDWARE and kind in _OLD_INPUT_KINDS:
+            expected = ["authentic"]
+        elif kind in _OLD_INPUT_KINDS:
+            expected = ["synthetic"]
+        else:
+            expected = []
+        assert extension.calls == expected
+        assert server.input_events_routed == 1
 
 
 class TestXTest:
