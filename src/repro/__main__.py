@@ -87,11 +87,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="disable work stealing (static leases)",
     )
     fleet.add_argument(
-        "--no-streaming", action="store_true",
-        help="disable streaming reduction; materialise every shard record "
-        "from the spool before aggregating (debug / A-B comparison)",
-    )
-    fleet.add_argument(
         "--shard-size", type=int, default=None,
         help="users per shard for user-sharded studies (usability, synthetic)",
     )
@@ -389,7 +384,6 @@ def run_fleet_command(args: argparse.Namespace) -> int:
             max_retries=args.retries,
             lease_size=args.lease,
             steal=not args.no_steal,
-            streaming=False if args.no_streaming else None,
         )
     except FleetError as error:
         print(f"fleet error: {error}", file=sys.stderr)

@@ -29,17 +29,10 @@ from repro.analysis.metrics import (
     stdev,
     time_callable,
 )
-from repro.analysis.population import (
-    aggregate_longterm,
-    aggregate_usability,
-    proportion_summary,
-    wilson_interval,
-)
+from repro.analysis.population import proportion_summary, wilson_interval
 from repro.analysis.tables import TableIResult, TableRow, measure_row, measure_table_i
 
 __all__ = [
-    "aggregate_longterm",
-    "aggregate_usability",
     "proportion_summary",
     "wilson_interval",
     "ALL_RIGS",

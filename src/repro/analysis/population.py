@@ -14,7 +14,7 @@ to a fixed precision, and no wall-clock value ever enters an aggregate.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.counters import Counters
 
@@ -60,152 +60,22 @@ def proportion_summary(successes: int, trials: int) -> Dict[str, Any]:
     }
 
 
-def _distribution(values: List[int]) -> Dict[str, Any]:
-    """Min/mean/max of a per-machine integer metric (empty-safe)."""
-    if not values:
-        return {"min": 0, "mean": 0.0, "max": 0, "n": 0}
-    return {
-        "min": min(values),
-        "mean": round(sum(values) / len(values), _PRECISION),
-        "max": max(values),
-        "n": len(values),
-    }
-
-
-def _sum_counts(dicts: List[Dict[str, int]]) -> Dict[str, int]:
-    total: Dict[str, int] = {}
-    for entry in dicts:
-        for key in sorted(entry):
-            total[key] = total.get(key, 0) + int(entry[key])
-    return dict(sorted(total.items()))
-
-
-def aggregate_longterm(
-    envelopes: List[Dict[str, Any]], meta: Optional[Dict[str, Any]] = None
-) -> Dict[str, Any]:
-    """Combine per-machine long-term shard envelopes into one report.
-
-    *envelopes* must already be ordered by shard index (the engine
-    guarantees it); each is the dict built by
-    :func:`repro.workloads.longterm.run_longterm_shard`.
-    """
-    arms: Dict[str, Dict[str, Any]] = {}
-    for arm in ("protected", "unprotected"):
-        results = [envelope[arm] for envelope in envelopes]
-        stolen = _sum_counts([r["stolen_counts"] for r in results])
-        blocked = _sum_counts([r["blocked_counts"] for r in results])
-        stolen_total = sum(stolen.values())
-        blocked_total = sum(blocked.values())
-        attempts = stolen_total + blocked_total
-        legit_actions = sum(r["legit_actions"] for r in results)
-        legit_failures = sum(r["legit_failures"] for r in results)
-        arms[arm] = {
-            "machines": len(results),
-            "stolen_counts": stolen,
-            "blocked_counts": blocked,
-            "items_stolen": stolen_total,
-            "attempts_blocked": blocked_total,
-            "passwords_captured": sum(r["passwords_captured"] for r in results),
-            "legit_actions": legit_actions,
-            "legit_failures": legit_failures,
-            "device_grants": sum(r["device_grants"] for r in results),
-            "device_denials": sum(r["device_denials"] for r in results),
-            "alerts_shown": sum(r["alerts_shown"] for r in results),
-            "spy_rounds": sum(r["spy_rounds"] for r in results),
-            "block_rate": proportion_summary(blocked_total, attempts),
-            "steal_rate": proportion_summary(stolen_total, attempts),
-            "false_positive_rate": proportion_summary(legit_failures, legit_actions),
-            "stolen_per_machine": _distribution(
-                [sum(r["stolen_counts"].values()) for r in results]
-            ),
-            "counters": Counters.merged(
-                envelope["counters"][arm] for envelope in envelopes
-            ).snapshot(),
-        }
-    aggregate: Dict[str, Any] = {
-        "study": "longterm",
-        "machines": len(envelopes),
-        "protected": arms["protected"],
-        "unprotected": arms["unprotected"],
-    }
-    if meta:
-        aggregate["meta"] = meta
-    return aggregate
-
-
-def aggregate_usability(
-    envelopes: List[Dict[str, Any]], meta: Optional[Dict[str, Any]] = None
-) -> Dict[str, Any]:
-    """Combine usability shard envelopes into one population report."""
-    outcomes: List[Dict[str, Any]] = []
-    for envelope in envelopes:
-        outcomes.extend(envelope["outcomes"])
-    participants = len(outcomes)
-    identical = sum(1 for o in outcomes if o["likert_score"] == 1)
-    blocked = sum(1 for o in outcomes if o["camera_blocked"])
-    displayed = sum(1 for o in outcomes if o["alert_displayed"])
-    reactions: Dict[str, int] = {}
-    for outcome in outcomes:
-        reactions[outcome["reaction"]] = reactions.get(outcome["reaction"], 0) + 1
-    noticed = participants - reactions.get("DID_NOT_NOTICE", 0)
-    aggregate: Dict[str, Any] = {
-        "study": "usability",
-        "participants": participants,
-        "reactions": dict(sorted(reactions.items())),
-        "identical_experience": proportion_summary(identical, participants),
-        "camera_blocked": proportion_summary(blocked, participants),
-        "alert_displayed": proportion_summary(displayed, participants),
-        "alert_noticed": proportion_summary(noticed, participants),
-    }
-    if meta:
-        aggregate["meta"] = meta
-    return aggregate
-
-
 # ---------------------------------------------------------------------------
-# Streaming accumulators
+# Study accumulators
 #
-# The list-based aggregates above hold every envelope in memory at once.
-# The classes below carry the same statistics as *online* state -- integer
-# sums, count dicts, and distribution extrema -- so a million-user fleet
-# folds shard by shard in O(1) parent memory and still finalises to the
-# **byte-identical** aggregate (same integer totals, same float operations
-# in the same order, same rounding).
+# A fleet study's aggregate is built by folding its shard envelopes, in
+# shard-id order, into one of the accumulators below.  They carry the
+# statistics as *online* state -- integer sums, count dicts, and
+# distribution extrema -- so a million-user fleet folds shard by shard in
+# O(1) parent memory.
 # ---------------------------------------------------------------------------
-
-
-class StreamingProportion:
-    """An online binomial proportion: fold (successes, trials) increments,
-    emit the same dict as :func:`proportion_summary` at the end.
-
-    The Wilson interval itself is computed once at finalise time from the
-    exact integer sums, so merging partial accumulators is plain integer
-    addition -- associative and commutative by construction.
-    """
-
-    __slots__ = ("successes", "trials")
-
-    def __init__(self, successes: int = 0, trials: int = 0) -> None:
-        self.successes = successes
-        self.trials = trials
-
-    def add(self, successes: int, trials: int) -> None:
-        self.successes += successes
-        self.trials += trials
-
-    def merge(self, other: "StreamingProportion") -> None:
-        self.successes += other.successes
-        self.trials += other.trials
-
-    def summary(self) -> Dict[str, Any]:
-        return proportion_summary(self.successes, self.trials)
 
 
 class StreamingDistribution:
-    """Online min/mean/max matching :func:`_distribution` exactly.
+    """Online min/mean/max of a per-machine integer metric (empty-safe).
 
     Keeps the integer total (not a running mean), so the finalised mean is
-    the same single division the batch version performs.
+    a single division of exact sums.
     """
 
     __slots__ = ("n", "total", "minimum", "maximum")
@@ -228,17 +98,6 @@ class StreamingDistribution:
         self.n += 1
         self.total += value
 
-    def merge(self, other: "StreamingDistribution") -> None:
-        if other.n == 0:
-            return
-        if self.n == 0:
-            self.minimum, self.maximum = other.minimum, other.maximum
-        else:
-            self.minimum = min(self.minimum, other.minimum)
-            self.maximum = max(self.maximum, other.maximum)
-        self.n += other.n
-        self.total += other.total
-
     def summary(self) -> Dict[str, Any]:
         if self.n == 0:
             return {"min": 0, "mean": 0.0, "max": 0, "n": 0}
@@ -250,17 +109,6 @@ class StreamingDistribution:
         }
 
 
-def iter_count_pairs(counts: Any) -> Iterable[Tuple[str, int]]:
-    """(name, value) pairs from a plain dict *or* a packed-counter view.
-
-    Streamed envelopes carry counter dicts as
-    :class:`repro.fleet.records.PackedCounters`; materialised envelopes
-    (legacy aggregates, spool round-trips) carry plain dicts.  Both
-    expose ``items()``.
-    """
-    return counts.items()
-
-
 def count_total(counts: Any) -> int:
     """Sum of a count mapping's values (dict or packed view)."""
     total = getattr(counts, "total", None)
@@ -270,8 +118,9 @@ def count_total(counts: Any) -> int:
 
 
 def add_counts(accumulator: Dict[str, int], counts: Any) -> None:
-    """Fold one shard's count mapping into a running total, in place."""
-    for key, value in iter_count_pairs(counts):
+    """Fold one shard's count mapping (dict or packed view) into a running
+    total, in place."""
+    for key, value in counts.items():
         accumulator[key] = accumulator.get(key, 0) + int(value)
 
 
@@ -292,7 +141,7 @@ def merge_counters(registry: Counters, counts: Any) -> None:
 
 class _LongtermArm:
     """Online state for one arm (protected/unprotected) of the long-term
-    study -- everything :func:`aggregate_longterm` derives per arm."""
+    study."""
 
     __slots__ = (
         "machines", "stolen", "blocked", "passwords_captured",
@@ -329,20 +178,6 @@ class _LongtermArm:
         self.stolen_per_machine.add(count_total(result["stolen_counts"]))
         merge_counters(self.counters, arm_counters)
 
-    def merge(self, other: "_LongtermArm") -> None:
-        self.machines += other.machines
-        add_counts(self.stolen, other.stolen)
-        add_counts(self.blocked, other.blocked)
-        self.passwords_captured += other.passwords_captured
-        self.legit_actions += other.legit_actions
-        self.legit_failures += other.legit_failures
-        self.device_grants += other.device_grants
-        self.device_denials += other.device_denials
-        self.alerts_shown += other.alerts_shown
-        self.spy_rounds += other.spy_rounds
-        self.stolen_per_machine.merge(other.stolen_per_machine)
-        self.counters.merge(other.counters)
-
     def summary(self) -> Dict[str, Any]:
         stolen = dict(sorted(self.stolen.items()))
         blocked = dict(sorted(self.blocked.items()))
@@ -373,7 +208,8 @@ class _LongtermArm:
 
 
 class LongtermState:
-    """Accumulator behind :func:`longterm_reducer`."""
+    """The ``longterm`` fleet study's accumulator: one envelope per
+    machine pair (see :func:`repro.workloads.longterm.run_longterm_shard`)."""
 
     __slots__ = ("machines", "arms")
 
@@ -385,12 +221,6 @@ class LongtermState:
         self.machines += 1
         for arm, accumulator in self.arms.items():
             accumulator.fold(envelope[arm], envelope["counters"][arm])
-
-    def merge(self, other: "LongtermState") -> "LongtermState":
-        self.machines += other.machines
-        for arm, accumulator in self.arms.items():
-            accumulator.merge(other.arms[arm])
-        return self
 
     def finalize(self, meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         aggregate: Dict[str, Any] = {
@@ -405,7 +235,8 @@ class LongtermState:
 
 
 class UsabilityState:
-    """Accumulator behind :func:`usability_reducer`."""
+    """The ``usability`` fleet study's accumulator: one envelope per batch
+    of participants (see :func:`repro.workloads.usability.run_usability_shard`)."""
 
     __slots__ = ("participants", "identical", "blocked", "displayed", "reactions")
 
@@ -428,14 +259,6 @@ class UsabilityState:
             reaction = outcome["reaction"]
             self.reactions[reaction] = self.reactions.get(reaction, 0) + 1
 
-    def merge(self, other: "UsabilityState") -> "UsabilityState":
-        self.participants += other.participants
-        self.identical += other.identical
-        self.blocked += other.blocked
-        self.displayed += other.displayed
-        add_counts(self.reactions, other.reactions)
-        return self
-
     def finalize(self, meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         noticed = self.participants - self.reactions.get("DID_NOT_NOTICE", 0)
         aggregate: Dict[str, Any] = {
@@ -455,26 +278,3 @@ class UsabilityState:
             aggregate["meta"] = dict(meta)
         return aggregate
 
-
-def longterm_reducer():
-    """The long-term study's :class:`repro.fleet.reducers.StreamingReducer`."""
-    from repro.fleet.reducers import StreamingReducer
-
-    return StreamingReducer(
-        init=LongtermState,
-        fold=lambda state, envelope, index: state.fold(envelope),
-        merge=lambda left, right: left.merge(right),
-        finalize=lambda state, meta: state.finalize(dict(meta) if meta else None),
-    )
-
-
-def usability_reducer():
-    """The usability study's :class:`repro.fleet.reducers.StreamingReducer`."""
-    from repro.fleet.reducers import StreamingReducer
-
-    return StreamingReducer(
-        init=UsabilityState,
-        fold=lambda state, envelope, index: state.fold(envelope),
-        merge=lambda left, right: left.merge(right),
-        finalize=lambda state, meta: state.finalize(dict(meta) if meta else None),
-    )

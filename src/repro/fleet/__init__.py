@@ -13,7 +13,8 @@ Pieces:
   two-level leases with work stealing, per-shard timeout, bounded
   retries, poison-shard quarantine);
 - :mod:`repro.fleet.scheduler` -- the pure lease/steal bookkeeping;
-- :mod:`repro.fleet.reducers`  -- streaming reduction in shard-id order;
+- :mod:`repro.fleet.reducers`  -- the ordered fold of shard records into
+  a study's accumulator;
 - :mod:`repro.fleet.records`   -- deterministic packed result records;
 - :mod:`repro.fleet.shm_ring`  -- shared-memory rings for the merge path;
 - :mod:`repro.fleet.spool`     -- atomic per-shard checkpoints for resume.
@@ -28,7 +29,7 @@ from repro.fleet.errors import (
     UnknownStudyError,
 )
 from repro.fleet.records import PackedCounters, pack_record, unpack_record
-from repro.fleet.reducers import OrderedFold, StreamingReducer
+from repro.fleet.reducers import OrderedFold
 from repro.fleet.scheduler import Lease, StealScheduler, default_lease_size
 from repro.fleet.shm_ring import DEFAULT_RING_BYTES, ShmRing
 from repro.fleet.spool import SPOOL_VERSION, Spool
@@ -57,7 +58,6 @@ __all__ = [
     "SpoolMismatchError",
     "SpoolVersionError",
     "StealScheduler",
-    "StreamingReducer",
     "StudyDefinition",
     "UnknownStudyError",
     "default_lease_size",

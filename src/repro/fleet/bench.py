@@ -4,9 +4,9 @@ Two rigs, two halves of the million-user hot path:
 
 - :class:`FleetMergeRig` (``fleet_merge``) -- the record merge plane: a
   packed shard record is pushed through a real shared-memory ring,
-  popped, unpacked to counter views, and folded into the streaming
-  reducer in shard-id order.  One op == one shard record merged, i.e.
-  ``ops_per_sec`` is the parent's shard-absorption ceiling.
+  popped, unpacked to counter views, and folded into the synthetic
+  study's accumulator in shard-id order.  One op == one shard record
+  merged, i.e. ``ops_per_sec`` is the parent's shard-absorption ceiling.
 - :class:`FleetStealRig` (``fleet_steal``) -- the scheduling plane: the
   *actual* :class:`~repro.fleet.scheduler.StealScheduler` driven under a
   deterministic virtual-time cost model with straggler-heavy shard costs.
@@ -30,7 +30,7 @@ from repro.fleet.records import pack_record, unpack_record
 from repro.fleet.reducers import OrderedFold
 from repro.fleet.scheduler import StealScheduler
 from repro.fleet.shm_ring import ShmRing
-from repro.fleet.studies import synthetic_reducer
+from repro.fleet.studies import SyntheticState
 
 #: Counter names per record -- sized like a real machine snapshot
 #: (:func:`repro.obs.counters.collect_counters` emits ~30 names).
@@ -66,7 +66,7 @@ class FleetMergeRig:
     def run(self, ops: int) -> None:
         payload = self.payload
         ring = self.ring
-        fold = OrderedFold(synthetic_reducer(), range(ops))
+        fold = OrderedFold(SyntheticState(), range(ops))
         for index in range(ops):
             ring.try_push(index, payload)
             popped_index, _flags, popped = ring.try_pop()

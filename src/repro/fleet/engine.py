@@ -15,11 +15,10 @@
 
 Result records travel over per-worker shared-memory rings
 (:mod:`repro.fleet.shm_ring`) in the deterministic packed codec of
-:mod:`repro.fleet.records`; the driver folds them through the study's
-:class:`~repro.fleet.reducers.StreamingReducer` strictly in shard-index
-order (:class:`~repro.fleet.reducers.OrderedFold`), so parent memory
-holds the out-of-order window, not the population.  Studies without a
-reducer keep the legacy materialise-then-aggregate path.
+:mod:`repro.fleet.records`; the driver folds them into the study's
+accumulator strictly in shard-index order
+(:class:`~repro.fleet.reducers.OrderedFold`), so parent memory holds the
+out-of-order window, not the population.
 
 Work stealing is race-free by construction: each worker owns a tiny
 shared control array ``[lease_id, progress, revoke_from]`` guarded by a
@@ -100,7 +99,6 @@ class FleetReport:
     steals: int = 0
     shards_stolen: int = 0
     peak_buffered_records: int = 0
-    streamed: bool = False
 
     def aggregate_json(self) -> str:
         """The canonical aggregate serialisation.
@@ -122,8 +120,7 @@ class FleetReport:
             f"  lease / steals         : {self.lease_size} / {self.steals} "
             f"({self.shards_stolen} shards stolen)",
             f"  merge                  : "
-            f"{'streaming' if self.streamed else 'materialised'}"
-            f" (peak {self.peak_buffered_records} records buffered)",
+            f"peak {self.peak_buffered_records} records buffered",
             f"  wall clock             : {self.wall_seconds:.2f} s",
         ]
         for shard in self.quarantined:
@@ -305,7 +302,6 @@ def run_fleet(
     max_retries: int = 2,
     lease_size: Optional[int] = None,
     steal: bool = True,
-    streaming: Optional[bool] = None,
     ring_bytes: int = DEFAULT_RING_BYTES,
 ) -> FleetReport:
     """Run *study_name* over a *population*, sharded across *workers*.
@@ -316,10 +312,7 @@ def run_fleet(
 
     *lease_size* is the micro-shards-per-dispatch batch (default: scaled
     from the pending count); *steal* enables tail stealing from loaded
-    workers.  *streaming* forces the merge path: ``None`` uses the
-    study's :class:`~repro.fleet.reducers.StreamingReducer` when it has
-    one, ``False`` forces the legacy materialise-everything aggregate
-    (the two serialise byte-identically).
+    workers.
     """
     if population < 1:
         raise FleetError(f"population must be >= 1, got {population}")
@@ -333,15 +326,13 @@ def run_fleet(
         with tempfile.TemporaryDirectory(prefix="repro-fleet-") as scratch:
             report = _run_with_spool(
                 study, population, seed, workers, params, scratch,
-                timeout_seconds, max_retries, lease_size, steal, streaming,
-                ring_bytes,
+                timeout_seconds, max_retries, lease_size, steal, ring_bytes,
             )
             report.spool_dir = None  # scratch dir is gone; do not advertise it
     else:
         report = _run_with_spool(
             study, population, seed, workers, params, spool_dir,
-            timeout_seconds, max_retries, lease_size, steal, streaming,
-            ring_bytes,
+            timeout_seconds, max_retries, lease_size, steal, ring_bytes,
         )
     report.wall_seconds = time.perf_counter() - started
     return report
@@ -358,7 +349,6 @@ def _run_with_spool(
     max_retries: int,
     lease_size: Optional[int],
     steal: bool,
-    streaming: Optional[bool],
     ring_bytes: int,
 ) -> FleetReport:
     spool = Spool(spool_dir)
@@ -386,17 +376,13 @@ def _run_with_spool(
         spool_dir=spool_dir,
     )
 
-    use_streaming = streaming is not False and study.streaming is not None
-    fold: Optional[OrderedFold] = None
-    if use_streaming:
-        fold = OrderedFold(
-            study.streaming(),
-            [spec.index for spec in specs],
-            reader=lambda index: unpack_record(spool.read_shard_packed(index)),
-        )
-        report.streamed = True
-        for index in sorted(completed):
-            fold.offer_resident(index)
+    fold = OrderedFold(
+        study.reducer(),
+        [spec.index for spec in specs],
+        reader=lambda index: unpack_record(spool.read_shard_packed(index)),
+    )
+    for index in sorted(completed):
+        fold.offer_resident(index)
 
     if pending:
         if workers == 1:
@@ -421,17 +407,8 @@ def _run_with_spool(
         "shards": len(specs),
         "quarantined_shards": sorted(shard.index for shard in report.quarantined),
     }
-    if fold is not None:
-        report.aggregate = fold.finalize(meta)
-        report.peak_buffered_records = fold.peak_buffered
-    else:
-        healthy = [
-            spec.index
-            for spec in specs
-            if spec.index not in {shard.index for shard in report.quarantined}
-        ]
-        envelopes = [spool.read_shard(index) for index in sorted(healthy)]
-        report.aggregate = study.aggregate(envelopes, meta)
+    report.aggregate = fold.finalize(meta)
+    report.peak_buffered_records = fold.peak_buffered
     return report
 
 
@@ -441,14 +418,13 @@ def _execute_inline(
     spool: Spool,
     max_retries: int,
     report: FleetReport,
-    fold: Optional[OrderedFold],
+    fold: OrderedFold,
 ) -> None:
     """The workers=1 path: same retry/quarantine semantics, no processes.
 
     (Wall-clock timeouts need a killable process, so they are enforced
-    only by the pool executor.)  With a fold, each shard's record streams
-    into the reducer right after its checkpoint -- the cursor tracks
-    execution, so nothing buffers.
+    only by the pool executor.)  Each shard's record folds right after
+    its checkpoint -- the cursor tracks execution, so nothing buffers.
     """
     for spec in pending:
         failures = 0
@@ -464,8 +440,7 @@ def _execute_inline(
                     # so a resume re-executes the shard instead of
                     # adopting a result this run declared failed.
                     spool.discard_shard(spec.index)
-                    if fold is not None:
-                        fold.skip(spec.index)
+                    fold.skip(spec.index)
                     report.quarantined.append(
                         QuarantinedShard(
                             index=spec.index,
@@ -476,11 +451,7 @@ def _execute_inline(
                     break
                 report.retries += 1
             else:
-                if fold is not None:
-                    fold.offer(
-                        spec.index,
-                        lambda payload=packed: unpack_record(payload),
-                    )
+                fold.offer(spec.index, lambda payload=packed: unpack_record(payload))
                 report.executed.append(spec.index)
                 break
     report.executed.sort()
@@ -494,7 +465,7 @@ def _execute_pool(
     timeout_seconds: Optional[float],
     max_retries: int,
     report: FleetReport,
-    fold: Optional[OrderedFold],
+    fold: OrderedFold,
     lease_size: int,
     steal: bool,
     ring_bytes: int,
@@ -502,7 +473,7 @@ def _execute_pool(
     ctx = _mp_context()
     # Rings ride fork-inherited mappings; without fork the packed records
     # simply come back off the spool (same bytes, same fold).
-    use_rings = fold is not None and ctx.get_start_method() == "fork"
+    use_rings = ctx.get_start_method() == "fork"
     result_queue = ctx.Queue()
     spool_root = str(spool.root)
     pool: Dict[int, _WorkerHandle] = {}
@@ -541,8 +512,7 @@ def _execute_pool(
             spool.discard_shard(spec.index)
             ring_records.pop(spec.index, None)
             quarantined_indexes.add(spec.index)
-            if fold is not None:
-                fold.skip(spec.index)
+            fold.skip(spec.index)
             report.quarantined.append(
                 QuarantinedShard(
                     index=spec.index, attempts=failures[spec.index], reason=reason
@@ -583,24 +553,20 @@ def _execute_pool(
             if shard_index in done:
                 return
             done.add(shard_index)
-            if fold is not None:
-                if (
-                    shard_index not in ring_records
-                    and handle is not None
-                    and handle.ring is not None
-                ):
-                    # The frame was pushed before this message was sent
-                    # (same worker, FIFO), so one targeted drain finds it
-                    # unless the ring was full and the worker skipped it.
-                    drain_ring(handle)
-                payload = ring_records.pop(shard_index, None)
-                if payload is not None:
-                    fold.offer(
-                        shard_index,
-                        lambda packed=payload: unpack_record(packed),
-                    )
-                else:
-                    fold.offer_resident(shard_index)
+            if (
+                shard_index not in ring_records
+                and handle is not None
+                and handle.ring is not None
+            ):
+                # The frame was pushed before this message was sent (same
+                # worker, FIFO), so one targeted drain finds it unless the
+                # ring was full and the worker skipped it.
+                drain_ring(handle)
+            payload = ring_records.pop(shard_index, None)
+            if payload is not None:
+                fold.offer(shard_index, lambda packed=payload: unpack_record(packed))
+            else:
+                fold.offer_resident(shard_index)
         elif shard_index not in done and shard_index not in quarantined_indexes:
             record_failure(spec_by_index[shard_index], second)
 

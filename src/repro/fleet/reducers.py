@@ -1,26 +1,17 @@
 """Streaming reduction for fleet aggregates.
 
-The old aggregation path materialised every shard envelope in the parent
-(`[spool.read_shard(i) for i in ...]`) and handed the whole list to the
-study's ``aggregate``; at a million users that is gigabytes of parent
-heap for numbers that are ultimately a page of sums and Wilson intervals.
+Every study aggregates its shard envelopes by folding them, one at a
+time, into a small accumulator.  A study's ``reducer`` is a zero-argument
+factory for that accumulator, which has two methods:
 
-A :class:`StreamingReducer` replaces the list with four small functions:
-
-``init()``
-    Build an empty accumulator state.
-``fold(state, envelope, shard_index)``
-    Absorb one shard envelope into the state, in place.  Envelopes arrive
-    with counter dicts as :class:`repro.fleet.records.PackedCounters`
-    views, so counter merges go straight from the shared-memory ring into
-    the accumulator with no intermediate dicts.
-``merge(left, right)``
-    Combine two accumulator states built from *adjacent* shard-id ranges
-    (left range strictly before right); returns the combined state (may
-    mutate and return ``left``).
-``finalize(state, meta)``
-    Produce the aggregate dict -- byte-identical (via ``aggregate_json``)
-    to what the legacy materialise-everything aggregate returns.
+``fold(envelope)``
+    Absorb one shard envelope, in place.  Envelopes arrive with counter
+    dicts as :class:`repro.fleet.records.PackedCounters` views, so counter
+    merges go straight from the shared-memory ring into the accumulator
+    with no intermediate dicts.
+``finalize(meta)``
+    Produce the population aggregate (JSON-safe), with *meta* under
+    ``"meta"``.
 
 Determinism contract: ``fold`` is applied in *shard-id order*, never
 arrival order.  :class:`OrderedFold` enforces that -- workers finish out
@@ -34,44 +25,20 @@ window, not the population.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Set
 
 from repro.fleet.errors import FleetError
-
-#: fold(state, envelope, shard_index) -> None
-FoldFn = Callable[[Any, Any, int], None]
-
-
-@dataclass(frozen=True)
-class StreamingReducer:
-    """A constant-memory replacement for a study's list-based aggregate."""
-
-    init: Callable[[], Any]
-    fold: FoldFn
-    merge: Callable[[Any, Any], Any]
-    finalize: Callable[[Any, Mapping[str, Any]], Dict[str, Any]]
-
-    def reduce_envelopes(
-        self, envelopes: Sequence[Any], meta: Mapping[str, Any]
-    ) -> Dict[str, Any]:
-        """Run the whole pipeline over in-memory envelopes (the legacy
-        aggregate signature) -- lets a study define ``aggregate`` and
-        ``streaming`` from one source of truth."""
-        state = self.init()
-        for position, envelope in enumerate(envelopes):
-            self.fold(state, envelope, position)
-        return self.finalize(state, meta)
 
 
 class OrderedFold:
     """Folds shard records in shard-id order no matter the arrival order.
 
+    *accumulator* is a fresh study accumulator (``fold``/``finalize``);
     ``expected`` is the full sorted shard-id universe for the run.  Each
     record is *offered* as a thunk (``() -> envelope``); quarantined
     shards are *skipped*.  The cursor advances over the expected ids,
-    calling each thunk exactly when its id comes up, so the reducer sees
-    the same sequence a single-worker run would produce.
+    calling each thunk exactly when its id comes up, so the accumulator
+    sees the same sequence a single-worker run would produce.
 
     ``peak_buffered`` records the high-water mark of out-of-order thunks
     held at once -- the fleet report surfaces it as evidence that parent
@@ -80,12 +47,11 @@ class OrderedFold:
 
     def __init__(
         self,
-        reducer: StreamingReducer,
+        accumulator: Any,
         expected: Sequence[int],
         reader: Optional[Callable[[int], Any]] = None,
     ) -> None:
-        self.reducer = reducer
-        self.state = reducer.init()
+        self.state = accumulator
         self._expected = sorted(expected)
         self._cursor = 0
         self._buffered: Dict[int, Callable[[], Any]] = {}
@@ -142,7 +108,7 @@ class OrderedFold:
                 envelope = self._reader(index)
             else:
                 return
-            self.reducer.fold(self.state, envelope, index)
+            self.state.fold(envelope)
             self._consumed.add(index)
             self.folded += 1
             self._cursor += 1
@@ -164,4 +130,4 @@ class OrderedFold:
                 f"{self.pending_index()} with {len(self._buffered)} records "
                 f"buffered"
             )
-        return self.reducer.finalize(self.state, meta)
+        return self.state.finalize(meta)

@@ -17,9 +17,9 @@ struct-packed codec of :mod:`repro.fleet.records`::
     [10:..) packed spec record, then packed result record
 
 Splitting spec and result means the completion scan
-(:meth:`completed_indexes`) parses only the tiny spec, and the streaming
-merge path (:meth:`read_shard_packed`) hands the result bytes straight to
-the reducer without materialising the envelope.
+(:meth:`completed_indexes`) parses only the tiny spec, and the merge path
+(:meth:`read_shard_packed`) hands the result bytes straight to the fold
+without materialising the envelope.
 
 Writes are atomic (``.tmp`` + :func:`os.replace`), so a run killed
 mid-shard leaves either a complete checkpoint or none -- never a torn one.
@@ -167,14 +167,10 @@ class Spool:
             raise ValueError(f"checkpoint {path} is truncated")
         return body[:spec_len], body[spec_len:]
 
-    def read_shard(self, index: int) -> Dict[str, Any]:
-        """Load a completed shard's result envelope (fully materialised)."""
-        _, packed = self._split_checkpoint(self.shard_path(index))
-        return unpack_record(packed, materialize=True)
-
     def read_shard_packed(self, index: int) -> bytes:
-        """A completed shard's packed result bytes -- the streaming merge
-        path feeds these to the reducer without building the dict tree."""
+        """A completed shard's packed result bytes -- the engine's fold
+        unpacks them to counter views without building the dict tree
+        (``unpack_record(..., materialize=True)`` restores the envelope)."""
         _, packed = self._split_checkpoint(self.shard_path(index))
         return bytes(packed)
 

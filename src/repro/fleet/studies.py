@@ -3,16 +3,20 @@
 A *study* is anything that can be cut into independent, deterministic
 shards: it knows how to (1) partition a population of a given size into
 :class:`ShardSpec` work items with hierarchically derived seeds, (2) run
-one shard to a picklable result envelope, and (3) aggregate the ordered
-envelopes into one population-level report.
+one shard to a picklable result envelope, and (3) build an accumulator
+that folds the envelopes, in shard-id order, into one population-level
+report (see :mod:`repro.fleet.reducers`).
 
-The two built-ins mirror the paper's evaluation:
+Two built-ins mirror the paper's evaluation:
 
 - ``longterm``  -- the Section V-D study; one shard per simulated machine
   pair (protected + unprotected), each living its *own* seeded weeks
   (``--machines 1000`` instead of the paper's two physical computers);
 - ``usability`` -- the Section V-B study; shards are batches of simulated
   participants (``--users 10000`` instead of the paper's 46 students).
+
+``redteam`` shards the adversarial campaign corpus, and ``synthetic`` is
+a cheap deterministic scale/straggler harness.
 
 Determinism contract: shard seeds come from
 :meth:`repro.sim.rng.RandomSource.spawn` keyed only by (study, root seed,
@@ -22,7 +26,8 @@ is byte-identical for any ``--workers``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import importlib
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.fleet.errors import FleetError, UnknownStudyError
@@ -73,15 +78,10 @@ class StudyDefinition:
     build_shards: Callable[[int, int, Dict[str, Any]], List[ShardSpec]]
     #: spec -> picklable result envelope (runs inside a worker process).
     run_shard: Callable[[ShardSpec], Dict[str, Any]]
-    #: (ordered envelopes, meta) -> population aggregate (JSON-safe).
-    aggregate: Callable[[List[Dict[str, Any]], Dict[str, Any]], Dict[str, Any]]
-    #: Optional zero-arg factory for a
-    #: :class:`repro.fleet.reducers.StreamingReducer`.  When present the
-    #: engine folds shard records one at a time (constant parent memory,
-    #: shared-memory merge path) instead of materialising every envelope;
-    #: the finalised aggregate must serialise byte-identically to
-    #: :attr:`aggregate`'s output.  ``None`` keeps the legacy path.
-    streaming: Optional[Callable[[], Any]] = field(default=None)
+    #: () -> a fresh accumulator with ``fold(envelope)`` and
+    #: ``finalize(meta) -> aggregate`` (JSON-safe).  The engine folds each
+    #: shard's envelope into it in shard-id order.
+    reducer: Callable[[], Any]
 
 
 _REGISTRY: Dict[str, StudyDefinition] = {}
@@ -136,14 +136,6 @@ def _longterm_run(spec: ShardSpec) -> Dict[str, Any]:
     )
 
 
-def _longterm_aggregate(
-    envelopes: List[Dict[str, Any]], meta: Dict[str, Any]
-) -> Dict[str, Any]:
-    from repro.analysis.population import aggregate_longterm
-
-    return aggregate_longterm(envelopes, meta)
-
-
 # -- usability (Section V-B at population scale) ---------------------------
 
 
@@ -170,14 +162,6 @@ def _usability_run(spec: ShardSpec) -> Dict[str, Any]:
 
     first = spec.param("first")
     return run_usability_shard(spec.seed, range(first, first + spec.param("count")))
-
-
-def _usability_aggregate(
-    envelopes: List[Dict[str, Any]], meta: Dict[str, Any]
-) -> Dict[str, Any]:
-    from repro.analysis.population import aggregate_usability
-
-    return aggregate_usability(envelopes, meta)
 
 
 # -- redteam (the adversarial campaign corpus, sharded) --------------------
@@ -225,14 +209,6 @@ def _redteam_run(spec: ShardSpec) -> Dict[str, Any]:
         count=spec.param("count"),
         include_baseline=bool(spec.param("baseline", 1)),
     )
-
-
-def _redteam_aggregate(
-    envelopes: List[Dict[str, Any]], meta: Dict[str, Any]
-) -> Dict[str, Any]:
-    from repro.redteam.engine import aggregate_redteam
-
-    return aggregate_redteam(envelopes, meta)
 
 
 # -- synthetic (scale/straggler harness) -----------------------------------
@@ -314,7 +290,7 @@ def _synthetic_run(spec: ShardSpec) -> Dict[str, Any]:
 
 
 class SyntheticState:
-    """Streaming accumulator for the synthetic study."""
+    """The ``synthetic`` study's accumulator."""
 
     __slots__ = ("shards", "users", "checksum", "events", "counters")
 
@@ -336,14 +312,6 @@ class SyntheticState:
         self.events += envelope["events"]
         merge_counters(self.counters, envelope["counters"])
 
-    def merge(self, other: "SyntheticState") -> "SyntheticState":
-        self.shards += other.shards
-        self.users += other.users
-        self.checksum = (self.checksum + other.checksum) % (1 << 61)
-        self.events += other.events
-        self.counters.merge(other.counters)
-        return self
-
     def finalize(self, meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         from repro.analysis.population import proportion_summary
 
@@ -360,41 +328,14 @@ class SyntheticState:
         return aggregate
 
 
-def synthetic_reducer():
-    from repro.fleet.reducers import StreamingReducer
+def _accumulator(module: str, name: str) -> Callable[[], Any]:
+    """A reducer factory that imports its accumulator class on first use,
+    so importing the registry does not import every study's analysis."""
 
-    return StreamingReducer(
-        init=SyntheticState,
-        fold=lambda state, envelope, index: state.fold(envelope),
-        merge=lambda left, right: left.merge(right),
-        finalize=lambda state, meta: state.finalize(dict(meta) if meta else None),
-    )
+    def build() -> Any:
+        return getattr(importlib.import_module(module), name)()
 
-
-def _synthetic_aggregate(
-    envelopes: List[Dict[str, Any]], meta: Dict[str, Any]
-) -> Dict[str, Any]:
-    # One source of truth: the batch aggregate *is* the reducer run over a
-    # materialised list, so the two paths cannot drift.
-    return synthetic_reducer().reduce_envelopes(envelopes, meta)
-
-
-def _longterm_reducer():
-    from repro.analysis.population import longterm_reducer
-
-    return longterm_reducer()
-
-
-def _usability_reducer():
-    from repro.analysis.population import usability_reducer
-
-    return usability_reducer()
-
-
-def _redteam_reducer():
-    from repro.redteam.engine import redteam_reducer
-
-    return redteam_reducer()
+    return build
 
 
 register_study(
@@ -403,8 +344,7 @@ register_study(
         description="Section V-D long-term study, one machine pair per shard",
         build_shards=_longterm_build,
         run_shard=_longterm_run,
-        aggregate=_longterm_aggregate,
-        streaming=_longterm_reducer,
+        reducer=_accumulator("repro.analysis.population", "LongtermState"),
     )
 )
 register_study(
@@ -413,8 +353,7 @@ register_study(
         description="Section V-B usability study, a batch of participants per shard",
         build_shards=_usability_build,
         run_shard=_usability_run,
-        aggregate=_usability_aggregate,
-        streaming=_usability_reducer,
+        reducer=_accumulator("repro.analysis.population", "UsabilityState"),
     )
 )
 register_study(
@@ -423,8 +362,7 @@ register_study(
         description="adversarial campaign corpus, a block of scenario trials per shard",
         build_shards=_redteam_build,
         run_shard=_redteam_run,
-        aggregate=_redteam_aggregate,
-        streaming=_redteam_reducer,
+        reducer=_accumulator("repro.redteam.engine", "RedteamState"),
     )
 )
 register_study(
@@ -433,7 +371,6 @@ register_study(
         description="deterministic scale/straggler harness, a batch of users per shard",
         build_shards=_synthetic_build,
         run_shard=_synthetic_run,
-        aggregate=_synthetic_aggregate,
-        streaming=synthetic_reducer,
+        reducer=SyntheticState,
     )
 )

@@ -7,8 +7,8 @@ scenario's trial block.  Everything else is built from envelopes:
 - :func:`run_campaign` runs every scenario's trials inline (one envelope
   per scenario) and wraps them in a :class:`CampaignReport`;
 - the ``redteam`` fleet study (:mod:`repro.fleet.studies`) runs the same
-  envelopes sharded across worker processes and aggregates them with
-  :func:`aggregate_redteam`.
+  envelopes sharded across worker processes and folds them, in shard-id
+  order, into a :class:`RedteamState`.
 
 Both paths sum the same integers in the same order, so
 ``python -m repro redteam --json`` is byte-identical for any worker
@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.population import proportion_summary
+from repro.analysis.population import merge_counters, proportion_summary
 from repro.obs.counters import Counters
 from repro.redteam.corpus import scenario_by_name, scenarios_for_families
 from repro.redteam.scenario import AttackScenario, VerdictEnvelope, run_counted_trial
@@ -87,28 +87,6 @@ def run_redteam_shard(
     return envelope
 
 
-def _merge_envelopes(envelopes: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Sum trial blocks of one scenario into a single envelope."""
-    merged = dict(envelopes[0])
-    merged["first_trial"] = min(e["first_trial"] for e in envelopes)
-    for key in (
-        "trials",
-        "false_grants",
-        "blocked",
-        "detected_blocked",
-        "benign_trials",
-        "benign_denials",
-        "baseline_trials",
-        "baseline_successes",
-    ):
-        merged[key] = sum(e[key] for e in envelopes)
-    merged["counters"] = {
-        arm: Counters.merged(e["counters"][arm] for e in envelopes).snapshot()
-        for arm in ("protected", "baseline")
-    }
-    return merged
-
-
 @dataclass(frozen=True)
 class ScenarioScore:
     """One scenario's campaign verdict, with envelope checking."""
@@ -127,20 +105,13 @@ class ScenarioScore:
 
     @classmethod
     def from_envelopes(cls, envelopes: List[Dict[str, Any]]) -> "ScenarioScore":
-        merged = _merge_envelopes(envelopes)
-        return cls(
-            scenario=merged["scenario"],
-            family=merged["family"],
-            trials=merged["trials"],
-            false_grants=merged["false_grants"],
-            blocked=merged["blocked"],
-            detected_blocked=merged["detected_blocked"],
-            benign_trials=merged["benign_trials"],
-            benign_denials=merged["benign_denials"],
-            baseline_trials=merged["baseline_trials"],
-            baseline_successes=merged["baseline_successes"],
-            counters=merged["counters"],
+        """Sum one scenario's trial blocks into a score."""
+        accumulator = _ScenarioAccumulator(
+            envelopes[0]["scenario"], envelopes[0]["family"]
         )
+        for envelope in envelopes:
+            accumulator.fold(envelope)
+        return accumulator.score()
 
     @property
     def false_grant_rate(self) -> float:
@@ -292,33 +263,8 @@ def run_campaign(
     return report
 
 
-def aggregate_redteam(
-    envelopes: List[Dict[str, Any]], meta: Optional[Dict[str, Any]] = None
-) -> Dict[str, Any]:
-    """Combine fleet shard envelopes into the campaign aggregate.
-
-    *envelopes* arrive in shard-index order (the engine guarantees it);
-    shards of the same scenario are summed, scenarios keep corpus order.
-    The output matches :meth:`CampaignReport.to_dict` so the inline and
-    fleet paths serialise identically.
-    """
-    by_scenario: Dict[str, List[Dict[str, Any]]] = {}
-    for envelope in envelopes:
-        by_scenario.setdefault(envelope["scenario"], []).append(envelope)
-    report = CampaignReport(
-        seed=(meta or {}).get("seed", 0),
-        trials=(meta or {}).get("population", 0),
-    )
-    for name in by_scenario:
-        report.scores.append(ScenarioScore.from_envelopes(by_scenario[name]))
-    aggregate = report.to_dict()
-    if meta:
-        aggregate["meta"] = meta
-    return aggregate
-
-
 # ---------------------------------------------------------------------------
-# Streaming aggregation (the fleet merge path)
+# Aggregation: folding envelopes
 # ---------------------------------------------------------------------------
 
 #: The integer envelope fields summed across a scenario's trial blocks.
@@ -335,8 +281,7 @@ _SUM_KEYS = (
 
 
 class _ScenarioAccumulator:
-    """Online sums for one scenario -- what ``_merge_envelopes`` produces,
-    built shard by shard instead of from a materialised list."""
+    """Online sums for one scenario's trial blocks."""
 
     __slots__ = ("scenario", "family", "sums", "protected", "baseline")
 
@@ -348,20 +293,11 @@ class _ScenarioAccumulator:
         self.baseline = Counters()
 
     def fold(self, envelope: Dict[str, Any]) -> None:
-        from repro.analysis.population import merge_counters
-
         sums = self.sums
         for key in _SUM_KEYS:
             sums[key] += envelope[key]
         merge_counters(self.protected, envelope["counters"]["protected"])
         merge_counters(self.baseline, envelope["counters"]["baseline"])
-
-    def merge(self, other: "_ScenarioAccumulator") -> None:
-        sums = self.sums
-        for key in _SUM_KEYS:
-            sums[key] += other.sums[key]
-        self.protected.merge(other.protected)
-        self.baseline.merge(other.baseline)
 
     def score(self) -> ScenarioScore:
         return ScenarioScore(
@@ -376,11 +312,13 @@ class _ScenarioAccumulator:
 
 
 class RedteamState:
-    """Accumulator behind :func:`redteam_reducer`.
+    """The ``redteam`` fleet study's accumulator.
 
     Scenario order is first-seen order; since the fold runs in shard-id
     order and shards are built corpus-first, that *is* corpus order --
-    the same order :func:`aggregate_redteam` emits.
+    the same order :func:`run_campaign` reports.  The finalised aggregate
+    is :meth:`CampaignReport.to_dict` plus ``meta``, so the inline and
+    fleet paths serialise identically.
     """
 
     __slots__ = ("scenarios",)
@@ -396,15 +334,6 @@ class RedteamState:
             self.scenarios[name] = accumulator
         accumulator.fold(envelope)
 
-    def merge(self, other: "RedteamState") -> "RedteamState":
-        for name, accumulator in other.scenarios.items():
-            own = self.scenarios.get(name)
-            if own is None:
-                self.scenarios[name] = accumulator
-            else:
-                own.merge(accumulator)
-        return self
-
     def finalize(self, meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         report = CampaignReport(
             seed=(meta or {}).get("seed", 0),
@@ -417,14 +346,3 @@ class RedteamState:
             aggregate["meta"] = dict(meta)
         return aggregate
 
-
-def redteam_reducer():
-    """The red-team study's :class:`repro.fleet.reducers.StreamingReducer`."""
-    from repro.fleet.reducers import StreamingReducer
-
-    return StreamingReducer(
-        init=RedteamState,
-        fold=lambda state, envelope, index: state.fold(envelope),
-        merge=lambda left, right: left.merge(right),
-        finalize=lambda state, meta: state.finalize(dict(meta) if meta else None),
-    )

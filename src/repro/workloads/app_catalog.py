@@ -374,8 +374,8 @@ class SweepSummary:
 
 def exercise_app(spec: AppSpec, config: Optional[OverhaulConfig] = None) -> AppTestResult:
     """Run one catalogued app on a fresh protected machine."""
-    machine = Machine.with_overhaul(config)
-    return _EXERCISERS[spec.pattern](machine, spec)
+    with Machine.with_overhaul(config) as machine:
+        return _EXERCISERS[spec.pattern](machine, spec)
 
 
 def run_applicability_sweep(

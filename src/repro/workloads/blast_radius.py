@@ -80,59 +80,62 @@ def measure_blast_radius(
     background processes that each exchange a message with the hub every
     ``chatter_interval_s`` -- a caricature of a session bus ecosystem.
     """
-    machine = Machine.with_overhaul(config)
-    app = SimApp(machine, "/usr/bin/clicked-app", comm="clicked-app")
-    hub, _ = machine.launch("/usr/bin/hub", comm="hub", connect_x=False)
-    service_tasks = [
-        machine.launch(f"/usr/bin/svc{i}", comm=f"svc{i}", connect_x=False)[0]
-        for i in range(services)
-    ]
-    machine.settle()
+    with Machine.with_overhaul(config) as machine:
+        app = SimApp(machine, "/usr/bin/clicked-app", comm="clicked-app")
+        hub, _ = machine.launch("/usr/bin/hub", comm="hub", connect_x=False)
+        service_tasks = [
+            machine.launch(f"/usr/bin/svc{i}", comm=f"svc{i}", connect_x=False)[0]
+            for i in range(services)
+        ]
+        machine.settle()
 
-    kernel = machine.kernel
-    app_hub_pipe = kernel.pipes.create_pipe()
-    hub_links = [kernel.sockets.socketpair(hub, task) for task in service_tasks]
+        kernel = machine.kernel
+        app_hub_pipe = kernel.pipes.create_pipe()
+        hub_links = [kernel.sockets.socketpair(hub, task) for task in service_tasks]
 
-    interval = from_seconds(chatter_interval_s)
+        interval = from_seconds(chatter_interval_s)
 
-    def chatter() -> None:
-        # The clicked app pings the hub; the hub fans out to every service.
-        app_hub_pipe.write(app.task, b"ping")
-        app_hub_pipe.read(hub, 4)
-        for link, task in zip(hub_links, service_tasks):
-            link.send(hub, b"fanout")
-            link.receive(task)
+        def chatter() -> None:
+            # The clicked app pings the hub; the hub fans out to every service.
+            app_hub_pipe.write(app.task, b"ping")
+            app_hub_pipe.read(hub, 4)
+            for link, task in zip(hub_links, service_tasks):
+                link.send(hub, b"fanout")
+                link.receive(task)
+            machine.scheduler.schedule_after(interval, chatter, label="chatter")
+
         machine.scheduler.schedule_after(interval, chatter, label="chatter")
 
-    machine.scheduler.schedule_after(interval, chatter, label="chatter")
+        app.click()
+        click_time = machine.now
+        threshold = machine.overhaul.config.interaction_threshold
 
-    app.click()
-    click_time = machine.now
-    threshold = machine.overhaul.config.interaction_threshold
-
-    offsets = sample_offsets_s if sample_offsets_s is not None else [
-        0.0, 0.5, 1.0, 1.9, 2.5, 4.0
-    ]
-    result = BlastRadiusResult(services=services, chatter_interval=interval)
-    for offset_s in offsets:
-        target = click_time + from_seconds(offset_s)
-        if target > machine.now:
-            machine.scheduler.run_until(target)
-        live = kernel.process_table.live_tasks()
-        blessed = sum(
-            1
-            for task in live
-            if task.interaction_ts != -(2**62)
-            and 0 <= machine.now - task.interaction_ts < threshold
-        )
-        result.samples.append(
-            RadiusSample(
-                at_offset=machine.now - click_time,
-                blessed_tasks=blessed,
-                total_tasks=len(live),
+        offsets = sample_offsets_s if sample_offsets_s is not None else [
+            0.0, 0.5, 1.0, 1.9, 2.5, 4.0
+        ]
+        result = BlastRadiusResult(services=services, chatter_interval=interval)
+        for offset_s in offsets:
+            target = click_time + from_seconds(offset_s)
+            if target > machine.now:
+                machine.scheduler.run_until(target)
+            live = kernel.process_table.live_tasks()
+            blessed = sum(
+                1
+                for task in live
+                if task.interaction_ts != -(2**62)
+                and 0 <= machine.now - task.interaction_ts < threshold
             )
-        )
-    return result
+            result.samples.append(
+                RadiusSample(
+                    at_offset=machine.now - click_time,
+                    blessed_tasks=blessed,
+                    total_tasks=len(live),
+                )
+            )
+        # ``chatter`` reschedules itself through its own closure cell;
+        # emptying the cell lets reference counting free the closed machine.
+        del chatter
+        return result
 
 
 def sweep_topologies() -> List[BlastRadiusResult]:

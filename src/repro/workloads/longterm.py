@@ -256,7 +256,7 @@ def run_longterm_shard(
     :func:`run_comparison`, which replays one fixed household.  The return
     value is a picklable, JSON-safe envelope: study results for both arms
     plus each machine's cross-layer counter snapshot, ready for
-    :func:`repro.analysis.population.aggregate_longterm`.
+    :class:`repro.analysis.population.LongtermState`.
     """
     from repro.obs.counters import collect_counters
 

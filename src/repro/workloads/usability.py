@@ -257,7 +257,7 @@ def run_usability_shard(
     """One fleet shard: a contiguous batch of participants.
 
     Returns a picklable, JSON-safe envelope consumed by
-    :func:`repro.analysis.population.aggregate_usability`.
+    :class:`repro.analysis.population.UsabilityState`.
     """
     outcomes = [
         run_participant(index, participant_rng(seed, index), config)

@@ -6,6 +6,8 @@ byte-identical for any worker count, resumable mid-run, and immune to
 counter-registry sharing between shards.
 """
 
+import json
+
 import pytest
 
 from repro.fleet.engine import run_fleet
@@ -62,6 +64,21 @@ class TestFleetIntegration:
         pooled = run_fleet("redteam", workers=2, **kwargs)
         assert inline.aggregate_json() == pooled.aggregate_json()
         assert not inline.quarantined and not pooled.quarantined
+
+    @pytest.mark.parametrize(
+        "families, trials",
+        [("overlay,ptrace", 2), ("overlay", 6)],  # 6 trials: blocks of 4 + 2
+    )
+    def test_fleet_aggregate_matches_inline_campaign(self, families, trials):
+        """The fleet study folds a scenario's trial blocks into exactly the
+        report the inline campaign builds from one block, plus ``meta``."""
+        report = run_fleet(
+            "redteam", population=trials, seed=2016, workers=1,
+            params={"families": families},
+        )
+        aggregate = {k: v for k, v in report.aggregate.items() if k != "meta"}
+        inline = run_campaign(families=families.split(","), trials=trials, seed=2016)
+        assert json.dumps(aggregate, sort_keys=True, indent=2) + "\n" == inline.to_json()
 
     def test_family_slice_param(self):
         report = run_fleet(

@@ -88,8 +88,7 @@ class TestStealOrderInvariance:
 
     Clustered stragglers (the first shards sleep) force real steals; the
     aggregate JSON must not move by a byte for any worker count, lease
-    size, or steal history, and the streaming reducer must agree with the
-    materialise-everything path exactly.
+    size, or steal history.
     """
 
     PARAMS = {
@@ -119,12 +118,6 @@ class TestStealOrderInvariance:
         )
         assert serial.aggregate_json() == duo.aggregate_json()
         assert serial.aggregate_json() == octet.aggregate_json()
-
-    def test_streaming_and_materialised_agree_exactly(self):
-        streamed = self.run(workers=2, lease_size=4)
-        legacy = self.run(workers=2, lease_size=4, streaming=False)
-        assert streamed.streamed and not legacy.streamed
-        assert streamed.aggregate_json() == legacy.aggregate_json()
 
     def test_steal_off_matches_steal_on(self):
         static = self.run(workers=4, lease_size=4, steal=False)

@@ -5,11 +5,19 @@ import json
 import pytest
 
 from repro.analysis.population import (
-    aggregate_longterm,
-    aggregate_usability,
+    LongtermState,
+    UsabilityState,
     proportion_summary,
     wilson_interval,
 )
+
+
+def _fold(state, envelopes, meta=None):
+    """Fold *envelopes* in order into *state* and finalise, as the fleet
+    engine does."""
+    for envelope in envelopes:
+        state.fold(envelope)
+    return state.finalize(meta)
 
 
 class TestWilsonInterval:
@@ -84,7 +92,7 @@ class TestAggregateLongterm:
             _longterm_envelope(0, stolen=5, blocked=5),
             _longterm_envelope(1, stolen=3, blocked=7),
         ]
-        aggregate = aggregate_longterm(envelopes)
+        aggregate = _fold(LongtermState(), envelopes)
         assert aggregate["machines"] == 2
         protected = aggregate["protected"]
         assert protected["attempts_blocked"] == 12
@@ -99,18 +107,22 @@ class TestAggregateLongterm:
 
     def test_order_of_envelope_fields_is_irrelevant_to_json(self):
         envelopes = [_longterm_envelope(0, 2, 2), _longterm_envelope(1, 1, 3)]
-        one = json.dumps(aggregate_longterm(envelopes), sort_keys=True)
+        one = json.dumps(_fold(LongtermState(), envelopes), sort_keys=True)
         # Same data with arm dict keys built in reverse insertion order.
         reversed_envelopes = [
             {key: envelope[key] for key in reversed(list(envelope))}
             for envelope in envelopes
         ]
-        other = json.dumps(aggregate_longterm(reversed_envelopes), sort_keys=True)
+        other = json.dumps(
+            _fold(LongtermState(), reversed_envelopes), sort_keys=True
+        )
         assert one == other
 
     def test_meta_passthrough(self):
-        aggregate = aggregate_longterm(
-            [_longterm_envelope(0, 1, 1)], meta={"seed": 7, "quarantined_shards": []}
+        aggregate = _fold(
+            LongtermState(),
+            [_longterm_envelope(0, 1, 1)],
+            meta={"seed": 7, "quarantined_shards": []},
         )
         assert aggregate["meta"]["seed"] == 7
 
@@ -146,7 +158,7 @@ class TestAggregateUsability:
                 ]
             },
         ]
-        aggregate = aggregate_usability(envelopes)
+        aggregate = _fold(UsabilityState(), envelopes)
         assert aggregate["participants"] == 5
         assert aggregate["identical_experience"]["successes"] == 4
         assert aggregate["camera_blocked"]["rate"] == 1.0

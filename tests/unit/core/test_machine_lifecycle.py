@@ -21,6 +21,12 @@ from repro.service.core import PermissionService
 from repro.service.protocol import PROTOCOL_VERSION
 from repro.sim.rng import RandomSource
 from repro.sim.time import from_seconds
+from repro.workloads.app_catalog import (
+    build_clipboard_app_pool,
+    build_device_app_pool,
+    exercise_app,
+)
+from repro.workloads.blast_radius import measure_blast_radius
 from repro.workloads.longterm import run_longterm_shard
 from repro.workloads.scenarios import (
     figure1_hardware_device,
@@ -124,6 +130,25 @@ def test_figure_scenario(scenario):
         with Machine.with_overhaul() as machine:
             scenario(machine)
 
+    assert cyclic_garbage(body) == 0
+
+
+def _one_app_per_pattern():
+    specs = {}
+    for spec in build_device_app_pool() + build_clipboard_app_pool():
+        specs.setdefault(spec.pattern, spec)
+    return list(specs.values())
+
+
+@pytest.mark.parametrize(
+    "spec", _one_app_per_pattern(), ids=lambda spec: spec.pattern.name.lower()
+)
+def test_applicability_app(spec):
+    assert cyclic_garbage(lambda: exercise_app(spec)) == 0
+
+
+def test_blast_radius():
+    body = lambda: measure_blast_radius(services=2, sample_offsets_s=[0.0, 1.0])  # noqa: E731
     assert cyclic_garbage(body) == 0
 
 

@@ -60,12 +60,24 @@ def _run_hang(spec):
     return _run_square(spec)
 
 
-def _aggregate(envelopes, meta):
-    return {
-        "values": [envelope["value"] for envelope in envelopes],
-        "total": sum(envelope["value"] for envelope in envelopes),
-        "quarantined": meta["quarantined_shards"],
-    }
+class _SquareState:
+    """Accumulator for the square studies: shard values in fold order."""
+
+    def __init__(self):
+        self.values = []
+
+    def fold(self, envelope):
+        # The square-study envelope is a pure str->int dict, so on the
+        # merge path it arrives as a zero-copy PackedCounters view (the
+        # codec's counter-blob contract).
+        self.values.append(envelope.to_dict()["value"])
+
+    def finalize(self, meta):
+        return {
+            "values": self.values,
+            "total": sum(self.values),
+            "quarantined": meta["quarantined_shards"],
+        }
 
 
 def _definition(name, runner):
@@ -74,7 +86,7 @@ def _definition(name, runner):
         description=f"synthetic engine-test study {name}",
         build_shards=_build,
         run_shard=runner,
-        aggregate=_aggregate,
+        reducer=_SquareState,
     )
 
 
@@ -238,104 +250,31 @@ class TestResume:
         assert again.aggregate["values"] == [81, 100, 121]
 
 
-# -- streaming studies ------------------------------------------------------
-
-
-def _sum_streaming():
-    from repro.fleet.reducers import StreamingReducer
-
-    def fold(state, envelope, index):
-        # The square-study envelope is a pure str->int dict, so on the
-        # merge path it arrives as a zero-copy PackedCounters view (the
-        # codec's counter-blob contract); the materialised path and the
-        # spool read path hand back plain dicts.
-        if not isinstance(envelope, dict):
-            envelope = envelope.to_dict()
-        state["total"] += envelope["value"]
-        state["count"] += 1
-
-    def merge(left, right):
-        left["total"] += right["total"]
-        left["count"] += right["count"]
-        return left
-
-    return StreamingReducer(
-        init=lambda: {"total": 0, "count": 0},
-        fold=fold,
-        merge=merge,
-        finalize=lambda state, meta: {
-            "values": None,
-            "total": state["total"],
-            "count": state["count"],
-            "quarantined": meta["quarantined_shards"],
-        },
-    )
-
-
-@pytest.fixture()
-def streaming_studies():
-    for name, runner in {"s-square": _run_square, "s-poison": _run_poison}.items():
-        definition = _definition(name, runner)
-        definition = StudyDefinition(
-            name=definition.name,
-            description=definition.description,
-            build_shards=definition.build_shards,
-            run_shard=definition.run_shard,
-            aggregate=definition.aggregate,
-            streaming=_sum_streaming,
-        )
-        register_study(definition, replace=True)
-    yield
-    for name in ("s-square", "s-poison"):
-        unregister_study(name)
-
-
-class TestStreamingReduce:
-    def test_streaming_matches_materialised_totals(self, streaming_studies):
-        streamed = run_fleet(
-            "s-square", population=6, seed=3, params=_params("s-square")
-        )
-        legacy = run_fleet(
-            "s-square", population=6, seed=3, params=_params("s-square"),
-            streaming=False,
-        )
-        assert streamed.streamed and not legacy.streamed
-        assert streamed.aggregate["total"] == legacy.aggregate["total"]
-        assert streamed.aggregate["count"] == 6
-
-    def test_pool_streams_and_matches_inline(self, streaming_studies):
-        inline = run_fleet("s-square", population=8, seed=3, params=_params("s-square"))
-        pooled = run_fleet(
-            "s-square", population=8, seed=3, workers=3, params=_params("s-square")
-        )
-        assert inline.streamed and pooled.streamed
-        assert pooled.aggregate == inline.aggregate
-
-    def test_streaming_quarantine_skips_poison_shard(self, streaming_studies):
+class TestFoldReduce:
+    def test_pool_quarantine_skips_poison_shard(self, synthetic_studies):
         report = run_fleet(
-            "s-poison",
+            "t-poison",
             population=4,
             seed=2,
             workers=2,
-            params=_params("s-poison", poison_index=2),
+            params=_params("t-poison", poison_index=2),
             max_retries=1,
         )
-        assert report.streamed
         assert [shard.index for shard in report.quarantined] == [2]
         # (2+2)^2 skipped: 4 + 9 + 25.
         assert report.aggregate["total"] == 38
-        assert report.aggregate["count"] == 3
+        assert report.aggregate["values"] == [4, 9, 25]
         assert report.aggregate["quarantined"] == [2]
 
-    def test_streaming_resume_reads_spool_lazily(self, streaming_studies, tmp_path):
+    def test_pool_resume_reads_spool_lazily(self, synthetic_studies, tmp_path):
         spool_dir = str(tmp_path / "spool")
         first = run_fleet(
-            "s-square", population=6, seed=4, params=_params("s-square"),
+            "t-square", population=6, seed=4, params=_params("t-square"),
             spool_dir=spool_dir,
         )
         Spool(spool_dir).shard_path(1).unlink()
         second = run_fleet(
-            "s-square", population=6, seed=4, params=_params("s-square"),
+            "t-square", population=6, seed=4, params=_params("t-square"),
             spool_dir=spool_dir, workers=2,
         )
         assert second.executed == [1]
@@ -354,14 +293,17 @@ class TestLeaseAndStealReporting:
         assert report.steals >= 0
         rendered = report.render()
         assert "lease / steals" in rendered
-        assert "merge                  : materialised" in rendered
+        assert "merge                  : peak " in rendered
 
-    def test_streamed_render_reports_buffer_high_water(self, streaming_studies):
+    def test_render_reports_buffer_high_water(self, synthetic_studies):
         report = run_fleet(
-            "s-square", population=5, seed=1, workers=2, params=_params("s-square")
+            "t-square", population=5, seed=1, workers=2, params=_params("t-square")
         )
         rendered = report.render()
-        assert "merge                  : streaming (peak" in rendered
+        assert (
+            f"merge                  : peak {report.peak_buffered_records} "
+            "records buffered" in rendered
+        )
         assert report.peak_buffered_records >= 1
 
     def test_steal_disabled_still_completes(self, synthetic_studies):

@@ -56,15 +56,27 @@ def _run_traitor(spec):
     return result
 
 
-def _aggregate(envelopes, meta):
-    return {
-        "values": [envelope["value"] for envelope in envelopes],
-        "poisoned": [e["index"] for e in envelopes if e["poisoned"]],
-        "counters": Counters.merged(
-            {"fleet.shards": 1} for _ in envelopes
-        ).snapshot(),
-        "quarantined": meta["quarantined_shards"],
-    }
+class _TraitorState:
+    """Shard values, poisoned shard ids, and one counter tick per shard."""
+
+    def __init__(self):
+        self.values = []
+        self.poisoned = []
+        self.counters = Counters()
+
+    def fold(self, envelope):
+        self.values.append(envelope["value"])
+        if envelope["poisoned"]:
+            self.poisoned.append(envelope["index"])
+        self.counters.merge_snapshot({"fleet.shards": 1})
+
+    def finalize(self, meta):
+        return {
+            "values": self.values,
+            "poisoned": self.poisoned,
+            "counters": self.counters.snapshot(),
+            "quarantined": meta["quarantined_shards"],
+        }
 
 
 @pytest.fixture()
@@ -75,7 +87,7 @@ def traitor_study():
             description="synthetic study that checkpoints then dies",
             build_shards=_build,
             run_shard=_run_traitor,
-            aggregate=_aggregate,
+            reducer=_TraitorState,
         ),
         replace=True,
     )

@@ -1,55 +1,57 @@
-"""Unit tests for streaming reducers and the ordered fold."""
+"""Unit tests for the ordered fold of shard records into an accumulator."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.fleet.errors import FleetError
-from repro.fleet.reducers import OrderedFold, StreamingReducer
-from repro.fleet.studies import synthetic_reducer
+from repro.fleet.reducers import OrderedFold
 
 
-def trace_reducer() -> StreamingReducer:
-    """A reducer whose state is the exact fold sequence it observed."""
-    return StreamingReducer(
-        init=list,
-        fold=lambda state, envelope, index: state.append((index, envelope)),
-        merge=lambda left, right: left + right,
-        finalize=lambda state, meta: {"trace": list(state), "meta": dict(meta)},
-    )
+class TraceState:
+    """An accumulator whose state is the exact fold sequence it observed."""
+
+    def __init__(self):
+        self.trace = []
+
+    def fold(self, envelope):
+        self.trace.append(envelope)
+
+    def finalize(self, meta):
+        return {"trace": list(self.trace), "meta": dict(meta)}
 
 
-def sum_reducer() -> StreamingReducer:
-    return StreamingReducer(
-        init=lambda: [0],
-        fold=lambda state, envelope, index: state.__setitem__(0, state[0] + envelope),
-        merge=lambda left, right: [left[0] + right[0]],
-        finalize=lambda state, meta: {"total": state[0]},
-    )
+class SumState:
+    def __init__(self):
+        self.total = 0
+
+    def fold(self, envelope):
+        self.total += envelope
+
+    def finalize(self, meta):
+        return {"total": self.total}
 
 
 class TestOrderedFold:
     def test_in_order_arrivals_fold_immediately(self):
-        fold = OrderedFold(trace_reducer(), [0, 1, 2])
+        fold = OrderedFold(TraceState(), [0, 1, 2])
         for index in range(3):
             fold.offer(index, lambda i=index: f"r{i}")
         assert fold.complete
         assert fold.peak_buffered == 1  # never more than the newest arrival
-        assert fold.finalize({})["trace"] == [(0, "r0"), (1, "r1"), (2, "r2")]
+        assert fold.finalize({})["trace"] == ["r0", "r1", "r2"]
 
     def test_out_of_order_arrivals_fold_in_shard_order(self):
-        fold = OrderedFold(trace_reducer(), [0, 1, 2, 3])
+        fold = OrderedFold(TraceState(), [0, 1, 2, 3])
         for index in (3, 1, 2, 0):
             fold.offer(index, lambda i=index: f"r{i}")
-        assert fold.finalize({})["trace"] == [
-            (0, "r0"), (1, "r1"), (2, "r2"), (3, "r3"),
-        ]
+        assert fold.finalize({})["trace"] == ["r0", "r1", "r2", "r3"]
         # 3, 1, 2 waited on 0; the arrival of 0 itself counts before it
         # drains, so the high-water mark is 4.
         assert fold.peak_buffered == 4
 
     def test_thunks_run_lazily_at_fold_time(self):
         loaded = []
-        fold = OrderedFold(trace_reducer(), [0, 1])
+        fold = OrderedFold(TraceState(), [0, 1])
 
         def thunk_for(index):
             return lambda: loaded.append(index) or f"r{index}"
@@ -66,118 +68,40 @@ class TestOrderedFold:
             reads.append(index)
             return f"spool{index}"
 
-        fold = OrderedFold(trace_reducer(), [0, 1, 2], reader=reader)
+        fold = OrderedFold(TraceState(), [0, 1, 2], reader=reader)
         fold.offer_resident(2)
         fold.offer_resident(0)
         assert reads == [0]  # 2 still waits on 1, costs no memory
         fold.offer(1, lambda: "live1")
         assert reads == [0, 2]
-        assert fold.finalize({})["trace"] == [
-            (0, "spool0"), (1, "live1"), (2, "spool2"),
-        ]
+        assert fold.finalize({})["trace"] == ["spool0", "live1", "spool2"]
 
     def test_offer_resident_without_reader_rejected(self):
-        fold = OrderedFold(trace_reducer(), [0])
+        fold = OrderedFold(TraceState(), [0])
         with pytest.raises(FleetError, match="reader"):
             fold.offer_resident(0)
 
     def test_skip_unblocks_the_cursor(self):
-        fold = OrderedFold(trace_reducer(), [0, 1, 2])
+        fold = OrderedFold(TraceState(), [0, 1, 2])
         fold.offer(2, lambda: "r2")
         fold.offer(0, lambda: "r0")
         fold.skip(1)  # quarantined
         assert fold.complete
-        assert fold.finalize({})["trace"] == [(0, "r0"), (2, "r2")]
+        assert fold.finalize({})["trace"] == ["r0", "r2"]
 
     def test_duplicate_offers_fold_once(self):
-        fold = OrderedFold(sum_reducer(), [0, 1])
+        fold = OrderedFold(SumState(), [0, 1])
         fold.offer(0, lambda: 5)
         fold.offer(0, lambda: 5)  # late duplicate (retry raced a success)
         fold.offer(1, lambda: 7)
         assert fold.finalize({})["total"] == 12
 
     def test_finalize_incomplete_names_the_stall(self):
-        fold = OrderedFold(trace_reducer(), [0, 1, 2])
+        fold = OrderedFold(TraceState(), [0, 1, 2])
         fold.offer(2, lambda: "r2")
         assert fold.pending_index() == 0
         with pytest.raises(FleetError, match="stalled on shard 0"):
             fold.finalize({})
-
-
-class TestReduceEnvelopes:
-    def test_matches_manual_fold(self):
-        reducer = sum_reducer()
-        assert reducer.reduce_envelopes([3, 4, 5], {})["total"] == 12
-
-
-# -- merge algebra ----------------------------------------------------------
-#
-# The two-level engine relies on merge being (a) associative over adjacent
-# ranges and (b) equivalent to folding the concatenated range -- that is
-# what makes machine-level partial states safe to combine in any grouping,
-# as long as ranges stay in shard-id order.
-
-@st.composite
-def _envelope(draw):
-    users = draw(st.integers(0, 512))
-    return {
-        "first": draw(st.integers(0, 1 << 20)),
-        "users": users,
-        "checksum": draw(st.integers(0, (1 << 61) - 1)),
-        # Events are per-user successes: at most one per user, so the
-        # event-rate proportion stays well-formed.
-        "events": draw(st.integers(0, users)),
-        "counters": draw(
-            st.dictionaries(
-                st.sampled_from(["a.ops", "b.ops", "c.ops"]),
-                st.integers(0, 1 << 30),
-                min_size=1,
-            )
-        ),
-    }
-
-
-envelopes = st.lists(_envelope(), min_size=0, max_size=12)
-
-
-def fold_range(reducer, items, start):
-    state = reducer.init()
-    for offset, envelope in enumerate(items):
-        reducer.fold(state, envelope, start + offset)
-    return state
-
-
-@given(envelopes=envelopes, split=st.integers(0, 12))
-def test_merge_of_adjacent_ranges_equals_single_fold(envelopes, split):
-    split = min(split, len(envelopes))
-    reducer = synthetic_reducer()
-
-    whole = fold_range(reducer, envelopes, 0)
-    left = fold_range(reducer, envelopes[:split], 0)
-    right = fold_range(reducer, envelopes[split:], split)
-    merged = reducer.merge(left, right)
-
-    meta = {"population": 0, "shards": len(envelopes), "study": "synthetic"}
-    assert reducer.finalize(merged, meta) == reducer.finalize(whole, meta)
-
-
-@given(envelopes=envelopes, a=st.integers(0, 12), b=st.integers(0, 12))
-def test_merge_is_associative_over_three_way_splits(envelopes, a, b):
-    a, b = sorted((min(a, len(envelopes)), min(b, len(envelopes))))
-    reducer = synthetic_reducer()
-
-    def state(lo, hi):
-        return fold_range(reducer, envelopes[lo:hi], lo)
-
-    left_first = reducer.merge(
-        reducer.merge(state(0, a), state(a, b)), state(b, len(envelopes))
-    )
-    right_first = reducer.merge(
-        state(0, a), reducer.merge(state(a, b), state(b, len(envelopes)))
-    )
-
-    meta = {"population": 0, "shards": len(envelopes), "study": "synthetic"}
-    assert reducer.finalize(left_first, meta) == reducer.finalize(right_first, meta)
 
 
 @given(

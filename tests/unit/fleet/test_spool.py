@@ -7,12 +7,18 @@ import shutil
 import pytest
 
 from repro.fleet.errors import SpoolMismatchError, SpoolVersionError
+from repro.fleet.records import unpack_record
 from repro.fleet.spool import SPOOL_VERSION, Spool
 from repro.fleet.studies import ShardSpec
 
 
 def _spec(index: int) -> ShardSpec:
     return ShardSpec(study="demo", index=index, seed=index * 7, params=(("days", 1),))
+
+
+def _read(spool: Spool, index: int):
+    """A checkpoint's result envelope, fully materialised."""
+    return unpack_record(spool.read_shard_packed(index), materialize=True)
 
 
 class TestManifest:
@@ -52,7 +58,7 @@ class TestShardCheckpoints:
         spool.root.mkdir(exist_ok=True)
         spec = _spec(3)
         spool.write_shard(spec.to_dict(), {"value": [1, 2, 3]})
-        assert spool.read_shard(3) == {"value": [1, 2, 3]}
+        assert _read(spool, 3) == {"value": [1, 2, 3]}
         assert spool.completed_indexes() == {3}
 
     def test_read_shard_packed_matches_write(self, tmp_path):
@@ -60,7 +66,7 @@ class TestShardCheckpoints:
         spool.root.mkdir(exist_ok=True)
         packed = spool.write_shard(_spec(4).to_dict(), {"counters": {"a.b": 2}})
         assert spool.read_shard_packed(4) == packed
-        assert spool.read_shard(4) == {"counters": {"a.b": 2}}
+        assert _read(spool, 4) == {"counters": {"a.b": 2}}
 
     def test_corrupt_checkpoint_dropped(self, tmp_path):
         spool = Spool(tmp_path)
@@ -85,7 +91,7 @@ class TestShardCheckpoints:
         with pytest.raises(SpoolVersionError, match="format-1 pickle"):
             spool.completed_indexes()
         with pytest.raises(SpoolVersionError):
-            spool.read_shard(1)
+            spool.read_shard_packed(1)
 
     def test_future_format_checkpoint_raises_version_error(self, tmp_path):
         spool = Spool(tmp_path)

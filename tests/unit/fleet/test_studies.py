@@ -59,7 +59,7 @@ class TestRegistry:
             description="registry round trip",
             build_shards=lambda population, seed, params: [],
             run_shard=lambda spec: {},
-            aggregate=lambda envelopes, meta: {},
+            reducer=lambda: None,
         )
         register_study(definition)
         try:
