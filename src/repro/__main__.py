@@ -36,7 +36,7 @@ must not traceback.
 from __future__ import annotations
 
 import argparse
-from typing import List, Optional
+from typing import Any, List, Optional
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -153,10 +153,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--max-frame", type=int, default=64 * 1024,
                        help="max frame body bytes before FRAME_TOO_LARGE")
     serve.add_argument("--max-tenants", type=int, default=1024,
-                       help="tenant partition table bound")
+                       help="tenant partition table bound (with --shard-workers: "
+                            "per worker)")
     serve.add_argument("--shard-workers", type=int, default=0, metavar="N",
                        help="shard tenants across N worker processes behind "
-                            "this front door (0: single in-process daemon)")
+                            "this front end (0: single in-process daemon)")
     serve.add_argument("--snapshot-dir", metavar="DIR", default=None,
                        help="persist tenant snapshots here on drain and "
                             "restore them on start (warm restart)")
@@ -287,7 +288,7 @@ def run_serve_command(args: argparse.Namespace) -> int:
     import asyncio
     import sys
 
-    from repro.service import PermissionService, ServiceDaemon, ShardedDaemon
+    from repro.service import PermissionService, ServiceDaemon, WorkerPool
 
     if args.unix is None and args.tcp is None:
         print("serve: pass --unix PATH and/or --tcp HOST:PORT", file=sys.stderr)
@@ -303,30 +304,22 @@ def run_serve_command(args: argparse.Namespace) -> int:
 
     async def body() -> None:
         if args.shard_workers > 0:
-            daemon = ShardedDaemon(
-                args.shard_workers,
-                unix_path=args.unix,
-                tcp_host=tcp_host,
-                tcp_port=tcp_port,
-                max_pending=args.max_pending,
-                max_frame=args.max_frame,
-                worker_batch_limit=args.batch_limit,
-                snapshot_dir=args.snapshot_dir,
-            )
+            backend: Any = WorkerPool(args.shard_workers, max_tenants=args.max_tenants)
         else:
-            daemon = ServiceDaemon(
-                PermissionService(
-                    max_tenants=args.max_tenants,
-                    journal=args.snapshot_dir is not None,
-                ),
-                unix_path=args.unix,
-                tcp_host=tcp_host,
-                tcp_port=tcp_port,
-                max_pending=args.max_pending,
-                batch_limit=args.batch_limit,
-                max_frame=args.max_frame,
-                snapshot_dir=args.snapshot_dir,
+            backend = PermissionService(
+                max_tenants=args.max_tenants,
+                journal=args.snapshot_dir is not None,
             )
+        daemon = ServiceDaemon(
+            backend,
+            unix_path=args.unix,
+            tcp_host=tcp_host,
+            tcp_port=tcp_port,
+            max_pending=args.max_pending,
+            batch_limit=args.batch_limit,
+            max_frame=args.max_frame,
+            snapshot_dir=args.snapshot_dir,
+        )
         await daemon.start()
         listeners = []
         if args.unix is not None:

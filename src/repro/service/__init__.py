@@ -12,17 +12,19 @@ notifications over UNIX and TCP sockets from many concurrent clients:
   request engine: per-tenant ("machine") state partitions, each wrapping an
   independent sim core whose clock is decoupled from wall clock, plus the
   batched ``apply_many`` pass the daemon coalesces queued queries into;
-- :mod:`repro.service.daemon` -- :class:`ServiceDaemon`, the asyncio server:
-  bounded per-connection queues with ``RETRY_LATER`` backpressure, per-tick
-  request batching, graceful drain on SIGTERM, and ``repro.obs`` counters;
+- :mod:`repro.service.daemon` -- :class:`ServiceDaemon`, the one asyncio
+  front end: bounded per-connection queues with ``RETRY_LATER``
+  backpressure, per-tick request batching, graceful drain on SIGTERM, and
+  ``repro.obs`` counters, in front of one of two backends -- a
+  :class:`PermissionService` in process, or a :class:`WorkerPool`;
 - :mod:`repro.service.client` -- :class:`ServiceClient` (sync) and
   :class:`AsyncServiceClient` (pipelined asyncio) client libraries;
 - :mod:`repro.service.scenario` -- the scripted deterministic workload used
   by the determinism gates (daemon output is byte-identical to the
   in-process run, and a tenant's transcript is independent of its
   neighbours);
-- :mod:`repro.service.shard` -- :class:`ShardedDaemon`, the multi-process
-  front door: tenants hash across N worker daemons (same protocol, private
+- :mod:`repro.service.shard` -- :class:`WorkerPool`, the multi-process
+  backend: tenants hash across N worker daemons (same protocol, private
   sockets), preserving per-tenant ordering and transcript byte-identity;
 - :mod:`repro.service.snapshot` -- persistent tenant snapshots (journalled
   request replay) so a drained daemon restarts warm with identical digests.
@@ -54,7 +56,7 @@ from repro.service.protocol import (
     error_response,
     ok_response,
 )
-from repro.service.shard import ShardedDaemon
+from repro.service.shard import WorkerPool
 from repro.service.snapshot import (
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -80,9 +82,9 @@ __all__ = [
     "ServiceClient",
     "ServiceDaemon",
     "ServiceError",
-    "ShardedDaemon",
     "SnapshotError",
     "TenantState",
+    "WorkerPool",
     "encode_frame",
     "encode_request_frame",
     "encode_response_frame",

@@ -8,8 +8,8 @@ SLO is stated against (>= 10k queries/s from >= 100 clients).
 
 Two scale axes beyond the single-daemon default:
 
-- ``shard_workers=N`` serves through a :class:`ShardedDaemon` -- N worker
-  *processes* behind the router -- with the benchmark tenants spread
+- ``shard_workers=N`` serves through a :class:`WorkerPool` -- N worker
+  *processes* behind the daemon -- with the benchmark tenants spread
   evenly across every worker (``service_query_sharded``);
 - ``client_procs=M`` splits the load generator itself across M persistent
   subprocesses, because on a many-core host a single client event loop
@@ -184,16 +184,12 @@ class ServiceRig:
 
     def _serve(self) -> None:
         async def body() -> None:
+            backend: Any = PermissionService()
             if self.shard_workers:
-                from repro.service.shard import ShardedDaemon
+                from repro.service.shard import WorkerPool
 
-                self._daemon = ShardedDaemon(
-                    self.shard_workers, unix_path=self.unix_path
-                )
-            else:
-                self._daemon = ServiceDaemon(
-                    PermissionService(), unix_path=self.unix_path
-                )
+                backend = WorkerPool(self.shard_workers)
+            self._daemon = ServiceDaemon(backend, unix_path=self.unix_path)
             await self._daemon.start()
             self._loop = asyncio.get_running_loop()
             self._ready.set()

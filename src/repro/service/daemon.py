@@ -1,18 +1,28 @@
-"""The long-running asyncio permission daemon.
+"""The long-running asyncio permission daemon: the service's one front end.
 
-One :class:`ServiceDaemon` serves one :class:`PermissionService` over any
-mix of UNIX and TCP listeners.  The design targets thousands of concurrent
-clients in front of a single-threaded decision core:
+One :class:`ServiceDaemon` serves one backend over any mix of UNIX and TCP
+listeners.  The front end owns everything about clients -- connections,
+framing, admission, ``hello``, budgets, writes and the drain -- and a
+:class:`Backend` owns only the answers.  There are two backends:
+
+- a :class:`PermissionService` in this process (the default: pass one to
+  the constructor), whose batches run through one ``apply_many`` and are
+  answered in the same pass;
+- :class:`repro.service.shard.WorkerPool`, which routes each batch to N
+  worker processes by tenant and answers as their replies arrive.
+
+The design targets thousands of concurrent clients in front of a
+single-threaded decision core:
 
 Batching
     Each connection is a buffered :mod:`asyncio` protocol whose
     ``data_received`` splits every complete frame out of each read and
     queues the parsed requests centrally; readers never call the core.  A
-    non-empty queue schedules one dispatch pass (``call_soon``), which runs
-    up to ``batch_limit`` requests through one
-    :meth:`PermissionService.apply_many` and re-schedules itself while work
-    remains -- so reads from any number of sockets coalesce into one core
-    pass, and each connection's answers from a pass leave in one write.
+    non-empty queue schedules one dispatch pass (``call_soon``), which
+    hands up to ``batch_limit`` requests to the backend in one call and
+    re-schedules itself while work remains -- so reads from any number of
+    sockets coalesce into one core pass, and each connection's answers
+    from a pass leave in one write.
 
 Backpressure
     Each connection has a bounded in-flight budget (``max_pending``).  A
@@ -26,13 +36,14 @@ Backpressure
 Graceful drain
     SIGTERM/SIGINT (or :meth:`begin_drain`) stops the listeners, answers
     any *newly arriving* requests with ``SHUTTING_DOWN``, lets the
-    dispatcher finish every in-flight request, flushes the responses for
-    up to ``DRAIN_FLUSH_TIMEOUT`` seconds (then aborts), and only then
-    closes the connections and returns.
+    dispatcher finish every in-flight request, waits until the backend
+    owes no answer, flushes the responses for up to
+    ``DRAIN_FLUSH_TIMEOUT`` seconds (then aborts), closes the
+    connections, and only then stops the backend and returns.
 
 Observability
     The daemon shares a :class:`repro.obs.counters.Counters` registry with
-    its service: batch counts and sizes, queue depth high-water, retries
+    its backend: batch counts and sizes, queue depth high-water, retries
     and drops all land in one snapshot that the ``stats`` verb (no tenant)
     reports over the wire.  The key set is bounded: no key names a tenant.
     A tenant's own request total is the ``requests`` field of its
@@ -44,7 +55,7 @@ from __future__ import annotations
 import asyncio
 import signal
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.obs.counters import Counters
 from repro.service.core import PermissionService
@@ -106,11 +117,12 @@ class _Connection(asyncio.BufferedProtocol):
         daemon = self.daemon
         counters = daemon.counters
         queue = daemon._queue
+        unpack = daemon._unpack
         replies: List[bytes] = []
         self.buffer += data
         try:
             for packed, body in split_frames(self.buffer, daemon.max_frame):
-                request = unpack_body(body) if packed else decode_body(body)
+                request = unpack(body) if packed else decode_body(body)
                 if daemon._draining:
                     counters.inc("service.refused_draining")
                     replies.append(encode_response_frame(error_response(
@@ -157,12 +169,88 @@ class _Connection(asyncio.BufferedProtocol):
             daemon._all_closed.set()
 
 
+#: One admitted request: its connection, its request dict, and whether it
+#: arrived packed (answers go back in kind).
+Admitted = Tuple[_Connection, Dict[str, Any], bool]
+
+
+class Backend:
+    """The seam between the front end and whatever answers its requests.
+
+    Each dispatch pass hands the backend one batch; the backend hands
+    every answer back through :meth:`ServiceDaemon.deliver`, in the same
+    pass or later, exactly once per request.
+    """
+
+    counters: Counters
+    #: Turns a packed request body into the dict the front end admits.
+    unpack: Callable[[bytes], Dict[str, Any]]
+
+    async def start(self, front: "ServiceDaemon") -> None:
+        """Get ready to answer; runs before the listeners bind."""
+
+    def dispatch(self, front: "ServiceDaemon", batch: List[Admitted]) -> None:
+        """Answer *batch*, or raise having sent and owing none of it.
+
+        On a raise the front end answers the whole batch with ``INTERNAL``.
+        """
+        raise NotImplementedError
+
+    async def settle(self) -> None:
+        """Return once every dispatched request has been delivered."""
+
+    async def stop(self, front: "ServiceDaemon") -> None:
+        """Shut down; runs after the last connection has closed."""
+
+
+class _InProcess(Backend):
+    """A :class:`PermissionService` in this process: one ``apply_many`` a pass."""
+
+    def __init__(self, service: PermissionService) -> None:
+        self.service = service
+        self.counters = service.counters
+        self.unpack = unpack_body
+
+    async def start(self, front: "ServiceDaemon") -> None:
+        if front.snapshot_dir is not None:
+            from repro.service.snapshot import load_snapshots
+
+            restored = load_snapshots(
+                self.service, front.snapshot_dir,
+                shard_index=front.shard_index, shard_count=front.shard_count,
+            )
+            self.counters.inc("service.tenants_restored", len(restored))
+
+    def dispatch(self, front: "ServiceDaemon", batch: List[Admitted]) -> None:
+        responses = self.service.apply_many([req for _, req, _ in batch])
+        front.deliver([
+            (conn, encode_response_frame(response, packed))
+            for (conn, _, packed), response in zip(batch, responses)
+        ])
+
+    async def stop(self, front: "ServiceDaemon") -> None:
+        if front.snapshot_dir is not None:
+            # Every in-flight request is answered by now, so the journals
+            # are complete: persist them for the next warm start.
+            from repro.service.snapshot import write_snapshots
+
+            written = write_snapshots(
+                self.service, front.snapshot_dir,
+                shard_index=front.shard_index, shard_count=front.shard_count,
+            )
+            self.counters.inc("service.tenants_snapshotted", written)
+
+
 class ServiceDaemon:
-    """Serve a :class:`PermissionService` over UNIX and/or TCP sockets."""
+    """Serve a backend over UNIX and/or TCP sockets.
+
+    *service* is a :class:`PermissionService` to run in this process, or a
+    :class:`Backend` such as :class:`repro.service.shard.WorkerPool`.
+    """
 
     def __init__(
         self,
-        service: PermissionService,
+        service: Union[PermissionService, Backend],
         unix_path: Optional[str] = None,
         tcp_host: Optional[str] = None,
         tcp_port: int = 0,
@@ -176,11 +264,15 @@ class ServiceDaemon:
     ) -> None:
         if unix_path is None and tcp_host is None:
             raise ValueError("daemon needs at least one listener (unix_path or tcp_host)")
-        if snapshot_dir is not None and not service.journal:
-            raise ValueError("snapshot_dir needs a journalling service "
-                             "(PermissionService(journal=True))")
-        self.service = service
-        self.counters: Counters = service.counters
+        if isinstance(service, Backend):
+            self.backend = service
+        else:
+            if snapshot_dir is not None and not service.journal:
+                raise ValueError("snapshot_dir needs a journalling service "
+                                 "(PermissionService(journal=True))")
+            self.backend = _InProcess(service)
+        self.counters: Counters = self.backend.counters
+        self._unpack = self.backend.unpack
         self.unix_path = unix_path
         self.tcp_host = tcp_host
         self.tcp_port = tcp_port
@@ -190,14 +282,15 @@ class ServiceDaemon:
         self.write_high = write_high
         #: Warm-restart state: tenants whose hash lands on this daemon's
         #: (shard_index, shard_count) slot are replayed from snapshot_dir
-        #: on start and re-snapshotted at the end of a graceful drain.
+        #: on start and re-snapshotted at the end of a graceful drain.  A
+        #: worker pool hands the directory to its workers instead.
         self.snapshot_dir = snapshot_dir
         self.shard_index = shard_index
         self.shard_count = shard_count
 
         self._servers: List[asyncio.AbstractServer] = []
         self._connections: Set[_Connection] = set()
-        self._queue: Deque[Tuple[_Connection, Dict[str, Any], bool]] = deque()
+        self._queue: Deque[Admitted] = deque()
         self._scheduled = False
         self._draining = False
         self._stopped = asyncio.Event()
@@ -214,15 +307,8 @@ class ServiceDaemon:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Restore any snapshots and bind the listeners."""
-        if self.snapshot_dir is not None:
-            from repro.service.snapshot import load_snapshots
-
-            restored = load_snapshots(
-                self.service, self.snapshot_dir,
-                shard_index=self.shard_index, shard_count=self.shard_count,
-            )
-            self.counters.inc("service.tenants_restored", len(restored))
+        """Start the backend, then bind the listeners."""
+        await self.backend.start(self)
         loop = self._loop = asyncio.get_running_loop()
         if self.unix_path is not None:
             server = await loop.create_unix_server(lambda: _Connection(self), path=self.unix_path)
@@ -273,7 +359,7 @@ class ServiceDaemon:
             self._loop.call_soon(self._dispatch)
 
     def _dispatch(self) -> None:
-        """One pass: a batch through ``apply_many``, one write per connection."""
+        """One pass: a batch to the backend, one write per connection."""
         queue = self._queue
         gate = self.dispatch_gate
         if queue and gate is not None and not gate.is_set():
@@ -292,28 +378,30 @@ class ServiceDaemon:
             if len(batch) > counters.get("service.batch_size_high"):
                 counters.set("service.batch_size_high", len(batch))
             try:
-                responses = self.service.apply_many([req for _, req, _ in batch])
+                self.backend.dispatch(self, batch)
             except Exception as error:  # noqa: BLE001 - the last line of defence
                 # A request that detonates past every per-request guard must
                 # not leave a zombie that answers nothing and leaks credits:
                 # the whole batch gets E_INTERNAL, and dispatch goes on.
                 counters.inc("service.dispatch_errors")
                 detail = f"batch dispatch failed: {type(error).__name__}: {error}"
-                responses = [error_response(
-                    request.get("id") if isinstance(request, dict) else None,
-                    E_INTERNAL, detail,
-                ) for _, request, _ in batch]
-            out: Dict[_Connection, List[bytes]] = {}
-            for (conn, _, packed), response in zip(batch, responses):
-                conn.pending -= 1
-                out.setdefault(conn, []).append(encode_response_frame(response, packed))
-            for conn, frames in out.items():
-                self._write(conn, frames)
+                self.deliver([(conn, encode_response_frame(
+                    error_response(request.get("id"), E_INTERNAL, detail), packed
+                )) for conn, request, packed in batch])
         if queue:
             self._schedule()  # the yield that lets readers grow the next batch
         elif self._draining and self._all_closed is None:
             self._all_closed = asyncio.Event()
             self._task = self._loop.create_task(self._finish_drain())
+
+    def deliver(self, answers: Iterable[Tuple[_Connection, bytes]]) -> None:
+        """Send answered frames, one write per connection, and free their budget."""
+        out: Dict[_Connection, List[bytes]] = {}
+        for conn, frame in answers:
+            conn.pending -= 1
+            out.setdefault(conn, []).append(frame)
+        for conn, frames in out.items():
+            self._write(conn, frames)
 
     def _write(self, conn: _Connection, frames: List[bytes]) -> None:
         """Send *frames* in one write unless the connection is gone or hopeless."""
@@ -336,7 +424,8 @@ class ServiceDaemon:
             transport.close()
 
     async def _finish_drain(self) -> None:
-        """Flush and close every connection, then mark the daemon stopped."""
+        """Flush and close every connection, stop the backend, mark stopped."""
+        await self.backend.settle()  # a worker pool may still owe answers
         for conn in list(self._connections):
             conn.closed = True
             conn.transport.close()  # flushes what is buffered, then hangs up
@@ -351,16 +440,7 @@ class ServiceDaemon:
         self._connections.clear()
         for server in self._servers:
             await server.wait_closed()
-        if self.snapshot_dir is not None:
-            # Every in-flight request is answered by now, so the journals
-            # are complete: persist them for the next warm start.
-            from repro.service.snapshot import write_snapshots
-
-            written = write_snapshots(
-                self.service, self.snapshot_dir,
-                shard_index=self.shard_index, shard_count=self.shard_count,
-            )
-            self.counters.inc("service.tenants_snapshotted", written)
+        await self.backend.stop(self)
         self._stopped.set()
 
     # -- introspection ---------------------------------------------------------

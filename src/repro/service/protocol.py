@@ -242,20 +242,50 @@ def packed_request_id(body: bytes) -> int:
 
 
 def packed_tenant(body: bytes) -> str:
-    """Peek the tenant of a packed *request* body without decoding it."""
-    tag = body[0]
-    if tag not in (PK_QUERY, PK_INTERACT):
-        raise FrameError(E_BAD_REQUEST, f"packed tag {tag:#x} carries no tenant")
-    length = body[PACKED_TENANT_OFFSET]
-    start = PACKED_TENANT_OFFSET + 1
-    if len(body) < start + length:
-        raise FrameError(E_BAD_REQUEST, "packed body truncated inside tenant")
-    return body[start : start + length].decode("utf-8")
+    """The tenant of a packed *request* body, found without building the request.
+
+    Refuses exactly what :func:`unpack_body` refuses, because both walk the
+    layout with one helper: a router that forwards what this accepts never
+    hands a worker a frame the worker must refuse.
+    """
+    try:
+        if body[0] not in (PK_QUERY, PK_INTERACT):
+            raise FrameError(E_BAD_REQUEST, f"packed tag {body[0]:#x} carries no tenant")
+        return _packed_request_fields(body)[0]
+    except (struct.error, IndexError, UnicodeDecodeError) as error:
+        raise FrameError(E_BAD_REQUEST, f"malformed packed body: {error}")
 
 
 def rewrite_packed_id(body: bytearray, request_id: int) -> None:
     """Overwrite a packed body's correlation id in place (shard routing)."""
     _PK_ID.pack_into(body, PACKED_ID_OFFSET, request_id)
+
+
+def _packed_request_fields(body: bytes) -> Tuple[str, int, int, int, Optional[str]]:
+    """Walk a packed query/interact body: (tenant, pid, at-flag, at, operation).
+
+    The one parser of the request layout.  Raises :class:`FrameError` on a
+    length mismatch and lets ``struct``/index/decode errors escape for the
+    caller to wrap.
+    """
+    pos = PACKED_TENANT_OFFSET
+    tlen = body[pos]
+    pos += 1
+    tenant = bytes(body[pos : pos + tlen]).decode("utf-8")
+    if tlen != len(tenant.encode("utf-8")):
+        raise FrameError(E_BAD_REQUEST, "packed body truncated inside tenant")
+    pos += tlen
+    pid, at_flag, at = _PK_PID_AT.unpack_from(body, pos)
+    pos += _PK_PID_AT.size
+    operation = None
+    if body[0] == PK_QUERY:
+        (olen,) = _PK_U16.unpack_from(body, pos)
+        pos += _PK_U16.size
+        operation = bytes(body[pos : pos + olen]).decode("utf-8")
+        pos += olen
+    if pos != len(body):
+        raise FrameError(E_BAD_REQUEST, "packed body has trailing bytes")
+    return tenant, pid, at_flag, at, operation
 
 
 def unpack_body(body: bytes) -> Dict[str, Any]:
@@ -264,14 +294,7 @@ def unpack_body(body: bytes) -> Dict[str, Any]:
         tag, request_id = _PK_HEAD.unpack_from(body, 0)
         pos = _PK_HEAD.size
         if tag == PK_QUERY or tag == PK_INTERACT:
-            tlen = body[pos]
-            pos += 1
-            tenant = bytes(body[pos : pos + tlen]).decode("utf-8")
-            if tlen != len(tenant.encode("utf-8")):
-                raise FrameError(E_BAD_REQUEST, "packed body truncated inside tenant")
-            pos += tlen
-            pid, at_flag, at = _PK_PID_AT.unpack_from(body, pos)
-            pos += _PK_PID_AT.size
+            tenant, pid, at_flag, at, operation = _packed_request_fields(body)
             request: Dict[str, Any] = {
                 "v": PROTOCOL_VERSION,
                 "id": request_id,
@@ -279,16 +302,10 @@ def unpack_body(body: bytes) -> Dict[str, Any]:
                 "tenant": tenant,
                 "pid": pid,
             }
-            if tag == PK_QUERY:
-                (olen,) = _PK_U16.unpack_from(body, pos)
-                pos += _PK_U16.size
-                operation = bytes(body[pos : pos + olen]).decode("utf-8")
-                pos += olen
+            if operation is not None:
                 request["operation"] = operation
             if at_flag:
                 request["at"] = at
-            if pos != len(body):
-                raise FrameError(E_BAD_REQUEST, "packed body has trailing bytes")
             return request
         if tag == PK_QUERY_OK:
             granted, age_flag, age, time = _PK_QUERY_OK_FIX.unpack_from(body, pos)

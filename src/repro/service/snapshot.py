@@ -61,11 +61,13 @@ def tenant_shard(tenant_id: str, shard_count: int) -> int:
     CRC32 rather than ``hash()``: the mapping must agree across processes
     and runs (PYTHONHASHSEED randomises ``hash``), because the shard
     router, every worker's snapshot load, and every worker's snapshot
-    write all derive ownership from it independently.
+    write all derive ownership from it independently.  Every ``str``
+    hashes, lone surrogates included, so a router can send even a tenant
+    the service will refuse to the worker that refuses it.
     """
     if shard_count <= 1:
         return 0
-    return zlib.crc32(tenant_id.encode("utf-8")) % shard_count
+    return zlib.crc32(tenant_id.encode("utf-8", "surrogatepass")) % shard_count
 
 
 def snapshot_path(directory: Union[str, Path], tenant_id: str) -> Path:

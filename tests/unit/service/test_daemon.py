@@ -4,6 +4,10 @@ All tests drive a real daemon over a real UNIX socket inside one
 ``asyncio.run`` body (no event-loop plugin needed).  The
 ``dispatch_gate`` test hook holds the dispatcher so requests pile up
 deterministically where a test needs an observable queue.
+
+The front end is one piece of code for both backends, so its cases take
+the ``backend`` fixture and run once in process and once over a
+one-worker :class:`WorkerPool`.
 """
 
 import asyncio
@@ -16,6 +20,7 @@ from repro.service import daemon as daemon_module
 from repro.service.client import AsyncServiceClient, ServiceError
 from repro.service.core import PermissionService
 from repro.service.daemon import ServiceDaemon
+from repro.service.shard import WorkerPool
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     E_FRAME_TOO_LARGE,
@@ -26,6 +31,7 @@ from repro.service.protocol import (
     encode_frame,
     encode_request_frame,
     encode_response_frame,
+    pack_query,
 )
 
 
@@ -33,9 +39,30 @@ def run(coroutine_function, *args):
     return asyncio.run(coroutine_function(*args))
 
 
-async def start_daemon(tmp_path, **kwargs):
+@pytest.fixture(params=["inprocess", "pool"])
+def backend(request):
+    """Make the backend a front-end case runs over: one per parameter."""
+    pools = []
+
+    def make():
+        if request.param == "inprocess":
+            return PermissionService()
+        pools.append(WorkerPool(1))
+        return pools[-1]
+
+    yield make
+    for pool in pools:  # a failed case must not leave a worker running
+        for worker in pool._workers:
+            if worker.process.poll() is None:
+                worker.process.kill()
+                worker.process.wait()
+
+
+async def start_daemon(tmp_path, service=None, **kwargs):
     path = str(tmp_path / "daemon.sock")
-    daemon = ServiceDaemon(PermissionService(), unix_path=path, **kwargs)
+    if service is None:
+        service = PermissionService()
+    daemon = ServiceDaemon(service, unix_path=path, **kwargs)
     await daemon.start()
     return daemon, path
 
@@ -53,9 +80,9 @@ async def read_frame(reader):
 
 
 class TestFrameRejection:
-    def test_oversized_frame_refused_and_connection_closed(self, tmp_path):
+    def test_oversized_frame_refused_and_connection_closed(self, tmp_path, backend):
         async def body():
-            daemon, path = await start_daemon(tmp_path, max_frame=128)
+            daemon, path = await start_daemon(tmp_path, backend(), max_frame=128)
             reader, writer = await raw_connection(path)
             writer.write(struct.pack("!I", 129) + b"x" * 129)
             response = await read_frame(reader)
@@ -68,9 +95,9 @@ class TestFrameRejection:
 
         run(body)
 
-    def test_malformed_json_refused_and_connection_closed(self, tmp_path):
+    def test_malformed_json_refused_and_connection_closed(self, tmp_path, backend):
         async def body():
-            daemon, path = await start_daemon(tmp_path)
+            daemon, path = await start_daemon(tmp_path, backend())
             reader, writer = await raw_connection(path)
             body_bytes = b"{not json"
             writer.write(struct.pack("!I", len(body_bytes)) + body_bytes)
@@ -80,6 +107,27 @@ class TestFrameRejection:
             writer.close()
             daemon.begin_drain()
             await daemon.wait_stopped()
+
+        run(body)
+
+    def test_malformed_packed_frame_refused_and_backend_keeps_serving(self, tmp_path, backend):
+        async def body():
+            daemon, path = await start_daemon(tmp_path, backend())
+            reader, writer = await raw_connection(path)
+            truncated = pack_query(1, "t0", 1, "paste")[:-2]
+            writer.write(struct.pack("!I", len(truncated) | 0x80000000) + truncated)
+            response = await asyncio.wait_for(read_frame(reader), timeout=5)
+            assert response["error"] == E_BAD_REQUEST
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            writer.close()
+            client = await AsyncServiceClient.connect(unix_path=path)
+            try:
+                spawned = await client.request("spawn", tenant="t0", name="alpha")
+                assert spawned["created"] is True
+            finally:
+                await client.close()
+                daemon.begin_drain()
+                await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
 
         run(body)
 
@@ -118,7 +166,7 @@ def transcript():
 class TestFramingReadPath:
     """The protocol front end: frames split out of arbitrary read chunks."""
 
-    def test_one_byte_writes_answer_like_one_write_and_in_process(self, tmp_path):
+    def test_one_byte_writes_answer_like_one_write_and_in_process(self, tmp_path, backend):
         frames, expected = transcript()
         assert any(frame[0] & 0x80 for frame in frames)  # packed frames are in the mix
 
@@ -137,7 +185,7 @@ class TestFramingReadPath:
             return answer
 
         async def body(byte_at_a_time):
-            daemon, path = await start_daemon(tmp_path)
+            daemon, path = await start_daemon(tmp_path, backend())
             try:
                 return await exchange(path, byte_at_a_time)
             finally:
@@ -148,9 +196,9 @@ class TestFramingReadPath:
         whole = run(body, False)
         assert trickled == whole == expected
 
-    def test_valid_frame_then_garbage_in_one_chunk(self, tmp_path):
+    def test_valid_frame_then_garbage_in_one_chunk(self, tmp_path, backend):
         async def body():
-            daemon, path = await start_daemon(tmp_path)
+            daemon, path = await start_daemon(tmp_path, backend())
             reader, writer = await raw_connection(path)
             garbage = b"{not json"
             writer.write(
@@ -169,9 +217,9 @@ class TestFramingReadPath:
 
         run(body)
 
-    def test_oversized_prefix_split_across_writes_refused_before_body(self, tmp_path):
+    def test_oversized_prefix_split_across_writes_refused_before_body(self, tmp_path, backend):
         async def body():
-            daemon, path = await start_daemon(tmp_path, max_frame=128)
+            daemon, path = await start_daemon(tmp_path, backend(), max_frame=128)
             reader, writer = await raw_connection(path)
             header = struct.pack("!I", 1 << 20)
             writer.write(header[:2])
@@ -189,9 +237,9 @@ class TestFramingReadPath:
 
         run(body)
 
-    def test_one_batch_leaves_a_connection_in_one_write(self, tmp_path):
+    def test_one_batch_leaves_a_connection_in_one_write(self, tmp_path, backend):
         async def body():
-            daemon, path = await start_daemon(tmp_path)
+            daemon, path = await start_daemon(tmp_path, backend())
             gate = asyncio.Event()
             daemon.dispatch_gate = gate
             reader, writer = await raw_connection(path)
@@ -223,11 +271,11 @@ class TestFramingReadPath:
 
 
 class TestDisconnects:
-    def test_client_disconnect_mid_batch_drops_only_its_responses(self, tmp_path):
+    def test_client_disconnect_mid_batch_drops_only_its_responses(self, tmp_path, backend):
         """A peer that vanishes while queued must not stall the batch."""
 
         async def body():
-            daemon, path = await start_daemon(tmp_path)
+            daemon, path = await start_daemon(tmp_path, backend())
             gate = asyncio.Event()
             daemon.dispatch_gate = gate
 
@@ -258,9 +306,9 @@ class TestDisconnects:
 
 
 class TestBackpressure:
-    def test_overflowing_pipeline_gets_retry_later(self, tmp_path):
+    def test_overflowing_pipeline_gets_retry_later(self, tmp_path, backend):
         async def body():
-            daemon, path = await start_daemon(tmp_path, max_pending=4)
+            daemon, path = await start_daemon(tmp_path, backend(), max_pending=4)
             gate = asyncio.Event()
             daemon.dispatch_gate = gate
             client = await AsyncServiceClient.connect(unix_path=path)
@@ -285,11 +333,11 @@ class TestBackpressure:
 
         run(body)
 
-    def test_sync_client_retries_after_backpressure(self, tmp_path):
+    def test_sync_client_retries_after_backpressure(self, tmp_path, backend):
         """The blocking client's RETRY_LATER backoff is invisible to callers."""
 
         async def body():
-            daemon, path = await start_daemon(tmp_path, max_pending=1)
+            daemon, path = await start_daemon(tmp_path, backend(), max_pending=1)
             gate = asyncio.Event()
             daemon.dispatch_gate = gate
 
@@ -320,9 +368,9 @@ class TestBackpressure:
 
 
 class TestGracefulDrain:
-    def test_drain_completes_in_flight_and_refuses_new(self, tmp_path):
+    def test_drain_completes_in_flight_and_refuses_new(self, tmp_path, backend):
         async def body():
-            daemon, path = await start_daemon(tmp_path)
+            daemon, path = await start_daemon(tmp_path, backend())
             gate = asyncio.Event()
             daemon.dispatch_gate = gate
             client = await AsyncServiceClient.connect(unix_path=path)
@@ -347,12 +395,12 @@ class TestGracefulDrain:
 
         run(body)
 
-    def test_drain_aborts_a_client_that_stopped_reading(self, tmp_path, monkeypatch):
+    def test_drain_aborts_a_client_that_stopped_reading(self, tmp_path, backend, monkeypatch):
         """Replies buffered under ``write_high`` must not hold the drain forever."""
         monkeypatch.setattr(daemon_module, "DRAIN_FLUSH_TIMEOUT", 0.2, raising=False)
 
         async def body():
-            daemon, path = await start_daemon(tmp_path, max_pending=1024)
+            daemon, path = await start_daemon(tmp_path, backend(), max_pending=1024)
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             sock.connect(path)
             # Long tenant ids make each tenant-less stats reply (which
@@ -362,28 +410,58 @@ class TestGracefulDrain:
                        "name": "alpha"} for i in range(60)]
             stats = [{"v": PROTOCOL_VERSION, "id": 60 + i, "op": "stats"} for i in range(300)]
             sock.sendall(b"".join(encode_frame(request) for request in spawns + stats))
-            try:
-                while daemon.counters.get("service.batched_requests") < 360:
+
+            async def replies_stuck_in_daemon():
+                # Past the transport's 64 KiB high-water mark a flush can
+                # only wait.
+                while sum(conn.transport.get_write_buffer_size()
+                          for conn in daemon._connections) < 128 * 1024:
                     await asyncio.sleep(0.005)
-                # The replies (about half a megabyte) sit in the daemon's
-                # buffer, under write_high: stuck, but never cut.
-                assert daemon.counters.get("service.slow_client_drops") == 0
+
+            try:
+                await asyncio.wait_for(replies_stuck_in_daemon(), timeout=5)
                 daemon.begin_drain()
                 await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
                 assert daemon.counters.get("service.drain_aborts") == 1
+                # About three quarters of a megabyte of replies, under
+                # write_high: stuck, but never cut.
+                assert daemon.counters.get("service.slow_client_drops") == 0
                 assert daemon.connection_count == 0
             finally:
                 sock.close()
 
         run(body)
 
-    def test_new_connections_refused_after_drain(self, tmp_path):
+    def test_new_connections_refused_after_drain(self, tmp_path, backend):
         async def body():
-            daemon, path = await start_daemon(tmp_path)
+            daemon, path = await start_daemon(tmp_path, backend())
             daemon.begin_drain()
             await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
             with pytest.raises((ConnectionError, FileNotFoundError)):
                 await asyncio.open_unix_connection(path)
+
+        run(body)
+
+
+class TestFrontEndCounters:
+    def test_tenantless_stats_count_each_request_once(self, tmp_path, backend):
+        """A worker's pipe counters never add to the front end's own."""
+        async def body():
+            daemon, path = await start_daemon(tmp_path, backend())
+            client = await AsyncServiceClient.connect(unix_path=path)
+            try:
+                sent = 5
+                for i in range(sent):
+                    await client.request("spawn", tenant="t0", name=f"app{i}")
+                counters = (await client.request("stats"))["counters"]
+                # The stats request itself is batched before it is answered.
+                assert counters["service.batched_requests"] == sent + 1
+                assert counters["service.batches"] == sent + 1
+                assert counters["service.connections"] == 1
+            finally:
+                await client.close()
+                daemon.begin_drain()
+                await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
 
         run(body)
 

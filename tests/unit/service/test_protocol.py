@@ -213,6 +213,20 @@ class TestPackedPeekAndRewrite:
         assert packed_request_id(body) == 4242
         assert packed_tenant(body) == "shardy"
 
+    @pytest.mark.parametrize("body", [
+        pack_query(1, "t0", 2, "paste")[:-1],
+        pack_query(1, "t0", 2, "paste") + b"x",
+        pack_interact(1, "t0", 2)[:-3],
+        pack_query(1, "t0", 2, "pa")[:-2] + b"\xff\xfe",
+        pack_interact(1, "t0", 2)[:11],
+    ])
+    def test_peek_refuses_what_decode_refuses(self, body):
+        """A router forwards only what the worker's decoder will take."""
+        with pytest.raises(FrameError):
+            unpack_body(body)
+        with pytest.raises(FrameError):
+            packed_tenant(body)
+
     def test_rewrite_id_in_place(self):
         body = bytearray(pack_interact(1, "t3", 2))
         rewrite_packed_id(body, 9_999_999_999)

@@ -1,34 +1,44 @@
-"""ShardedDaemon: real worker processes behind a real router socket.
+"""WorkerPool: real worker processes behind the daemon's one front end.
 
 These tests spawn actual worker interpreters, so they are the slowest in
 the service suite; they assert the properties that justify the sharding
 design -- byte-identical transcripts, per-tenant isolation, aggregated
-stats, and warm restarts across a drain/restart boundary.
+stats, warm restarts across a drain/restart boundary, and worker bounds
+that every frame the front end admits fits inside.  The front end's own
+cases (framing, backpressure, disconnects, drain) run over this backend
+in ``test_daemon.py``.
 """
 
 import asyncio
-import socket
+import json
 import threading
 
 import pytest
 
-from repro.service import daemon as daemon_module
 from repro.service.client import ServiceClient
-from repro.service.protocol import PROTOCOL_VERSION, encode_frame
+from repro.service.core import PermissionService
+from repro.service.daemon import ServiceDaemon
+from repro.service.protocol import (
+    DEFAULT_MAX_FRAME,
+    PROTOCOL_VERSION,
+    FrameDecoder,
+    canonical_json,
+    encode_frame,
+)
 from repro.service.scenario import (
     collect_digests,
     run_against_daemon,
     run_inprocess,
     transcript_json,
 )
-from repro.service.shard import ShardedDaemon
+from repro.service.shard import WorkerPool
 from repro.service.snapshot import tenant_shard
 
 TIMEOUT = 30.0
 
 
 class ShardRig:
-    """Host a ShardedDaemon on a background thread with its own loop."""
+    """Host a worker-pool daemon on a background thread with its own loop."""
 
     def __init__(self, tmp_path, workers=2, name="shard", **kwargs):
         self.socket_path = str(tmp_path / f"{name}.sock")
@@ -42,8 +52,8 @@ class ShardRig:
 
     def _serve(self):
         async def body():
-            self.daemon = ShardedDaemon(
-                self.workers, unix_path=self.socket_path, **self.kwargs
+            self.daemon = ServiceDaemon(
+                WorkerPool(self.workers), unix_path=self.socket_path, **self.kwargs
             )
             try:
                 await self.daemon.start()
@@ -133,6 +143,40 @@ class TestShardedVerbs:
                 assert excinfo.value.code == "BAD_REQUEST"
 
 
+class TestShardedRouting:
+    def test_unencodable_tenant_is_answered_and_the_pool_drains(self, tmp_path):
+        """A lone-surrogate tenant cannot take a routing pass down with it."""
+        raw = [
+            b'{"v":1,"id":1,"op":"spawn","tenant":"t0","name":"before"}',
+            b'{"v":1,"id":2,"op":"spawn","tenant":"\\ud800","name":"a"}',
+            b'{"v":1,"id":3,"op":"spawn","tenant":"t1","name":"after"}',
+        ]
+        expected = PermissionService().apply_many([json.loads(body) for body in raw])
+        path = str(tmp_path / "route.sock")
+
+        async def body():
+            daemon = ServiceDaemon(WorkerPool(2), unix_path=path)
+            await daemon.start()
+            reader, writer = await asyncio.open_unix_connection(path)
+            try:
+                writer.write(b"".join(len(body).to_bytes(4, "big") + body for body in raw))
+                decoder = FrameDecoder()
+                answers = []
+                while len(answers) < len(expected):
+                    data = await asyncio.wait_for(reader.read(1 << 16), timeout=TIMEOUT)
+                    assert data, "daemon hung up"
+                    answers += decoder.feed(data)
+                # Tenants on different workers answer in either order.
+                assert sorted(answers, key=lambda answer: answer["id"]) == expected
+                assert daemon.counters.get("service.dispatch_errors") == 0
+            finally:
+                writer.close()
+                daemon.begin_drain()
+                await asyncio.wait_for(daemon.wait_stopped(), timeout=TIMEOUT)
+
+        asyncio.run(body())
+
+
 class TestShardedTranscripts:
     def test_byte_identical_to_inprocess_json_and_packed(self, tmp_path):
         tenants, ops, seed = 3, 40, 7
@@ -177,42 +221,60 @@ class TestShardedWarmRestart:
         assert warm == cold
 
 
-class TestShardedDrain:
-    def test_drain_aborts_a_client_that_stopped_reading(self, tmp_path, monkeypatch):
-        """Replies buffered under ``write_high`` must not hold the router's drain forever."""
-        monkeypatch.setattr(daemon_module, "DRAIN_FLUSH_TIMEOUT", 0.2)
-        path = str(tmp_path / "router.sock")
+def padded_spawn(request_id, size, pad_char):
+    """A ``spawn`` whose canonical JSON body is exactly *size* bytes long.
+
+    A non-ASCII *pad_char* travels as raw UTF-8; the pool's canonical
+    re-encoding turns each into a six-byte ``\\u`` escape.
+    """
+    request = {"v": PROTOCOL_VERSION, "id": request_id, "op": "spawn",
+               "tenant": "t0", "name": "big", "pad": ""}
+    base = len(canonical_json(request))
+    width = len(pad_char.encode("utf-8"))
+    request["pad"] = pad_char * ((size - base) // width) + "x" * ((size - base) % width)
+    body = json.dumps(request, ensure_ascii=False, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    assert len(body) == size
+    return request, len(body).to_bytes(4, "big") + body
+
+
+class TestWorkerBounds:
+    @pytest.mark.parametrize("max_frame, pad_char", [
+        (DEFAULT_MAX_FRAME, "x"),
+        (DEFAULT_MAX_FRAME, "\u00e9"),
+        (4 * DEFAULT_MAX_FRAME, "x"),
+    ])
+    def test_a_frame_at_the_front_end_bound_reaches_its_worker(
+        self, tmp_path, max_frame, pad_char
+    ):
+        """The pool re-encodes JSON with its own, longer id; the worker must still take it."""
+        path = str(tmp_path / "bound.sock")
+        small = [{"v": PROTOCOL_VERSION, "id": 100 + i, "op": "spawn",
+                  "tenant": "t0", "name": f"app{i}"} for i in range(9)]
+        # After nine routed requests the pool's next id is 10: one byte
+        # longer than the client's "id":1.
+        big, big_frame = padded_spawn(1, max_frame, pad_char)
+        after = {"v": PROTOCOL_VERSION, "id": 2, "op": "spawn", "tenant": "t0", "name": "after"}
+        expected = PermissionService().apply_many(small + [big, after])
 
         async def body():
-            router = ShardedDaemon(1, unix_path=path)
-            await router.start()
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.connect(path)
-            # Long tenant ids make each tenant-less stats reply (which
-            # lists every tenant) about 2.4 KB.
-            spawns = [{"v": PROTOCOL_VERSION, "id": i, "op": "spawn",
-                       "tenant": f"tenant-{i:02d}-" + "x" * 25,
-                       "name": "alpha"} for i in range(60)]
-            stats = [{"v": PROTOCOL_VERSION, "id": 60 + i, "op": "stats"} for i in range(200)]
-            sock.sendall(b"".join(encode_frame(request) for request in spawns + stats))
-
-            async def replies_stuck_in_router():
-                # Past the transport's 64 KiB high-water mark a flush can only wait.
-                while sum(conn.writer.transport.get_write_buffer_size()
-                          for conn in router._connections) < 128 * 1024:
-                    await asyncio.sleep(0.005)
-
+            daemon = ServiceDaemon(WorkerPool(1), unix_path=path, max_frame=max_frame)
+            await daemon.start()
+            reader, writer = await asyncio.open_unix_connection(path)
             try:
-                await asyncio.wait_for(replies_stuck_in_router(), timeout=TIMEOUT)
-                # About half a megabyte of stats replies, under write_high:
-                # stuck, but never cut.
-                assert router.counters.get("shard.slow_client_drops") == 0
-                router.begin_drain()
-                await asyncio.wait_for(router.wait_stopped(), timeout=TIMEOUT)
-                assert router.counters.get("service.drain_aborts") == 1
-                assert router.connection_count == 0
+                decoder = FrameDecoder(max_frame)
+                answers = []
+                writer.write(b"".join(encode_frame(r) for r in small)
+                             + big_frame + encode_frame(after))
+                while len(answers) < len(expected):
+                    data = await asyncio.wait_for(reader.read(1 << 16), timeout=TIMEOUT)
+                    assert data, "daemon hung up"
+                    answers += decoder.feed(data)
+                assert answers == expected
+                assert daemon.counters.get("shard.worker_deaths") == 0
             finally:
-                sock.close()
-                await router._kill_workers()
+                writer.close()
+                daemon.begin_drain()
+                await asyncio.wait_for(daemon.wait_stopped(), timeout=TIMEOUT)
 
         asyncio.run(body())

@@ -228,6 +228,46 @@ class TestServeCommand:
                 process.kill()
             process.stdout.close()
 
+    def test_shard_workers_take_max_tenants_per_worker(self, tmp_path):
+        """``--max-tenants`` caps each worker's tenant table."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        from repro.service.client import ServiceClient, ServiceError
+        from repro.service.snapshot import tenant_shard
+
+        names = [f"t{i}" for i in range(64)]
+        first, over = [name for name in names if tenant_shard(name, 2) == 0][:2]
+        other = next(name for name in names if tenant_shard(name, 2) == 1)
+        socket_path = str(tmp_path / "cli.sock")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [os.path.abspath("src"), env.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--unix", socket_path,
+             "--shard-workers", "2", "--max-tenants", "1"],
+            stdout=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        try:
+            assert "overhaul service ready" in process.stdout.readline()
+            with ServiceClient(unix_path=socket_path, retry_attempts=0) as client:
+                client.spawn(first, "alpha")
+                with pytest.raises(ServiceError) as excinfo:
+                    client.spawn(over, "alpha")
+                assert excinfo.value.code == "TENANT_LIMIT"
+                client.spawn(other, "alpha")  # the other worker has its own cap
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=15) == 0
+        finally:
+            if process.poll() is None:  # pragma: no cover - cleanup on failure
+                process.kill()
+            process.stdout.close()
+
 
 class TestBrokenPipe:
     """Piping `--json` output into a closed reader must exit 141, quietly."""
