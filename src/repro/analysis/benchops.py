@@ -284,10 +284,7 @@ class ComposeRig:
       a multi-entry journal.
 
     Modes other than warm/damaged use small windows and a screen cut to
-    fit, so a round measures the patch machinery, not byte shoveling.  Set
-    ``incremental_compose = False`` on the rig's X server to push the same
-    workload through the full-recompose fallback -- the gap is what damage
-    rectangles buy.
+    fit, so a round measures the patch machinery, not byte shoveling.
     """
 
     name = "Compose"

@@ -53,7 +53,11 @@ def _time_per_op(fn: Callable[[], None], ops: int = 5_000, repeats: int = 3) -> 
 
 def measure_components(ops: int = 5_000) -> List[ComponentCost]:
     """Measure every component on a fresh benchmark-mode machine."""
-    machine = Machine.with_overhaul(benchmark_config())
+    with Machine.with_overhaul(benchmark_config()) as machine:
+        return _measure(machine, ops)
+
+
+def _measure(machine: Machine, ops: int) -> List[ComponentCost]:
     app = SimApp(machine, "/usr/bin/component-bench", comm="cbench")
     machine.settle()
     app.click()

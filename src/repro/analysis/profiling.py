@@ -54,19 +54,19 @@ def _run_quickstart() -> None:
     from repro.kernel.errors import OverhaulDenied
     from repro.sim.time import from_seconds
 
-    machine = Machine.with_overhaul()
-    recorder = AudioRecorder(machine)
-    spy = Spyware(machine)
-    machine.settle()
-    spy.attempt_microphone()
-    recorder.click_record()
-    recorder.capture_samples(16)
-    recorder.stop_recording()
-    machine.run_for(from_seconds(2.5))
-    try:
-        recorder.start_recording()
-    except OverhaulDenied:
-        pass
+    with Machine.with_overhaul() as machine:
+        recorder = AudioRecorder(machine)
+        spy = Spyware(machine)
+        machine.settle()
+        spy.attempt_microphone()
+        recorder.click_record()
+        recorder.capture_samples(16)
+        recorder.stop_recording()
+        machine.run_for(from_seconds(2.5))
+        try:
+            recorder.start_recording()
+        except OverhaulDenied:
+            pass
 
 
 def _traced_span_table(scenario: str, ops: int) -> str:
@@ -89,6 +89,7 @@ def _traced_span_table(scenario: str, ops: int) -> str:
     for span in tracer.spans:
         count, total = by_name.get(span.name, (0, 0))
         by_name[span.name] = (count + 1, total + span.duration)
+    machine.close()
     lines = [
         f"{'span':<28s} {'count':>8s} {'virtual us':>12s}",
         "-" * 50,
@@ -106,6 +107,7 @@ def run_profile(scenario: str, ops: int = 0, top: int = 25, spans: bool = True) 
               f"{', '.join(scenario_names())}")
         return 2
 
+    rig = None
     if scenario == "quickstart":
         target = _run_quickstart
         label = "quickstart walkthrough"
@@ -122,6 +124,8 @@ def run_profile(scenario: str, ops: int = 0, top: int = 25, spans: bool = True) 
     profiler.enable()
     target()
     profiler.disable()
+    if rig is not None:
+        rig.machine.close()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(top)

@@ -65,44 +65,18 @@ class OverhaulConfig:
     #: installed intent profile additionally require the blessing input to
     #: match the operation's intent rule.
     graybox_enabled: bool = False
-    #: Bound on the permission monitor's epoch decision cache (entries die
-    #: naturally with their epoch; the bound is a backstop against pid
-    #: churn).  Multi-tenant deployments size this per tenant: a tenant
-    #: hosting few processes can run a small cache, a busy one a large one,
-    #: without either changing any decision -- the cache is observably
-    #: equivalent to the reference path at every size >= 1.
-    decision_cache_size: int = 4096
 
-    # -- hot-path switches ---------------------------------------------------
-    # Every fast path is observably equivalent to the reference path (the
-    # differential property tests drive both and compare decision logs,
-    # audit records, and counters byte for byte).  The switches exist so the
-    # equivalence is *testable* and so a regression can be bisected to one
-    # mechanism; production and benchmark configurations leave them on.
-
-    #: Zero-copy netlink delivery for the dominant message types
-    #: (payload-level handlers, pooled datagrams, batched flushes).
-    fast_netlink: bool = True
-    #: Memoize the per-pid ptrace verdict per (interaction_ts, ptrace
-    #: version) epoch, making the delta-comparison pure integer arithmetic.
-    fast_decision_cache: bool = True
-    #: Batch audit-log appends (flushed on first read; retention window
-    #: identical to eager appends).
-    fast_audit_batch: bool = True
-    #: Damage-tracked display pipeline: composition caching for root
-    #: captures, zero-copy drawable snapshots for GetImage/CopyArea, the
-    #: expiry-windowed overlay banner cache, and selection-transfer reuse
-    #: for repeat pastes.  Forced off by tracing at call time and by
-    #: prompt-mode / gray-box configurations at assembly time.
-    fast_display: bool = True
-    #: numpy-vectorized framebuffer blits on the fast display path.  Off
-    #: in :func:`reference_config` (the reference composition is pure
-    #: python) and moot wherever ``fast_display`` is off -- tracing and
-    #: prompt/gray-box configurations already force the reference
-    #: composition.  Degrades silently to the pure-python row loop when
-    #: numpy (the ``repro[fast]`` extra) is not installed; the two
-    #: produce byte-identical frames either way.
-    fast_numpy_blit: bool = True
+    # -- hot-path switch ------------------------------------------------------
+    #: The production fast paths, all on or all off: zero-copy netlink
+    #: delivery, the decision core's epoch memo, batched audit appends and
+    #: the damage-tracked display pipeline (composition cache, zero-copy
+    #: snapshots, banner cache; numpy blits when numpy is installed).  Off
+    #: is the reference path: the differential property tests drive both
+    #: and compare decision logs, audit records, counters and frames byte
+    #: for byte.  Tracing forces the reference paths at call time;
+    #: prompt-mode and gray-box configurations force the reference
+    #: decision and display paths at assembly time.
+    fast_paths: bool = True
 
     def __post_init__(self) -> None:
         self.validate()
@@ -123,15 +97,6 @@ class OverhaulConfig:
             raise SimulationError("window_visibility_threshold must be non-negative")
         if self.alert_duration <= 0:
             raise SimulationError("alert_duration must be positive")
-        if (
-            not isinstance(self.decision_cache_size, int)
-            or isinstance(self.decision_cache_size, bool)
-            or self.decision_cache_size < 1
-        ):
-            raise SimulationError(
-                "decision_cache_size must be a positive integer "
-                f"(got {self.decision_cache_size!r})"
-            )
 
 
 def paper_config() -> OverhaulConfig:
@@ -145,15 +110,9 @@ def benchmark_config() -> OverhaulConfig:
 
 
 def reference_config() -> OverhaulConfig:
-    """The paper configuration with every hot-path optimisation disabled.
+    """The paper configuration on the reference path (``fast_paths`` off).
 
     Used by the differential equivalence tests as the ground truth the
     fast paths are compared against.
     """
-    return OverhaulConfig(
-        fast_netlink=False,
-        fast_decision_cache=False,
-        fast_audit_batch=False,
-        fast_display=False,
-        fast_numpy_blit=False,
-    )
+    return OverhaulConfig(fast_paths=False)

@@ -104,9 +104,8 @@ def _category_for(operation: str) -> AuditCategory:
     return category
 
 
-#: Default decision-cache size backstop; entries die naturally with their
-#: epoch, but a workload churning through pids could otherwise grow it
-#: unbounded.  Tenants override per config (``decision_cache_size``).
+#: Decision-cache size backstop; entries die naturally with their epoch,
+#: but a workload churning through pids could otherwise grow it unbounded.
 _DECISION_CACHE_LIMIT = 4096
 
 
@@ -155,11 +154,10 @@ class PermissionMonitor:
         # prompt and gray-box extensions hang extra state off the decision,
         # so their presence routes everything through the reference path.
         self._fast_core_ok = self.prompt_arbiter is None and self.graybox is None
-        self._use_decision_cache = config.fast_decision_cache and self._fast_core_ok
-        #: Per-config cache bound (default 4096; see OverhaulConfig).
-        self._decision_cache_limit = getattr(
-            config, "decision_cache_size", _DECISION_CACHE_LIMIT
-        )
+        #: Whether the fast paths run: the fast netlink handlers and the
+        #: memoizing :meth:`_decide_core`, which only they and
+        #: :meth:`authorize` call.
+        self._fast = config.fast_paths and self._fast_core_ok
 
     # -- netlink wiring --------------------------------------------------------
 
@@ -168,7 +166,7 @@ class PermissionMonitor:
         netlink = self._kernel.netlink
         netlink.register_kernel_handler(MSG_INTERACTION, self._handle_interaction)
         netlink.register_kernel_handler(MSG_PERMISSION_QUERY, self._handle_query)
-        if self.config.fast_netlink and self._fast_core_ok:
+        if self._fast:
             # Payload-level zero-copy handlers for the two dominant message
             # types.  The regular handlers above stay registered: they are
             # the reference path (tracing on / fast path off).
@@ -285,9 +283,7 @@ class PermissionMonitor:
         category = _CATEGORY_CACHE.get(operation)
         if category is None:
             category = _category_for(operation)
-        audit = self._kernel.audit
-        append = audit.record_deferred if self.config.fast_audit_batch else audit.record
-        append(
+        self._kernel.audit.record_deferred(
             timestamp,
             category,
             AuditDecision.GRANTED if granted else AuditDecision.DENIED,
@@ -302,29 +298,26 @@ class PermissionMonitor:
     def _decide_core(self, task: Task, op_time: Timestamp, operation: str) -> Tuple[bool, str, Timestamp]:
         """The decision, fast form: ``(granted, reason, age)``.
 
-        Only valid when neither the prompt arbiter nor the gray-box
-        registry is active (``_fast_core_ok``); callers route through
-        :meth:`decide` otherwise.  It runs the same :meth:`_rule` as
-        :meth:`decide`; only the ptrace verdict may come from the epoch
+        Only valid on the fast paths (``_fast``: neither the prompt
+        arbiter nor the gray-box registry is active); callers route
+        through :meth:`decide` otherwise.  It runs the same :meth:`_rule`
+        as :meth:`decide`; only the ptrace verdict may come from the epoch
         memo, and no span or response object is built.
         """
-        if self._use_decision_cache:
-            interaction_ts = task.interaction_ts
-            ptrace = self._kernel.ptrace
-            version = ptrace.version
-            cache = self._decision_cache
-            entry = cache.get(task.pid)
-            if entry is not None and entry[0] == interaction_ts and entry[1] == version:
-                disabled = entry[2]
-                self.cache_hits += 1
-            else:
-                disabled = ptrace.permissions_disabled(task)
-                if len(cache) >= self._decision_cache_limit:
-                    cache.clear()
-                cache[task.pid] = (interaction_ts, version, disabled)
-                self.cache_misses += 1
+        interaction_ts = task.interaction_ts
+        ptrace = self._kernel.ptrace
+        version = ptrace.version
+        cache = self._decision_cache
+        entry = cache.get(task.pid)
+        if entry is not None and entry[0] == interaction_ts and entry[1] == version:
+            disabled = entry[2]
+            self.cache_hits += 1
         else:
-            disabled = self._kernel.ptrace.permissions_disabled(task)
+            disabled = ptrace.permissions_disabled(task)
+            if len(cache) >= _DECISION_CACHE_LIMIT:
+                cache.clear()
+            cache[task.pid] = (interaction_ts, version, disabled)
+            self.cache_misses += 1
         return self._rule(task, op_time, operation, disabled)
 
     def decide(self, task: Task, op_time: Timestamp, operation: str) -> PermissionResponse:
@@ -442,7 +435,7 @@ class PermissionMonitor:
 
     def authorize(self, task: Task, now: Timestamp, operation: str) -> bool:
         """Device-mediation entry point (called from the augmented open)."""
-        if self._use_decision_cache and not self._kernel.tracer.enabled:
+        if self._fast and not self._kernel.tracer.enabled:
             return self._decide_core(task, now, operation)[0]
         return self.decide(task, now, operation).granted
 

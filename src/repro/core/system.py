@@ -50,10 +50,10 @@ class OverhaulSystem:
         kernel.install_permission_monitor(self.monitor)
         kernel.shm.waitlist_duration = config.shm_waitlist
         kernel.ptrace.protection_enabled = config.ptrace_protection
-        # Hot-path switches (each fast path is observably equivalent to the
-        # reference path; see docs/performance.md).
-        kernel.netlink.fast_path = config.fast_netlink
-        kernel.device_mediator.use_deferred_audit = config.fast_audit_batch
+        # The hot-path switch (each fast path is observably equivalent to
+        # the reference path; see docs/performance.md).
+        kernel.netlink.fast_path = config.fast_paths
+        kernel.device_mediator.use_deferred_audit = config.fast_paths
 
         # Display-manager side: authenticated channel + the X patch.
         self.channel = kernel.netlink.connect(machine.xserver_task)
@@ -65,12 +65,11 @@ class OverhaulSystem:
         # path (the prompt band composites above the stack and gray-box
         # hangs extra state off the input path).
         fast_display = (
-            config.fast_display
+            config.fast_paths
             and not config.prompt_mode
             and not config.graybox_enabled
         )
         xserver.fast_display = fast_display
-        xserver.fast_numpy_blit = config.fast_numpy_blit
         xserver.overlay.fast_banner_cache = fast_display
         self.extension = DisplayManagerExtension(
             xserver, machine.xserver_task, self.channel, config

@@ -39,7 +39,7 @@ class DeviceMediator:
         self.checks_performed = 0
         self.denials = 0
         #: Batched audit appends (set by the Overhaul wiring when
-        #: ``OverhaulConfig.fast_audit_batch`` is on); the retained log is
+        #: ``OverhaulConfig.fast_paths`` is on); the retained log is
         #: identical either way, see :mod:`repro.kernel.audit`.
         self.use_deferred_audit = False
 

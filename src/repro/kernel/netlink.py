@@ -244,8 +244,8 @@ class NetlinkSubsystem:
         self._filesystem = filesystem
         self._now_fn = now_fn
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Hot-path switch (see OverhaulConfig.fast_netlink); with tracing
-        #: enabled the reference path is used regardless.
+        #: Hot-path switch (set from ``OverhaulConfig.fast_paths``); with
+        #: tracing enabled the reference path is used regardless.
         self.fast_path = True
         #: path -> label for binaries allowed to hold a trusted channel.
         self._trusted_binaries: Dict[str, str] = {

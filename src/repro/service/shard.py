@@ -449,8 +449,11 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
         max_pending=WORKER_MAX_PENDING,
         batch_limit=args.batch_limit,
         # The pipe is private and the pool trusted, as on the reply side:
-        # no frame the front end admits, re-encoded or not, is refused.
+        # no frame the front end admits, re-encoded or not, is refused,
+        # and no backlog of answers cuts the pipe the way it cuts a slow
+        # client -- the in-flight budget already bounds that backlog.
         max_frame=LENGTH_MASK,
+        write_high=WORKER_MAX_PENDING * (4 + LENGTH_MASK),
         snapshot_dir=args.snapshot_dir,
         shard_index=args.worker_index,
         shard_count=args.worker_count,

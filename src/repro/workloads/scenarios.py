@@ -9,7 +9,7 @@ outcome.  Examples print them; integration tests assert on them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.apps.browser import Browser
 from repro.apps.clipboard_apps import PasswordManager, TextEditor
@@ -57,15 +57,26 @@ class ScenarioTrace:
         return "\n".join([header, body, outcome])
 
 
-def _machine(machine: Optional[Machine], config: Optional[OverhaulConfig]) -> Machine:
-    return machine if machine is not None else Machine.with_overhaul(config)
+def _scenario(body: Callable[[Machine], ScenarioTrace]) -> Callable[..., ScenarioTrace]:
+    """Run a figure on the supplied machine, or on a fresh protected one
+    that is closed once the figure has run."""
+
+    def run(
+        machine: Optional[Machine] = None, config: Optional[OverhaulConfig] = None
+    ) -> ScenarioTrace:
+        if machine is not None:
+            return body(machine)
+        with Machine.with_overhaul(config) as fresh:
+            return body(fresh)
+
+    run.__name__ = run.__qualname__ = body.__name__
+    run.__doc__ = body.__doc__
+    return run
 
 
-def figure1_hardware_device(
-    machine: Optional[Machine] = None, config: Optional[OverhaulConfig] = None
-) -> ScenarioTrace:
+@_scenario
+def figure1_hardware_device(m: Machine) -> ScenarioTrace:
     """Figure 1: dynamic access control over the microphone."""
-    m = _machine(machine, config)
     trace = ScenarioTrace("microphone access after a button click", "Figure 1")
     app = VideoConfApp(m, comm="skype")
     m.settle()
@@ -94,11 +105,9 @@ def figure1_hardware_device(
     return trace
 
 
-def figure2_clipboard_paste(
-    machine: Optional[Machine] = None, config: Optional[OverhaulConfig] = None
-) -> ScenarioTrace:
+@_scenario
+def figure2_clipboard_paste(m: Machine) -> ScenarioTrace:
     """Figure 2: a paste mediated by a permission query."""
-    m = _machine(machine, config)
     trace = ScenarioTrace("clipboard paste with permission query", "Figure 2")
     source = PasswordManager(m)
     target = TextEditor(m)
@@ -131,11 +140,9 @@ def figure2_clipboard_paste(
     return trace
 
 
-def figure3_launcher_spawn(
-    machine: Optional[Machine] = None, config: Optional[OverhaulConfig] = None
-) -> ScenarioTrace:
+@_scenario
+def figure3_launcher_spawn(m: Machine) -> ScenarioTrace:
     """Figure 3: the launcher spawns a screen-capture program (P1)."""
-    m = _machine(machine, config)
     trace = ScenarioTrace("program launcher executes a screenshot tool", "Figure 3")
     launcher = Launcher(m)
     m.settle()
@@ -160,11 +167,9 @@ def figure3_launcher_spawn(
     return trace
 
 
-def figure4_browser_ipc(
-    machine: Optional[Machine] = None, config: Optional[OverhaulConfig] = None
-) -> ScenarioTrace:
+@_scenario
+def figure4_browser_ipc(m: Machine) -> ScenarioTrace:
     """Figure 4: a multi-process browser starts a video conference (P2)."""
-    m = _machine(machine, config)
     trace = ScenarioTrace("browser tab opens the camera via shared-memory IPC", "Figure 4")
     browser = Browser(m)
     m.settle()
@@ -191,11 +196,9 @@ def figure4_browser_ipc(
     return trace
 
 
-def figure6_selection_protocol(
-    machine: Optional[Machine] = None, config: Optional[OverhaulConfig] = None
-) -> ScenarioTrace:
+@_scenario
+def figure6_selection_protocol(m: Machine) -> ScenarioTrace:
     """Figure 6: the full 13-step X11 copy & paste protocol."""
-    m = _machine(machine, config)
     trace = ScenarioTrace("ICCCM copy & paste, modified steps in bold", "Figure 6")
     source = TextEditor(m, comm="source-editor")
     target = TextEditor(m, comm="target-editor")

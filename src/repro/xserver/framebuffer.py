@@ -17,8 +17,8 @@ by the naive cell model in the property suite):
   an opaque window always covers its full geometry rect;
 - the blit is clipped to the screen; fully clipped blits are no-ops.
 
-The optional numpy path (``use_numpy``, gated by
-``OverhaulConfig.fast_numpy_blit``) vectorizes multi-row copies through a
+The optional numpy path (``use_numpy``, which the fast composer requests
+whenever numpy is installed) vectorizes multi-row copies through a
 2D view of the same backing buffer: one reshaped copy for the rows inside
 the content, at most one partial row, and one zero fill for the rest.  It
 is engaged when the rect is tall enough to amortize the view setup and no

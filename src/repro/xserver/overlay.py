@@ -72,7 +72,7 @@ class OverlayManager:
         #: bump it).  Together with the earliest expiry this keys the
         #: banner cache below.
         self.generation = 0
-        #: Hot-path switch mirroring ``OverhaulConfig.fast_display``: cache
+        #: Hot-path switch mirroring the server's ``fast_display``: cache
         #: the rendered banner for the window of time during which the
         #: visible-alert set cannot change -- from the compute instant until
         #: the earliest expiry -- so an active alert does not defeat the

@@ -20,21 +20,16 @@ Hot-path structure (the clipboard rows of Table I hammer this module):
   for real clipboard traffic;
 - in-flight transfers are additionally indexed by (requestor window,
   property), making the snooping-protection lookup -- three per paste --
-  a dict hit instead of a scan;
-- repeat ``ConvertSelection`` round trips for the same (selection, owner,
-  requestor, window, property, target) tuple can **reuse** the retired
-  transfer record and its request payload via :meth:`begin_transfer`
-  (``reuse=True``), skipping the per-conversion allocation entirely when
-  the owner's buffer arrangement has not changed.  Reuse is driven by the
-  server's ``fast_display`` switch and is observably equivalent to fresh
-  allocation (same field values, same fresh transfer id).
+  a dict hit instead of a scan.
+
+Every ``ConvertSelection`` round trip allocates a fresh transfer record:
+recycling retired records was measured slower than allocating them.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -43,12 +38,6 @@ from repro.sim.time import Timestamp
 #: The selection atoms scenarios use.
 CLIPBOARD = "CLIPBOARD"
 PRIMARY = "PRIMARY"
-
-#: Retired-transfer pool bound.  Eviction is LRU (least-recently completed
-#: or reused), never a wholesale clear, so fleet-scale workloads cycling
-#: through more than this many distinct clipboard pairs keep their hot
-#: working set poolable.
-_REUSE_POOL_LIMIT = 1024
 
 
 @dataclass
@@ -82,8 +71,8 @@ _NOTIFIED = TransferState.NOTIFIED
 class PendingTransfer:
     """One in-flight clipboard data transfer.
 
-    A plain ``__slots__`` class (not a dataclass): one is created -- or
-    recycled -- per paste, on the hottest clipboard path in the system.
+    A plain ``__slots__`` class (not a dataclass): one is created per
+    paste, on the hottest clipboard path in the system.
     """
 
     __slots__ = (
@@ -96,7 +85,6 @@ class PendingTransfer:
         "started_at",
         "state",
         "transfer_id",
-        "request_payload",
     )
 
     def __init__(
@@ -119,25 +107,12 @@ class PendingTransfer:
         self.started_at = started_at
         self.state = state
         self.transfer_id = next(_transfer_ids)
-        #: The SelectionRequest payload the server built for this transfer;
-        #: cached here so a reused transfer also reuses the dict.
-        self.request_payload: Optional[dict] = None
 
     @property
     def in_flight(self) -> bool:
         """True while the property data needs snooping protection."""
         state = self.state
         return state is _DATA_STORED or state is _NOTIFIED
-
-    def _reuse_key(self) -> tuple:
-        return (
-            self.selection_name,
-            self.owner_client_id,
-            self.requestor_client_id,
-            self.requestor_window_id,
-            self.property_name,
-            self.target,
-        )
 
     def __repr__(self) -> str:
         return (
@@ -155,14 +130,8 @@ class SelectionSubsystem:
         self._transfers: List[PendingTransfer] = []
         #: (requestor_window_id, property_name) -> in-flight transfers.
         self._in_flight: Dict[Tuple[int, str], List[PendingTransfer]] = {}
-        #: Retired transfers poolable for an identical repeat round trip,
-        #: in least-recently-used order (oldest first).
-        self._retired: "OrderedDict[tuple, PendingTransfer]" = OrderedDict()
         self.completed_transfers = 0
         self.failed_transfers = 0
-        #: Diagnostics: round trips served from the reuse pool (not part of
-        #: the equivalence contract -- the reference path never reuses).
-        self.transfer_reuses = 0
 
     # -- ownership ---------------------------------------------------------
 
@@ -194,32 +163,8 @@ class SelectionSubsystem:
         property_name: str,
         target: str,
         now: Timestamp,
-        reuse: bool = False,
     ) -> PendingTransfer:
-        """Open a transfer record for one ConvertSelection round trip.
-
-        With ``reuse=True`` (the display fast path) a retired transfer for
-        the identical tuple is recycled: same fields, reset lifecycle, and
-        a *fresh* transfer id drawn from the same counter the reference
-        path uses -- so the two paths stay indistinguishable.
-        """
-        if reuse:
-            key = (
-                selection_name,
-                owner_client_id,
-                requestor_client_id,
-                requestor_window_id,
-                property_name,
-                target,
-            )
-            pooled = self._retired.pop(key, None)
-            if pooled is not None:
-                pooled.state = TransferState.REQUESTED
-                pooled.started_at = now
-                pooled.transfer_id = next(_transfer_ids)
-                self._transfers.append(pooled)
-                self.transfer_reuses += 1
-                return pooled
+        """Open a transfer record for one ConvertSelection round trip."""
         transfer = PendingTransfer(
             selection_name=selection_name,
             owner_client_id=owner_client_id,
@@ -298,7 +243,7 @@ class SelectionSubsystem:
 
     def complete(self, transfer: PendingTransfer) -> None:
         # One call per successful paste: the helper bodies (_unguard,
-        # _prune, _retire) are inlined here to keep the hot path flat.
+        # _prune) are inlined here to keep the hot path flat.
         state = transfer.state
         if state is _DATA_STORED or state is _NOTIFIED:
             key = (transfer.requestor_window_id, transfer.property_name)
@@ -316,14 +261,6 @@ class SelectionSubsystem:
             self._transfers.remove(transfer)
         except ValueError:
             pass
-        retired = self._retired
-        key = transfer._reuse_key()
-        # Re-inserting an existing key must move it to the MRU end, so
-        # pop-then-set; overflow evicts the least-recently-used entry.
-        retired.pop(key, None)
-        retired[key] = transfer
-        if len(retired) > _REUSE_POOL_LIMIT:
-            retired.popitem(last=False)
 
     def fail(self, transfer: PendingTransfer) -> None:
         self._unguard(transfer)
@@ -356,12 +293,3 @@ class SelectionSubsystem:
             self._transfers.remove(transfer)
         except ValueError:
             pass
-
-    def _retire(self, transfer: PendingTransfer) -> None:
-        """Park a completed transfer for potential repeat-round reuse."""
-        retired = self._retired
-        key = transfer._reuse_key()
-        retired.pop(key, None)
-        retired[key] = transfer
-        if len(retired) > _REUSE_POOL_LIMIT:
-            retired.popitem(last=False)

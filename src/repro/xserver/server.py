@@ -23,7 +23,6 @@ The baseline configurations in Table I and the unprotected machine of the
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Optional, Protocol, Set
 
 from repro.obs.tracer import Tracer
@@ -51,9 +50,6 @@ _COPY_LABELS = {"copy-area": "CopyArea", "copy-plane": "CopyPlane"}
 from repro.xserver.framebuffer import NUMPY_AVAILABLE, Framebuffer
 from repro.xserver.window import Drawable, Geometry, Pixmap, Rect, StackingOrder, Window
 
-#: PROPERTY_NOTIFY payload-pool bound (LRU-evicted, not cleared wholesale).
-_PROP_NOTIFY_POOL_LIMIT = 256
-
 
 class _ComposeCache:
     """One composed 2D frame plus the structure needed to patch it in place.
@@ -72,9 +68,7 @@ class _ComposeCache:
 
     ``fb`` is the live framebuffer; ``image`` the cached
     ``snapshot + banner`` frame, valid while ``fb.epoch == fb_epoch`` and
-    the overlay band epoch matches.  ``render_key`` serves the
-    non-incremental fallback, which keys whole frames exactly as PR-4
-    did.
+    the overlay band epoch matches.
     """
 
     __slots__ = (
@@ -84,7 +78,6 @@ class _ComposeCache:
         "bounds",
         "occluded",
         "blockers",
-        "render_key",
         "fb",
         "fb_epoch",
         "banner",
@@ -98,7 +91,6 @@ class _ComposeCache:
         windows: list,
         index: dict,
         bounds: list,
-        render_key: tuple,
         fb,
         banner: bytes,
         band_epoch: int,
@@ -110,7 +102,6 @@ class _ComposeCache:
         self.bounds = bounds
         self.occluded: list = [None] * len(windows)
         self.blockers: list = [None] * len(windows)
-        self.render_key = render_key
         self.fb = fb
         self.fb_epoch = fb.epoch
         self.banner = banner
@@ -196,29 +187,12 @@ class XServer:
         self.property_snoops_blocked = 0
         #: Per-request-type copy counters (CopyPlane is not CopyArea).
         self.copy_requests = {"copy-area": 0, "copy-plane": 0}
-        #: Fast-path PROPERTY_NOTIFY payload pool, keyed (name, deleted);
-        #: LRU-bounded so a long tail of distinct properties cannot evict
-        #: the hot pairs wholesale.
-        self._prop_notify_payloads: "OrderedDict[tuple, dict]" = OrderedDict()
 
         # -- damage-tracked display pipeline (see docs/performance.md) -----
-        #: Hot-path switch mirroring ``OverhaulConfig.fast_display``; the
+        #: Hot-path switch set from ``OverhaulConfig.fast_paths``; the
         #: fast path additionally disables itself while tracing is on or a
         #: prompt band is installed (those need the reference path).
         self.fast_display = True
-        #: numpy-vectorized framebuffer blits (``fast_numpy_blit``); only
-        #: the fast display path consults it (tracing already forces the
-        #: reference composition), and it degrades silently to the
-        #: pure-python row loop when numpy is not importable.
-        self.fast_numpy_blit = True
-        #: Incremental-composition switch: with it on (the default), a
-        #: cached frame whose stacking order is unchanged is *patched* in
-        #: place from the damage journal; with it off the fast path keys
-        #: the whole frame on (generation, render_key, banner) and fully
-        #: recomposes on any damage -- the PR-4 behaviour, kept as the
-        #: measured fallback the `compose_partial` benchmark compares
-        #: against.
-        self.incremental_compose = True
         #: One composed frame plus patch structure (`_ComposeCache`).
         self._compose_cache: Optional[_ComposeCache] = None
         #: Damage journal: drawables whose content or render state changed
@@ -299,10 +273,10 @@ class XServer:
     def _fast_display_active(self) -> bool:
         """True when the damage-tracked display pipeline may be used.
 
-        Mirrors the PR-3 hot-path switches: the flag itself comes from
-        ``OverhaulConfig.fast_display`` (cleared for prompt-mode/gray-box
-        configurations by the system assembly), and tracing forces the
-        reference path at call time so span trees stay complete.
+        The flag itself comes from ``OverhaulConfig.fast_paths`` (cleared
+        for prompt-mode/gray-box configurations by the system assembly),
+        and tracing forces the reference path at call time so span trees
+        stay complete.
         """
         return (
             self.fast_display
@@ -778,7 +752,6 @@ class XServer:
         if owner_client is None or not owner_client.connected:
             self.selections.clear_owner(selection_name)
             return None
-        fast = self._fast_display_active()
         transfer = self.selections.begin_transfer(
             selection_name=selection_name,
             owner_client_id=selection.owner_client_id,
@@ -787,33 +760,24 @@ class XServer:
             property_name=property_name,
             target=target,
             now=now,
-            reuse=fast,
         )
         if self.tracer.enabled:
             self.tracer.event(
                 "selection.requested", "selection",
                 selection=selection_name, pid=client.pid, window=requestor_window_id,
             )
-        # A reused transfer for an unchanged owner buffer arrangement also
-        # reuses the SelectionRequest payload it carried last round; the
-        # reference path rebuilds the dict every conversion.
-        request_payload = transfer.request_payload if fast else None
-        if request_payload is None:
-            request_payload = {
-                "selection": selection_name,
-                "target": target,
-                "property": property_name,
-                "requestor": requestor_window_id,
-            }
-            if fast:
-                transfer.request_payload = request_payload
         owner_client.deliver(
             XEvent(
                 kind=EventKind.SELECTION_REQUEST,
                 timestamp=now,
                 provenance=EventProvenance.SERVER,
                 window_id=selection.owner_window_id,
-                payload=request_payload,
+                payload={
+                    "selection": selection_name,
+                    "target": target,
+                    "property": property_name,
+                    "requestor": requestor_window_id,
+                },
             )
         )
         return transfer
@@ -919,11 +883,6 @@ class XServer:
             recipients = list(subscribers)
             if owner_id not in recipients:
                 recipients.append(owner_id)
-        fast = (
-            self.fast_display
-            and not self.tracer.enabled
-            and self.prompt_interceptor is None
-        )
         for client_id in recipients:
             if (
                 self.overhaul is not None
@@ -935,32 +894,13 @@ class XServer:
             subscriber = self._clients.get(client_id)
             if subscriber is None or not subscriber.connected:
                 continue
-            if fast:
-                # Fast path: PROPERTY_NOTIFY payloads are pure (name,
-                # deleted) pairs, so repeat notifications share one cached
-                # dict -- the zero-copy handoff contract SendEvent's fast
-                # path uses.  The pool evicts least-recently-used entries
-                # rather than clearing wholesale, so a long tail of
-                # distinct properties cannot flush the hot pairs.
-                cache = self._prop_notify_payloads
-                key = (property_name, deleted)
-                payload = cache.get(key)
-                if payload is None:
-                    payload = {"property": property_name, "deleted": deleted}
-                    cache[key] = payload
-                    if len(cache) > _PROP_NOTIFY_POOL_LIMIT:
-                        cache.popitem(last=False)
-                else:
-                    cache.move_to_end(key)
-            else:
-                payload = {"property": property_name, "deleted": deleted}
             subscriber.deliver(
                 XEvent(
                     kind=EventKind.PROPERTY_NOTIFY,
                     timestamp=self._scheduler.now,
                     provenance=EventProvenance.SERVER,
                     window_id=window.drawable_id,
-                    payload=payload,
+                    payload={"property": property_name, "deleted": deleted},
                 )
             )
 
@@ -1014,73 +954,63 @@ class XServer:
             stacking = self.stacking
             cache = self._compose_cache
             if cache is not None and cache.generation == stacking.generation:
-                if self.incremental_compose:
-                    patched = False
-                    journal = self._damage_journal
-                    if journal:
-                        patched = True
-                        self.compose_partial_hits += 1
-                        index = cache.index
-                        occluded = cache.occluded
-                        while journal:
-                            _, drawable = journal.popitem()
-                            pos = index.get(drawable.drawable_id)
-                            if pos is None:
-                                # Pixmaps and unmapped windows: invisible,
-                                # nothing to patch -- and nothing to journal
-                                # until the next full recompose either.
-                                drawable.journal_rects.clear()
+                patched = False
+                journal = self._damage_journal
+                if journal:
+                    patched = True
+                    self.compose_partial_hits += 1
+                    index = cache.index
+                    occluded = cache.occluded
+                    while journal:
+                        _, drawable = journal.popitem()
+                        pos = index.get(drawable.drawable_id)
+                        if pos is None:
+                            # Pixmaps and unmapped windows: invisible,
+                            # nothing to patch -- and nothing to journal
+                            # until the next full recompose either.
+                            drawable.journal_rects.clear()
+                            drawable.journal_full = False
+                            drawable.composer_skip = True
+                        else:
+                            occ = occluded[pos]
+                            if occ is None:
+                                occ = self._occlusion_for(cache, pos)
+                            if occ:
+                                rects = drawable.journal_rects
+                                self.compose_rects_culled += (
+                                    1 if drawable.journal_full else len(rects)
+                                )
                                 drawable.journal_full = False
+                                rects.clear()
+                                # Proven invisible: future draws skip the
+                                # journal entirely (and their composes
+                                # become pure cache hits) until a
+                                # structural change forces a recompose.
                                 drawable.composer_skip = True
                             else:
-                                occ = occluded[pos]
-                                if occ is None:
-                                    occ = self._occlusion_for(cache, pos)
-                                if occ:
-                                    rects = drawable.journal_rects
-                                    self.compose_rects_culled += (
-                                        1 if drawable.journal_full else len(rects)
-                                    )
-                                    drawable.journal_full = False
-                                    rects.clear()
-                                    # Proven invisible: future draws skip the
-                                    # journal entirely (and their composes
-                                    # become pure cache hits) until a
-                                    # structural change forces a recompose.
-                                    drawable.composer_skip = True
-                                else:
-                                    self._patch_window(cache, drawable, pos)
-                    # Quiet-overlay shortcut: with no active alerts the
-                    # band provably cannot move, so skip the render call.
-                    overlay = self.overlay
-                    if overlay._active:
-                        banner = overlay.banner_bytes(self._scheduler.now)
-                    else:
-                        banner = b""
-                    band_epoch = overlay.band_epoch
-                    fb = cache.fb
-                    if fb.epoch == cache.fb_epoch and band_epoch == cache.band_epoch:
-                        if not patched:
-                            self.compose_cache_hits += 1
-                        return cache.image
+                                self._patch_window(cache, drawable, pos)
+                # Quiet-overlay shortcut: with no active alerts the
+                # band provably cannot move, so skip the render call.
+                overlay = self.overlay
+                if overlay._active:
+                    banner = overlay.banner_bytes(self._scheduler.now)
+                else:
+                    banner = b""
+                band_epoch = overlay.band_epoch
+                fb = cache.fb
+                if fb.epoch == cache.fb_epoch and band_epoch == cache.band_epoch:
                     if not patched:
-                        # Banner-only repatch: the grid is untouched.
-                        self.compose_partial_hits += 1
-                    image = b"".join((fb.data, banner))
-                    cache.fb_epoch = fb.epoch
-                    cache.banner = banner
-                    cache.band_epoch = band_epoch
-                    cache.image = image
-                    return image
-                banner = self.overlay.banner_bytes(self._scheduler.now)
-                if (
-                    cache.render_key == stacking.render_key()
-                    and cache.banner == banner
-                ):
-                    self.compose_cache_hits += 1
+                        self.compose_cache_hits += 1
                     return cache.image
-                self.compose_cache_misses += 1
-                return self._rebuild_compose(stacking, banner)
+                if not patched:
+                    # Banner-only repatch: the grid is untouched.
+                    self.compose_partial_hits += 1
+                image = b"".join((fb.data, banner))
+                cache.fb_epoch = fb.epoch
+                cache.banner = banner
+                cache.band_epoch = band_epoch
+                cache.image = image
+                return image
             self.compose_cache_misses += 1
             return self._rebuild_compose(
                 stacking, self.overlay.banner_bytes(self._scheduler.now)
@@ -1128,18 +1058,12 @@ class XServer:
         sink = self._damage_sink
         width = self.width
         height = self.height
-        use_numpy = self.fast_numpy_blit and NUMPY_AVAILABLE
         cache = self._compose_cache
-        if (
-            cache is not None
-            and cache.fb.width == width
-            and cache.fb.height == height
-            and cache.fb.use_numpy == use_numpy
-        ):
+        if cache is not None:
             fb = cache.fb  # reuse the allocation across rebuilds
             fb.clear()
         else:
-            fb = Framebuffer(width, height, use_numpy=use_numpy)
+            fb = Framebuffer(width, height, use_numpy=NUMPY_AVAILABLE)
         windows = stacking.bottom_to_top()
         index = {}
         bounds = []
@@ -1173,7 +1097,6 @@ class XServer:
             windows,
             index,
             bounds,
-            stacking.render_key(),
             fb,
             banner,
             self.overlay.band_epoch,

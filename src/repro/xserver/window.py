@@ -497,11 +497,6 @@ class Window(Drawable):
         super().__init__(owner_client_id)
         self.geometry = geometry
         self.title = title
-        #: Render generation: bumped by content damage *and* by the
-        #: visibility/metadata events the server reports (map, unmap,
-        #: raise, property-backed content changes).  The composition cache
-        #: keys on it, so any of those events busts a cached screen.
-        self.render_generation = 0
         self.mapped = False
         #: When the window last became visible; NEVER while unmapped.
         #: This timestamp drives the clickjacking visibility threshold.
@@ -550,7 +545,6 @@ class Window(Drawable):
             rect = memo[5]
             self.content[memo[3] : memo[4]] = data
             self.damage += 1
-            self.render_generation += 1
             self._coalesce_cell[0] += 1
             if self._content_cache is not None and not self._damage_full:
                 coalesce_rect(self.damage_rects, rect)
@@ -583,7 +577,6 @@ class Window(Drawable):
                 content.extend(bytes(end - len(content)))
             content[lo:end] = data
             self.damage += 1
-            self.render_generation += 1
             rect = Rect(x, y, width, 1)
             buf = self._coalesce_buf
             coalesced = coalesce_rect(buf, rect)
@@ -622,24 +615,18 @@ class Window(Drawable):
             return None
         return Rect(x, y, right - x, bottom - y)
 
-    def mark_damaged(self, rect: Optional[Rect] = None) -> None:
-        super().mark_damaged(rect)
-        self.render_generation += 1
-
     def note_state_change(self) -> None:
         """A non-content event that still invalidates composed frames:
         map/unmap/raise or a property-backed content change.
 
         The damage sink is notified (content is unchanged, so no rects
-        coalesce) because the render generation moved without a stacking
-        change -- the incremental compose path discovers the window
+        coalesce) -- the incremental compose path discovers the window
         through its journal, re-reads the unchanged band, and leaves the
         frame bytes intact.  A window the composer has already proven
         invisible skips the registration: the event cannot move a pixel
         while the stacking order holds, and anything that could make the
         window visible again forces a full recompose first.
         """
-        self.render_generation += 1
         if self.composer_skip:
             return
         sink = self.damage_sink
@@ -664,8 +651,8 @@ class StackingOrder:
     """Bottom-to-top list of mapped windows.
 
     The structural **generation** counter is bumped by every membership or
-    order change (map, unmap, raise, lower); together with the per-window
-    render generations it forms the composition-cache key.
+    order change (map, unmap, raise, lower); a composition cache is valid
+    only for the generation it was built at.
     """
 
     def __init__(self) -> None:
@@ -698,15 +685,6 @@ class StackingOrder:
             self._stack.remove(window)
             self._stack.insert(0, window)
             self.generation += 1
-
-    def render_key(self) -> tuple:
-        """The per-window render generations, in composition order.
-
-        Combined with :attr:`generation` this changes whenever the composed
-        screen could differ: content damage, property-backed changes, and
-        stack mutations all feed into it.
-        """
-        return tuple(w.render_generation for w in self._stack)
 
     def bottom_to_top(self) -> List[Window]:
         """Snapshot in composition order."""

@@ -411,8 +411,8 @@ def test_display_fast_paths_are_byte_identical(script):
 def test_tracing_forces_the_reference_display_path(script):
     """A fast-configured machine with the tracer on must match the
     reference machine: tracing disables every display fast path at call
-    time (composition cache, snapshot handoff, banner cache, transfer
-    reuse), so the span tree always describes the reference protocol."""
+    time (composition cache, snapshot handoff, banner cache), so the span
+    tree always describes the reference protocol."""
     traced_machine, traced_apps = _build_display(paper_config())
     traced_machine.tracer.enabled = True
     ref_machine, ref_apps = _build_display(reference_config())
@@ -429,4 +429,3 @@ def test_tracing_forces_the_reference_display_path(script):
     # The fast machine must not have used any cache while traced.
     assert traced_machine.xserver.compose_cache_hits == 0
     assert traced_machine.xserver.compose_partial_hits == 0
-    assert traced_machine.xserver.selections.transfer_reuses == 0

@@ -1,8 +1,16 @@
 """Unit tests for OverhaulConfig validation and presets."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.config import OverhaulConfig, benchmark_config, paper_config
+from repro.core import Machine
+from repro.core.config import (
+    OverhaulConfig,
+    benchmark_config,
+    paper_config,
+    reference_config,
+)
 from repro.sim.errors import SimulationError
 from repro.sim.time import from_millis, from_seconds
 
@@ -22,9 +30,6 @@ class TestDefaults:
 
     def test_benchmark_preset_forces_grants(self):
         assert benchmark_config().force_grant
-
-    def test_decision_cache_default_bound(self):
-        assert paper_config().decision_cache_size == 4096
 
 
 class TestValidation:
@@ -56,17 +61,28 @@ class TestValidation:
     def test_paper_defaults_satisfy_constraints(self):
         paper_config().validate()  # must not raise
 
-    def test_decision_cache_size_must_be_positive_int(self):
-        for bad in (0, -1, 1.5, True, "4096"):
-            with pytest.raises(SimulationError):
-                OverhaulConfig(decision_cache_size=bad)
-
-    def test_decision_cache_size_one_accepted(self):
-        assert OverhaulConfig(decision_cache_size=1).decision_cache_size == 1
-
     def test_shorter_delta_with_proportional_waitlist_valid(self):
         config = OverhaulConfig(
             interaction_threshold=from_seconds(1.0),
             shm_waitlist=from_millis(250),
         )
         assert config.shm_waitlist < config.interaction_threshold
+
+
+class TestFastPathSwitch:
+    def test_one_fast_field(self):
+        """The fast paths have one switch; reference_config() turns it off."""
+        fast = [f.name for f in dataclasses.fields(OverhaulConfig)
+                if f.name.startswith("fast_")]
+        assert fast == ["fast_paths"]
+        assert not reference_config().fast_paths
+        assert paper_config().fast_paths and benchmark_config().fast_paths
+
+    @pytest.mark.parametrize("fast_paths", [True, False])
+    def test_every_component_switch_follows_it(self, fast_paths):
+        with Machine.with_overhaul(OverhaulConfig(fast_paths=fast_paths)) as m:
+            assert m.kernel.netlink.fast_path is fast_paths
+            assert m.kernel.device_mediator.use_deferred_audit is fast_paths
+            assert m.xserver.fast_display is fast_paths
+            assert m.xserver.overlay.fast_banner_cache is fast_paths
+            assert m.overhaul.monitor._fast is fast_paths

@@ -32,7 +32,7 @@ def rig():
     )
     child = machine.kernel.sys_fork(parent)
     monitor = machine.overhaul.monitor
-    assert monitor._use_decision_cache, "cache must be on for these tests"
+    assert monitor._fast, "cache must be on for these tests"
     return machine, monitor, parent, child
 
 

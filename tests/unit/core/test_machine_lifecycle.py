@@ -13,6 +13,8 @@ import weakref
 
 import pytest
 
+from repro.analysis.decomposition import measure_components
+from repro.analysis.profiling import run_profile
 from repro.core import Machine, OverhaulConfig
 from repro.redteam import CORPUS
 from repro.redteam.scenario import run_counted_trial
@@ -115,22 +117,36 @@ def test_redteam_trial(scenario, protected):
     assert cyclic_garbage(body) == 0
 
 
-@pytest.mark.parametrize(
-    "scenario",
-    [
-        figure1_hardware_device,
-        figure2_clipboard_paste,
-        figure3_launcher_spawn,
-        figure4_browser_ipc,
-        figure6_selection_protocol,
-    ],
-)
+FIGURES = [
+    figure1_hardware_device,
+    figure2_clipboard_paste,
+    figure3_launcher_spawn,
+    figure4_browser_ipc,
+    figure6_selection_protocol,
+]
+
+
+@pytest.mark.parametrize("scenario", FIGURES)
 def test_figure_scenario(scenario):
     def body():
         with Machine.with_overhaul() as machine:
             scenario(machine)
 
     assert cyclic_garbage(body) == 0
+
+
+@pytest.mark.parametrize("scenario", FIGURES)
+def test_figure_scenario_on_its_own_machine(scenario):
+    assert cyclic_garbage(scenario) == 0
+
+
+def test_decomposition_rig():
+    assert cyclic_garbage(lambda: measure_components(ops=20)) == 0
+
+
+@pytest.mark.parametrize("scenario", ["quickstart", "device-access"])
+def test_profiling_rig(scenario, capsys):
+    assert cyclic_garbage(lambda: run_profile(scenario, ops=20, top=1)) == 0
 
 
 def _one_app_per_pattern():

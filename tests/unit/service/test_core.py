@@ -2,7 +2,7 @@
 
 Covers the verb surface, request validation, batching equivalence (the
 batch-boundaries-are-unobservable contract), tenant isolation, and the
-``decision_cache_size`` config knob threaded through a tenant partition.
+config factory threaded through a tenant partition.
 """
 
 import pytest
@@ -223,32 +223,14 @@ class TestTenantIsolation:
         assert time_b < 1_000_000
 
 
-class TestDecisionCacheSizing:
-    def test_small_cache_still_decides_correctly(self):
-        """A tenant sized down to a tiny cache stays correct, just colder."""
-
-        def tiny():
-            return OverhaulConfig(decision_cache_size=2)
-
-        service = PermissionService(config_factory=tiny)
-        pid = spawn_pid(service, "t0")
-        service.apply(req("interact", tenant="t0", pid=pid))
-        operations = ["paste", "copy", "screen_capture", "microphone:/dev/mic0"]
-        for operation in operations:
-            result = service.apply(
-                req("query", tenant="t0", pid=pid, operation=operation)
-            )["result"]
-            assert result["granted"] is True
-        stats = service.apply(req("stats", tenant="t0"))["result"]
-        assert stats["queries"] == len(operations)
-
+class TestConfigFactory:
     def test_config_factory_threads_to_monitor(self):
-        def tiny():
-            return OverhaulConfig(decision_cache_size=7)
+        def reference():
+            return OverhaulConfig(fast_paths=False)
 
-        service = PermissionService(config_factory=tiny)
+        service = PermissionService(config_factory=reference)
         tenant = service.tenant("t0")
-        assert tenant._monitor._decision_cache_limit == 7
+        assert not tenant._monitor._fast
 
 
 class TestServiceCounters:

@@ -11,10 +11,14 @@ in ``test_daemon.py``.
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import repro
 from repro.service.client import ServiceClient
 from repro.service.core import PermissionService
 from repro.service.daemon import ServiceDaemon
@@ -278,3 +282,51 @@ class TestWorkerBounds:
                 await asyncio.wait_for(daemon.wait_stopped(), timeout=TIMEOUT)
 
         asyncio.run(body())
+
+    def test_a_pool_pipe_that_stops_reading_is_not_cut(self, tmp_path):
+        """A worker holds every answer its in-flight budget allows.
+
+        A client whose unread answers pass ``write_high`` is cut; the
+        pool's pipe must not be, or the shard is down for good.  Here
+        20,000 tenant-less ``stats`` answers (~4.5 MB) pile up unread.
+        """
+        path = str(tmp_path / "worker.sock")
+        requests = 20_000
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        worker = subprocess.Popen(
+            [sys.executable, "-c",
+             "from repro.service.shard import worker_main; raise SystemExit(worker_main())",
+             "--worker-index", "0", "--worker-count", "1", "--unix", path,
+             "--max-tenants", "16"],
+            env=env,
+        )
+
+        async def body():
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + TIMEOUT
+            while not os.path.exists(path):
+                assert worker.poll() is None, "worker exited at start"
+                assert loop.time() < deadline, "worker socket never appeared"
+                await asyncio.sleep(0.05)
+            reader, writer = await asyncio.open_unix_connection(path)
+            try:
+                writer.write(b"".join(
+                    encode_frame({"v": PROTOCOL_VERSION, "id": i, "op": "stats"})
+                    for i in range(requests)
+                ))
+                await writer.drain()
+                await asyncio.sleep(1.0)  # the worker answers into its buffer
+                decoder = FrameDecoder(DEFAULT_MAX_FRAME)
+                answers = 0
+                while answers < requests:
+                    data = await asyncio.wait_for(reader.read(1 << 16), timeout=TIMEOUT)
+                    assert data, f"worker cut its pipe after {answers} answers"
+                    answers += len(decoder.feed(data))
+            finally:
+                writer.close()
+
+        try:
+            asyncio.run(body())
+        finally:
+            worker.terminate()
+            worker.wait(timeout=TIMEOUT)

@@ -3,7 +3,7 @@
 Covers the composition cache and its invalidation rules (draw, map, unmap,
 raise, property writes, overlay banner appearance *and* expiry), the
 zero-copy drawable snapshots, the CopyPlane operation label, and the
-selection-transfer reuse pool.  The cross-configuration byte-equivalence of
+selection-transfer records.  The cross-configuration byte-equivalence of
 all of these is separately enforced by the differential property tests in
 tests/property/test_fastpath_equivalence.py.
 """
@@ -97,8 +97,8 @@ class TestComposeCache:
         assert b"Z" * 16 not in after  # the raised window occludes it now
 
     def test_property_write_lands_in_the_journal_not_a_full_miss(self):
-        # Property writes bump the render generation but leave content
-        # untouched; under incremental composition they resolve to a
+        # Property writes reach the damage journal but leave content
+        # untouched; incremental composition resolves them to a
         # partial pass that reuses every band instead of a full recompose.
         machine, app = _machine_with_app()
         xserver = machine.xserver
@@ -110,18 +110,6 @@ class TestComposeCache:
         assert second == first  # properties are not rendered content
         assert xserver.compose_cache_misses == misses  # no full rebuild
         assert xserver.compose_partial_hits == partials + 1
-
-    def test_property_write_forces_full_recompose_without_incremental(self):
-        # With incremental composition off the fast path falls back to the
-        # whole-frame render key, so the same write is a full miss.
-        machine, app = _machine_with_app()
-        xserver = machine.xserver
-        xserver.incremental_compose = False
-        misses_before = xserver.compose_cache_misses
-        app.capture_screen()
-        xserver.change_property(app.client, app.window.drawable_id, "WM_NAME", b"t")
-        app.capture_screen()
-        assert xserver.compose_cache_misses > misses_before + 1  # both recomposed
 
     def test_banner_appearance_busts_the_cache(self):
         machine, app = _machine_with_app()
@@ -156,10 +144,7 @@ class TestComposeCache:
         assert b"ALERT[spy:camera:/dev/cam0" in frame
 
     def test_reference_config_never_caches(self):
-        machine, app = _machine_with_app(
-            _quiet_config(fast_netlink=False, fast_decision_cache=False,
-                          fast_audit_batch=False, fast_display=False)
-        )
+        machine, app = _machine_with_app(_quiet_config(fast_paths=False))
         xserver = machine.xserver
         assert not xserver.fast_display
         app.capture_screen()
@@ -250,25 +235,16 @@ class TestCopyPlaneLabel:
         assert spans and spans[-1].attrs["via"] == "copy-plane"
 
 
-class TestSelectionTransferReuse:
-    def _clipboard_pair(self, config=None):
-        machine = Machine.with_overhaul(config if config is not None else _quiet_config())
+class TestSelectionTransfers:
+    def _clipboard_pair(self):
+        machine = Machine.with_overhaul(_quiet_config())
         source = SimApp(machine, "/usr/bin/src", comm="src")
         target = SimApp(machine, "/usr/bin/dst", comm="dst")
         machine.settle()
         source.copy_text(b"payload")
         return machine, source, target
 
-    def test_repeat_paste_reuses_the_transfer_record(self):
-        machine, source, target = self._clipboard_pair()
-        selections = machine.xserver.selections
-        assert target.paste_text() == b"payload"
-        assert selections.transfer_reuses == 0  # first round allocates
-        assert target.paste_text() == b"payload"
-        assert target.paste_text() == b"payload"
-        assert selections.transfer_reuses == 2
-
-    def test_reused_transfers_get_fresh_ids(self):
+    def test_repeat_pastes_get_fresh_ids(self):
         machine, source, target = self._clipboard_pair()
 
         ids = []
@@ -285,16 +261,7 @@ class TestSelectionTransferReuse:
         target.paste_text()
         assert ids == sorted(ids) and len(set(ids)) == 3
 
-    def test_reference_config_never_reuses(self):
-        machine, source, target = self._clipboard_pair(
-            _quiet_config(fast_netlink=False, fast_decision_cache=False,
-                          fast_audit_batch=False, fast_display=False)
-        )
-        for _ in range(3):
-            assert target.paste_text() == b"payload"
-        assert machine.xserver.selections.transfer_reuses == 0
-
-    def test_completed_counter_still_advances_on_reuse(self):
+    def test_completed_counter_advances_per_paste(self):
         machine, source, target = self._clipboard_pair()
         for _ in range(5):
             target.paste_text()
