@@ -42,7 +42,7 @@ SCROLL_OPS = 500
 DRAG_OPS = 500
 ANIM_OPS = 200
 
-#: Stack sizes: a lone window, the baseline.py default, and a desktop's
+#: Stack sizes: a lone window, `ComposeRig`'s default, and a desktop's
 #: worth -- enough spread to expose O(windows) behaviour in the warm mode.
 WINDOW_COUNTS = [1, 16, 128]
 

@@ -17,11 +17,6 @@ from repro.analysis.benchops import (
     ScreenCaptureRig,
     SharedMemoryRig,
 )
-from repro.analysis.decomposition import (
-    ComponentCost,
-    measure_components,
-    render_report,
-)
 from repro.analysis.metrics import (
     TimingResult,
     mean,
@@ -37,9 +32,6 @@ __all__ = [
     "wilson_interval",
     "ALL_RIGS",
     "ClipboardRig",
-    "ComponentCost",
-    "measure_components",
-    "render_report",
     "DeviceAccessRig",
     "FilesystemRig",
     "ScreenCaptureRig",

@@ -15,8 +15,8 @@ Two complementary views of where a scenario spends its effort:
    inside an op); the per-op span *counts* are the signal there.
 
 Scenarios: the four mediated Table I workloads, the isolated decision
-path (the same rigs ``benchmarks/baseline.py`` measures), and the
-quickstart walkthrough.
+path (the rigs of :mod:`repro.analysis.benchops`), and the quickstart
+walkthrough.
 """
 
 from __future__ import annotations

@@ -120,19 +120,24 @@ def measure_row(
     """Measure one row: fresh rigs, five timed repeats per configuration."""
     baseline_rig = rig_class(protected=False)
     overhaul_rig = rig_class(protected=True)
-    baseline = time_callable(
-        f"{rig_class.name}/baseline", lambda: baseline_rig.run(operations), repeats=repeats
-    )
-    overhaul = time_callable(
-        f"{rig_class.name}/overhaul", lambda: overhaul_rig.run(operations), repeats=repeats
-    )
+    try:
+        baseline = time_callable(
+            f"{rig_class.name}/baseline", lambda: baseline_rig.run(operations), repeats=repeats
+        )
+        overhaul = time_callable(
+            f"{rig_class.name}/overhaul", lambda: overhaul_rig.run(operations), repeats=repeats
+        )
+        counters = collect_counters(overhaul_rig.machine).snapshot()
+    finally:
+        baseline_rig.machine.close()
+        overhaul_rig.machine.close()
     return TableRow(
         name=rig_class.name,
         operations=operations,
         baseline=baseline,
         overhaul=overhaul,
         paper_overhead_percent=rig_class.paper_overhead_percent,
-        counters=collect_counters(overhaul_rig.machine).snapshot(),
+        counters=counters,
     )
 
 

@@ -27,12 +27,13 @@ class ScreenshotTool(SimApp):
 
     def __init__(self, machine: "Machine", comm: str = "shot", **kwargs) -> None:
         super().__init__(machine, f"/usr/bin/{comm}", comm=comm, **kwargs)
-        self.shots: List[bytes] = []
+        #: Screenshots taken; the images go to the caller, not kept here.
+        self.shots = 0
 
     def take_screenshot(self, via: str = "core") -> bytes:
         """Capture the root window.  Raises BadAccess on an Overhaul denial."""
         shot = self.capture_screen(via=via)
-        self.shots.append(shot)
+        self.shots += 1
         return shot
 
     def click_and_shoot(self, via: str = "core") -> bytes:

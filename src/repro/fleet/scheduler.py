@@ -13,9 +13,9 @@ progress, revocations, and steal policy as plain data so that
 - the engine (`repro.fleet.engine`) can map decisions onto real worker
   processes (where revocation is made race-free by each worker's shared
   control array -- see the engine), and
-- the ``fleet_steal`` benchmark rig (`repro.fleet.bench`) can drive the
-  *same* scheduling code under a virtual-time cost model, keeping the
-  perf-gated number about scheduler cost, not process noise.
+- a unit test (``tests/unit/fleet/test_scheduler.py``) can drive the
+  *same* scheduling code under a virtual-time cost model, checking that
+  stealing beats static leases without process noise.
 
 Stealing never moves a shard that might have started: the engine computes
 the final cut under the victim's control lock and reports it back via

@@ -1,4 +1,4 @@
-"""Service latency/throughput rig for the ``service_query*`` benchmarks.
+"""Service latency/throughput rig for ``benchmarks/test_bench_service.py``.
 
 :class:`ServiceRig` runs a real daemon -- its own event loop on a
 background thread, a UNIX socket in a temp dir -- and drives it from the
@@ -10,7 +10,7 @@ Two scale axes beyond the single-daemon default:
 
 - ``shard_workers=N`` serves through a :class:`WorkerPool` -- N worker
   *processes* behind the daemon -- with the benchmark tenants spread
-  evenly across every worker (``service_query_sharded``);
+  evenly across every worker;
 - ``client_procs=M`` splits the load generator itself across M persistent
   subprocesses, because on a many-core host a single client event loop
   saturates one core long before N workers do.  ``packed=True`` makes the
@@ -22,7 +22,9 @@ keeps a bounded pipeline window per connection (well under the daemon's
 ``max_pending`` budget, so the benchmark measures service time rather
 than backpressure retries), and records a wall-clock latency sample per
 request.  After a run, :attr:`bench_extra` carries the client count and
-p50/p99 microsecond latencies for ``BENCH_baseline.json``.
+p50/p99 microsecond latencies.  It is the only load generator for the
+worker-pool backend; perfbench's ``service_open_loop`` runs the
+single-process daemon.
 """
 
 from __future__ import annotations

@@ -1,9 +1,26 @@
 """Unit tests for the overhead decomposition and the report builder."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.analysis.decomposition import measure_components, render_report
 from repro.analysis.report import build_report
+
+
+def test_package_import_leaves_decomposition_unloaded():
+    """``python -m repro.analysis.decomposition`` runs the module as
+    ``__main__``; had ``import repro.analysis`` loaded it already, runpy
+    would warn that it is in ``sys.modules``."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    probe = "import sys, repro.analysis; print('repro.analysis.decomposition' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 class TestDecomposition:

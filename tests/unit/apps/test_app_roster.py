@@ -77,7 +77,7 @@ class TestScreenshotTools:
         tool = ScreenshotTool(machine)
         machine.settle()
         assert tool.click_and_shoot() is not None
-        assert len(tool.shots) == 1
+        assert tool.shots == 1
 
     def test_delayed_shot_beyond_threshold_denied(self, machine):
         tool = DelayedScreenshotTool(machine, delay=from_seconds(5.0))

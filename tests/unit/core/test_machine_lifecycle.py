@@ -13,8 +13,10 @@ import weakref
 
 import pytest
 
+from repro.analysis.benchops import DeviceAccessRig
 from repro.analysis.decomposition import measure_components
 from repro.analysis.profiling import run_profile
+from repro.analysis.tables import measure_row
 from repro.core import Machine, OverhaulConfig
 from repro.redteam import CORPUS
 from repro.redteam.scenario import run_counted_trial
@@ -147,6 +149,10 @@ def test_decomposition_rig():
 @pytest.mark.parametrize("scenario", ["quickstart", "device-access"])
 def test_profiling_rig(scenario, capsys):
     assert cyclic_garbage(lambda: run_profile(scenario, ops=20, top=1)) == 0
+
+
+def test_table_i_row():
+    assert cyclic_garbage(lambda: measure_row(DeviceAccessRig, 20, repeats=1)) == 0
 
 
 def _one_app_per_pattern():

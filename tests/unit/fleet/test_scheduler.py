@@ -1,5 +1,7 @@
 """Unit tests for the lease/steal scheduler bookkeeping."""
 
+import heapq
+
 import pytest
 
 from repro.fleet.scheduler import StealScheduler, default_lease_size
@@ -151,3 +153,59 @@ class TestDefaultLeaseSize:
 
     def test_mid_scale_is_an_eighth_of_fair_share(self):
         assert default_lease_size(640, 4) == 20
+
+
+def simulate_fleet(shards, workers, lease_size, steal, cost):
+    """Drive a :class:`StealScheduler` to completion in virtual time.
+
+    Workers are event-loop actors: each runs its lease position by
+    position, advancing a virtual clock by the shard's cost, and an idle
+    worker leases or steals through the same policy methods and cut rule
+    as the engine, minus its processes and locks.  Returns the virtual
+    makespan and every shard run, in start order.
+    """
+    scheduler = StealScheduler(list(range(shards)), list(range(workers)), lease_size, steal=steal)
+    events = []  # (virtual finish time, sequence, worker_id)
+    ran = []
+    now = 0.0
+
+    def start_next(worker_id, at):
+        lease = scheduler.lease_of[worker_id]
+        position = lease.progress + 1
+        if position >= lease.revoked_from:
+            scheduler.release(worker_id)
+            return False
+        scheduler.note_progress(worker_id, position)
+        ran.append(lease.items[position])
+        heapq.heappush(events, (at + cost(lease.items[position]), len(ran), worker_id))
+        return True
+
+    def acquire_work(worker_id, at):
+        lease = scheduler.lease(worker_id)
+        if lease is None and steal:
+            victim_id = scheduler.plan_steal(worker_id)
+            cut = None if victim_id is None else scheduler.proposed_cut(victim_id)
+            if cut is not None:
+                lease = scheduler.record_steal(victim_id, worker_id, cut)
+        return lease is not None and start_next(worker_id, at)
+
+    idle = [worker_id for worker_id in range(workers) if not acquire_work(worker_id, now)]
+    while events:
+        now, _sequence, worker_id = heapq.heappop(events)
+        if not start_next(worker_id, now) and not acquire_work(worker_id, now):
+            idle.append(worker_id)
+        # A freshly stealable tail may unblock idle workers.
+        idle = [waiting for waiting in idle
+                if not scheduler.busy(waiting) and not acquire_work(waiting, now)]
+    return now, ran
+
+
+@pytest.mark.parametrize("shards", [64, 1000])
+def test_stealing_beats_static_leases_on_clustered_stragglers(shards):
+    """The first 8 shards cost 9 units and land in worker 0's opening
+    lease; stealing spreads them, static leases serialise them."""
+    cost = lambda index: 9.0 if index < 8 else 1.0  # noqa: E731
+    stolen, stolen_ran = simulate_fleet(shards, 8, 8, steal=True, cost=cost)
+    static, static_ran = simulate_fleet(shards, 8, 8, steal=False, cost=cost)
+    assert sorted(stolen_ran) == sorted(static_ran) == list(range(shards))
+    assert stolen < static
