@@ -47,11 +47,15 @@ def test_device_access_tracing_disabled(benchmark):
 
 @pytest.mark.benchmark(group="tracer-overhead")
 def test_device_access_tracing_enabled(benchmark):
-    """The traced configuration, for comparison (expected measurably slower)."""
+    """The traced configuration, for comparison (expected measurably slower).
+
+    Tracing selects no path: the traced rig still decides on the fast core,
+    so its epoch memo serves repeat decisions."""
     rig = traced_rig(trace=True)
     benchmark.pedantic(rig.run, args=(DEVICE_OPS,), rounds=5, warmup_rounds=1)
     attach_counters(benchmark, rig.machine)
     assert rig.machine.tracer.total_spans > 0
+    assert rig.machine.monitor.cache_hits > 0
 
 
 class TestDisabledModeThreshold:

@@ -8,9 +8,10 @@ Two complementary views of where a scenario spends its effort:
    overhead, so the winners are datagram construction, dataclass inits, and
    attribute chases, not the comparisons themselves.
 2. **Span timings** (virtual time + counts): a second, traced pass of the
-   same scenario aggregated per span name.  Tracing forces the reference
-   path, so this pass shows the protocol shape -- how many netlink hops,
-   verdicts, and alerts one operation costs -- rather than host-time cost.
+   same scenario aggregated per span name.  Tracing selects no path, so
+   this pass runs the same fast paths as the first and shows their
+   protocol shape -- how many netlink hops, verdicts, and alerts one
+   operation costs -- rather than host-time cost.
    Virtual durations are 0 for benchmark rigs (no simulated time passes
    inside an op); the per-op span *counts* are the signal there.
 
@@ -132,7 +133,7 @@ def run_profile(scenario: str, ops: int = 0, top: int = 25, spans: bool = True) 
     print(stream.getvalue())
 
     if spans:
-        print("per-span timings (traced second pass, reference path)")
+        print("per-span timings (traced second pass, fast paths)")
         print(_traced_span_table(scenario, ops if ops > 0 else
                                  (_SCENARIOS[scenario][1] if scenario in _SCENARIOS else 0)))
     return 0

@@ -73,9 +73,8 @@ class OverhaulConfig:
     #: snapshots, banner cache; numpy blits when numpy is installed).  Off
     #: is the reference path: the differential property tests drive both
     #: and compare decision logs, audit records, counters and frames byte
-    #: for byte.  Tracing forces the reference paths at call time;
-    #: prompt-mode and gray-box configurations force the reference
-    #: decision and display paths at assembly time.
+    #: for byte.  Only this field selects the reference path: tracing,
+    #: prompt mode and gray-box run on whichever path it picks.
     fast_paths: bool = True
 
     def __post_init__(self) -> None:

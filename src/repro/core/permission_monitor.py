@@ -22,24 +22,27 @@ Table I methodology.
 Hot-path structure
 ------------------
 
-Every mediated operation runs the decision rule, :meth:`_rule`, which two
-entry points share:
+Every mediated operation runs the decision rule, :meth:`_rule` (the
+temporal check, then the gray-box and prompt extensions when configured),
+which two entry points share:
 
-- :meth:`decide` is the reference path: tracer spans, a
-  :class:`~repro.core.notifications.PermissionResponse` per call, eager
-  audit appends.  It always runs when tracing is enabled (span-tree
-  fidelity) or when the fast paths are toggled off.
-- :meth:`_decide_core` is the fast core: no span plumbing, and a per-pid
-  memo of the ptrace verdict keyed by the ``(interaction_ts,
-  ptrace.version)`` epoch -- a new interaction, a fork (fresh pid; pids are
-  never reused), or any trace-state change invalidates in O(1).  The fast
-  netlink handlers (:meth:`_fast_handle_interaction`,
-  :meth:`_fast_handle_query`) sit on top and skip datagram construction
-  entirely.
+- :meth:`decide` is the reference path: a
+  :class:`~repro.core.notifications.PermissionResponse` per call and eager
+  audit appends.  Only ``OverhaulConfig.fast_paths=False`` selects it.
+- :meth:`_decide_core` is the fast core: a per-pid memo of the ptrace
+  verdict keyed by the ``(interaction_ts, ptrace.version)`` epoch -- a new
+  interaction, a fork (fresh pid; pids are never reused), or any
+  trace-state change invalidates in O(1).  The fast netlink handlers
+  (:meth:`_fast_handle_interaction`, :meth:`_fast_handle_query`) sit on
+  top and skip datagram construction entirely.
 
-Grant/deny counters, the decision log (contents, order, retention), and
-audit records are byte-identical whichever path ran; the differential
-property tests enforce that.
+Tracing, prompt mode and gray-box run on whichever path the configuration
+selects: both paths emit the same ``monitor.record`` and
+``monitor.decide`` spans, each behind one ``tracer.enabled`` guard, so a
+trace describes the code that made the decision.  Grant/deny counters,
+the decision log (contents, order, retention), audit records and spans
+are byte-identical whichever path ran; the differential property tests
+and the golden span trees enforce that.
 """
 
 from __future__ import annotations
@@ -117,6 +120,7 @@ class PermissionMonitor:
 
     def __init__(self, kernel: "Kernel", config: OverhaulConfig) -> None:
         self._kernel = kernel
+        self._tracer = kernel.tracer
         self.config = config
         #: The process table's pid -> task dict, which it never replaces:
         #: the fast handlers resolve a pid with one probe of it.
@@ -150,14 +154,10 @@ class PermissionMonitor:
             from repro.core.graybox import GrayBoxRegistry
 
             self.graybox = GrayBoxRegistry()
-        # The fast core implements exactly the temporal-proximity rule; the
-        # prompt and gray-box extensions hang extra state off the decision,
-        # so their presence routes everything through the reference path.
-        self._fast_core_ok = self.prompt_arbiter is None and self.graybox is None
         #: Whether the fast paths run: the fast netlink handlers and the
         #: memoizing :meth:`_decide_core`, which only they and
         #: :meth:`authorize` call.
-        self._fast = config.fast_paths and self._fast_core_ok
+        self._fast = config.fast_paths
 
     # -- netlink wiring --------------------------------------------------------
 
@@ -169,7 +169,7 @@ class PermissionMonitor:
         if self._fast:
             # Payload-level zero-copy handlers for the two dominant message
             # types.  The regular handlers above stay registered: they are
-            # the reference path (tracing on / fast path off).
+            # the reference path (fast path off).
             netlink.register_fast_handler(MSG_INTERACTION, self._fast_handle_interaction)
             netlink.register_fast_handler(MSG_PERMISSION_QUERY, self._fast_handle_query)
         if self.prompt_arbiter is not None:
@@ -197,15 +197,8 @@ class PermissionMonitor:
         except NoSuchProcess:
             return  # the client raced with its own exit; nothing to record
         task.record_interaction(timestamp)
-        tracer = self._kernel.tracer
-        if tracer.enabled:
-            tracer.event(
-                "monitor.record",
-                "decision",
-                pid=pid,
-                timestamp=timestamp,
-                interaction_ts=task.interaction_ts,
-            )
+        if self._tracer.enabled:
+            self._trace_record(task, timestamp)
         if "descriptor" in message.payload and timestamp >= task.interaction_ts:
             # Gray-box enrichment: remember what the blessing input was.
             # `>=` (not the merge result) so a same-instant newer event --
@@ -242,12 +235,7 @@ class PermissionMonitor:
     # -- zero-copy netlink handlers (fast path) --------------------------------
 
     def _fast_handle_interaction(self, channel: NetlinkChannel, payload: dict, sender_pid: int) -> None:
-        """Payload-level twin of :meth:`_handle_interaction`.
-
-        Runs only with tracing off (the netlink layer guarantees it), so
-        the tracer event of the reference handler is not skipped -- it
-        would not have fired either way.
-        """
+        """Payload-level twin of :meth:`_handle_interaction`."""
         if channel.label != "display-manager":
             self._require_display_manager(channel)  # raises canonically
         pid = payload["pid"]
@@ -261,6 +249,8 @@ class PermissionMonitor:
         # newer timestamps win).
         if timestamp > task.interaction_ts:
             task.interaction_ts = timestamp
+        if self._tracer.enabled:
+            self._trace_record(task, timestamp)
         if "descriptor" in payload and timestamp >= task.interaction_ts:
             descriptor = payload["descriptor"]
             if descriptor is not None:
@@ -293,16 +283,25 @@ class PermissionMonitor:
         )
         return {"granted": granted, "reason": reason, "interaction_age": age}
 
+    def _trace_record(self, task: Task, timestamp: Timestamp) -> None:
+        """The ``monitor.record`` event of one recorded interaction."""
+        self._tracer.event(
+            "monitor.record",
+            "decision",
+            pid=task.pid,
+            timestamp=timestamp,
+            interaction_ts=task.interaction_ts,
+        )
+
     # -- the decision rule ---------------------------------------------------------
 
     def _decide_core(self, task: Task, op_time: Timestamp, operation: str) -> Tuple[bool, str, Timestamp]:
         """The decision, fast form: ``(granted, reason, age)``.
 
-        Only valid on the fast paths (``_fast``: neither the prompt
-        arbiter nor the gray-box registry is active); callers route
-        through :meth:`decide` otherwise.  It runs the same :meth:`_rule`
-        as :meth:`decide`; only the ptrace verdict may come from the epoch
-        memo, and no span or response object is built.
+        Only the fast paths (``_fast``) call it.  It runs the same
+        :meth:`_rule` as :meth:`decide`, under the same span; only the
+        ptrace verdict may come from the epoch memo, and no response
+        object is built.
         """
         interaction_ts = task.interaction_ts
         ptrace = self._kernel.ptrace
@@ -318,31 +317,38 @@ class PermissionMonitor:
                 cache.clear()
             cache[task.pid] = (interaction_ts, version, disabled)
             self.cache_misses += 1
+        if self._tracer.enabled:
+            return self._traced_rule(task, op_time, operation, disabled)
         return self._rule(task, op_time, operation, disabled)
 
     def decide(self, task: Task, op_time: Timestamp, operation: str) -> PermissionResponse:
-        """The reference decision: :meth:`_rule` under a tracer span.
+        """The reference decision: :meth:`_rule` with no memo.
 
         :meth:`_decide_core` is the fast twin the mediation hot paths use.
         """
-        tracer = self._kernel.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.start(
-                "monitor.decide",
-                "decision",
-                pid=task.pid,
-                comm=task.comm,
-                operation=operation,
-                age=task.interaction_age(op_time),
-                threshold=self.config.interaction_threshold,
-            )
-        granted, reason, age = self._rule(
+        rule = self._traced_rule if self._tracer.enabled else self._rule
+        granted, reason, age = rule(
             task, op_time, operation, self._kernel.ptrace.permissions_disabled(task)
         )
-        if span is not None:
-            tracer.finish(span, granted=granted, reason=reason)
         return PermissionResponse(granted, reason, interaction_age=age)
+
+    def _traced_rule(
+        self, task: Task, op_time: Timestamp, operation: str, disabled: bool
+    ) -> Tuple[bool, str, Timestamp]:
+        """:meth:`_rule` inside a ``monitor.decide`` span."""
+        tracer = self._tracer
+        span = tracer.start(
+            "monitor.decide",
+            "decision",
+            pid=task.pid,
+            comm=task.comm,
+            operation=operation,
+            age=task.interaction_age(op_time),
+            threshold=self.config.interaction_threshold,
+        )
+        granted, reason, age = self._rule(task, op_time, operation, disabled)
+        tracer.finish(span, granted=granted, reason=reason)
+        return granted, reason, age
 
     def _rule(
         self, task: Task, op_time: Timestamp, operation: str, disabled: bool
@@ -374,8 +380,30 @@ class PermissionMonitor:
         else:
             granted = False
             reason = "interaction too old (age >= delta)"
-        if not self._fast_core_ok:
-            granted, reason = self._extensions(task, op_time, operation, disabled, granted, reason)
+        graybox = self.graybox
+        if (
+            granted
+            and graybox is not None
+            and not graybox.check(task.comm, operation, task.last_input_descriptor)
+        ):
+            # The gray-box conjunct: the blessing input must express
+            # intent for *this* operation per the app's profile.
+            granted = False
+            reason = "gray-box: input does not express intent for this operation"
+        if not granted and self.prompt_arbiter is not None and not disabled:
+            # Prompt mode: an unexpired user answer for this exact
+            # (process, operation) overrides the temporal check; with no
+            # answer on record, a prompt is raised and the call fails now
+            # (the application retries after the user responds).
+            answer = self.prompt_arbiter.check_answer(task, operation, op_time)
+            if answer is True:
+                granted = True
+                reason = "user approved via trusted prompt"
+            elif answer is False:
+                reason = "user denied via trusted prompt"
+            else:
+                self.prompt_arbiter.post_prompt(task, operation, op_time)
+                reason = "pending user prompt"
 
         if granted:
             self.grant_count += 1
@@ -395,47 +423,11 @@ class PermissionMonitor:
             del decisions[: -self.DECISION_LOG_LIMIT // 2]
         return granted, reason, age
 
-    def _extensions(
-        self,
-        task: Task,
-        op_time: Timestamp,
-        operation: str,
-        disabled: bool,
-        granted: bool,
-        reason: str,
-    ) -> Tuple[bool, str]:
-        """The gray-box conjunct and prompt mode, on the temporal verdict."""
-        if (
-            granted
-            and self.graybox is not None
-            and not self.graybox.check(task.comm, operation, task.last_input_descriptor)
-        ):
-            # The gray-box conjunct: the blessing input must express
-            # intent for *this* operation per the app's profile.
-            granted = False
-            reason = "gray-box: input does not express intent for this operation"
-
-        if not granted and self.prompt_arbiter is not None and not disabled:
-            # Prompt mode: an unexpired user answer for this exact
-            # (process, operation) overrides the temporal check; with no
-            # answer on record, a prompt is raised and the call fails now
-            # (the application retries after the user responds).
-            answer = self.prompt_arbiter.check_answer(task, operation, op_time)
-            if answer is True:
-                granted = True
-                reason = "user approved via trusted prompt"
-            elif answer is False:
-                reason = "user denied via trusted prompt"
-            else:
-                self.prompt_arbiter.post_prompt(task, operation, op_time)
-                reason = "pending user prompt"
-        return granted, reason
-
     # -- the Kernel-facing mediation interface ----------------------------------------
 
     def authorize(self, task: Task, now: Timestamp, operation: str) -> bool:
         """Device-mediation entry point (called from the augmented open)."""
-        if self._fast and not self._kernel.tracer.enabled:
+        if self._fast:
             return self._decide_core(task, now, operation)[0]
         return self.decide(task, now, operation).granted
 

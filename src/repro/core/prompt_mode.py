@@ -116,14 +116,20 @@ class PromptManager:
             shared_secret=self._xserver.overlay.shared_secret,
         )
         if self.active is None:
-            self.active = request
-            self.prompts_shown += 1
+            self._show(request)
         else:
             self.queue.append(request)
 
     def banner(self) -> bytes:
         """The prompt band contents (composited above everything)."""
         return self.active.render().encode() if self.active is not None else b""
+
+    def _show(self, request: Optional[PromptRequest]) -> None:
+        """Make *request* the prompt on screen (None: no prompt)."""
+        self.active = request
+        self._xserver.overlay.set_prompt(self.banner())
+        if request is not None:
+            self.prompts_shown += 1
 
     # -- the trusted-input response path ---------------------------------------
 
@@ -164,9 +170,7 @@ class PromptManager:
             },
         )
         self.responses_sent += 1
-        self.active = self.queue.pop(0) if self.queue else None
-        if self.active is not None:
-            self.prompts_shown += 1
+        self._show(self.queue.pop(0) if self.queue else None)
 
 
 class PromptArbiter:

@@ -60,17 +60,10 @@ class OverhaulSystem:
         machine.xserver_task.is_display_manager = True
         xserver.overlay.shared_secret = config.shared_secret
         xserver.overlay.alert_duration = config.alert_duration
-        # Damage-tracked display pipeline: like the kernel-side fast paths,
-        # prompt mode and gray-box route everything through the reference
-        # path (the prompt band composites above the stack and gray-box
-        # hangs extra state off the input path).
-        fast_display = (
-            config.fast_paths
-            and not config.prompt_mode
-            and not config.graybox_enabled
-        )
-        xserver.fast_display = fast_display
-        xserver.overlay.fast_banner_cache = fast_display
+        # Damage-tracked display pipeline: the same switch (the prompt band
+        # is one more part of the overlay band the compose cache keys on).
+        xserver.fast_display = config.fast_paths
+        xserver.overlay.fast_banner_cache = config.fast_paths
         self.extension = DisplayManagerExtension(
             xserver, machine.xserver_task, self.channel, config
         )

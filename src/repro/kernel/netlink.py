@@ -65,9 +65,6 @@ class NetlinkChannel:
         self.userspace_receiver: Optional[Callable[[NetlinkMessage], None]] = None
         self.sent_to_kernel: int = 0
         self.sent_to_userspace: int = 0
-        #: Preallocated datagram reused by the pooled slow-handler path;
-        #: ``None`` while lent out to a handler (re-entrancy guard).
-        self._pool: Optional[NetlinkMessage] = NetlinkMessage("", {}, None, 0)
 
     def send_to_kernel(self, task: Task, msg_type: str, payload: Dict[str, Any]) -> Any:
         """Deliver a message from the owning task to the kernel.
@@ -76,94 +73,47 @@ class NetlinkChannel:
         malicious process from piggybacking on the X server's link even if
         it somehow obtained a reference to it.
 
-        Delivery picks one of three paths, cheapest first:
-
-        1. **fast handler** -- for the dominant message types the kernel
-           side registers a payload-level handler; no datagram object is
-           built at all (the zero-copy path).
-        2. **pooled datagram** -- a preallocated :class:`NetlinkMessage` is
-           refilled and lent to the regular handler (kernel handlers do
-           not retain datagrams; re-entrant sends fall back to a fresh
-           allocation).
-        3. **reference path** -- a fresh datagram per message, used
-           whenever tracing is on or the fast path is toggled off, so the
-           traced span tree and the equivalence tests see the unmodified
-           protocol.
+        Delivery takes one of two lanes (:meth:`_deliver`): the
+        payload-level **fast handler** registered for the dominant message
+        types, which builds no datagram at all (the zero-copy lane), or
+        one fresh :class:`NetlinkMessage` for the regular handler -- the
+        only lane when the fast path is toggled off.  Tracing picks no
+        lane: with the tracer on, the same lane runs inside a
+        ``netlink.to_kernel`` span.
         """
-        if self.closed:
-            raise InvalidArgument(f"netlink channel {self.label!r} is closed")
-        if task.pid != self.owner.pid:
-            raise OperationNotPermitted(
-                f"pid {task.pid} is not the authenticated owner "
-                f"(pid {self.owner.pid}) of channel {self.label!r}"
-            )
-        if task.state is not TaskState.RUNNING:  # Task.is_alive, inlined
-            raise OperationNotPermitted(f"channel owner pid {task.pid} is dead")
+        self._check_sender(task)
         self.sent_to_kernel += 1
         subsystem = self._subsystem
         subsystem.messages_to_kernel += 1
         tracer = subsystem.tracer
-        if subsystem.fast_path and not tracer.enabled:
-            fast = subsystem._fast_handlers.get(msg_type)
-            if fast is not None:
-                return fast(self, payload, task.pid)
-            handler = subsystem._kernel_handlers.get(msg_type)
-            if handler is None:
-                raise InvalidArgument(
-                    f"no kernel handler for netlink type {msg_type!r}"
-                )
-            message = self._pool
-            if message is None:  # re-entrant send: pool is lent out
-                message = NetlinkMessage(msg_type, payload, task.pid, subsystem.now)
-                return handler(self, message)
-            self._pool = None
-            try:
-                message.msg_type = msg_type
-                message.payload = payload
-                message.sender_pid = task.pid
-                message.timestamp = subsystem.now
-                return handler(self, message)
-            finally:
-                self._pool = message
-        message = NetlinkMessage(
-            msg_type=msg_type,
-            payload=payload,
-            sender_pid=task.pid,
-            timestamp=subsystem.now,
-        )
         if tracer.enabled:
-            # The span wraps dispatch, so kernel-side handler spans (the
-            # monitor's verdicts) nest under the netlink hop that caused
-            # them -- the cross-layer link the decision-path report walks.
-            span = tracer.start(
-                "netlink.to_kernel",
-                "netlink",
-                msg_type=msg_type,
-                channel=self.label,
-                pid=payload.get("pid", task.pid),
-            )
-            try:
-                return subsystem.dispatch_to_kernel(self, message)
-            finally:
-                tracer.finish(span)
-        return subsystem.dispatch_to_kernel(self, message)
+            return self._traced_deliver(tracer, task.pid, msg_type, payload)
+        return self._deliver(task.pid, msg_type, payload)
 
     def send_many_to_kernel(
         self, task: Task, msg_type: str, payloads: List[Dict[str, Any]]
     ) -> List[Any]:
         """Deliver a burst of same-type messages in one authenticated flush.
 
-        On the fast path the channel checks (closed/owner/liveness) and the
-        handler lookup run once for the whole batch; each payload then
-        dispatches in order, so counters and handler effects are identical
-        to a loop of single sends.  With tracing on (or the fast path
-        toggled off) the batch degrades to per-message sends so the span
-        tree is unchanged.  Used by the udev helper to push the boot-time
-        device map in one flush.
+        The channel checks (closed/owner/liveness) run once for the whole
+        batch; each payload then dispatches in order on the lane
+        :meth:`send_to_kernel` would pick, so counters, handler effects and
+        spans (one ``netlink.to_kernel`` per payload) are identical to a
+        loop of single sends.  Used by the udev helper to push the
+        boot-time device map in one flush.
         """
+        self._check_sender(task)
+        count = len(payloads)
+        self.sent_to_kernel += count
         subsystem = self._subsystem
-        if not subsystem.fast_path or subsystem.tracer.enabled:
-            return [self.send_to_kernel(task, msg_type, p) for p in payloads]
+        subsystem.messages_to_kernel += count
+        pid = task.pid
+        tracer = subsystem.tracer
+        if tracer.enabled:
+            return [self._traced_deliver(tracer, pid, msg_type, p) for p in payloads]
+        return [self._deliver(pid, msg_type, p) for p in payloads]
+
+    def _check_sender(self, task: Task) -> None:
         if self.closed:
             raise InvalidArgument(f"netlink channel {self.label!r} is closed")
         if task.pid != self.owner.pid:
@@ -173,22 +123,39 @@ class NetlinkChannel:
             )
         if task.state is not TaskState.RUNNING:  # Task.is_alive, inlined
             raise OperationNotPermitted(f"channel owner pid {task.pid} is dead")
-        count = len(payloads)
-        self.sent_to_kernel += count
-        subsystem.messages_to_kernel += count
-        fast = subsystem._fast_handlers.get(msg_type)
-        if fast is not None:
-            pid = task.pid
-            return [fast(self, payload, pid) for payload in payloads]
+
+    def _deliver(self, pid: int, msg_type: str, payload: Dict[str, Any]) -> Any:
+        """Dispatch one message: the fast handler, or a fresh datagram."""
+        subsystem = self._subsystem
+        if subsystem.fast_path:
+            fast = subsystem._fast_handlers.get(msg_type)
+            if fast is not None:
+                return fast(self, payload, pid)
         handler = subsystem._kernel_handlers.get(msg_type)
         if handler is None:
             raise InvalidArgument(f"no kernel handler for netlink type {msg_type!r}")
-        message = NetlinkMessage(msg_type, {}, task.pid, subsystem.now)
-        results = []
-        for payload in payloads:
-            message.payload = payload
-            results.append(handler(self, message))
-        return results
+        return handler(self, NetlinkMessage(msg_type, payload, pid, subsystem.now))
+
+    def _traced_deliver(
+        self, tracer: Tracer, pid: int, msg_type: str, payload: Dict[str, Any]
+    ) -> Any:
+        """:meth:`_deliver` inside a ``netlink.to_kernel`` span.
+
+        The span wraps dispatch, so kernel-side handler spans (the
+        monitor's verdicts) nest under the netlink hop that caused them --
+        the cross-layer link the decision-path report walks.
+        """
+        span = tracer.start(
+            "netlink.to_kernel",
+            "netlink",
+            msg_type=msg_type,
+            channel=self.label,
+            pid=payload.get("pid", pid),
+        )
+        try:
+            return self._deliver(pid, msg_type, payload)
+        finally:
+            tracer.finish(span)
 
     def send_to_userspace(self, msg_type: str, payload: Dict[str, Any]) -> None:
         """Deliver a kernel-originated message to the userspace endpoint."""
@@ -244,8 +211,8 @@ class NetlinkSubsystem:
         self._filesystem = filesystem
         self._now_fn = now_fn
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Hot-path switch (set from ``OverhaulConfig.fast_paths``); with
-        #: tracing enabled the reference path is used regardless.
+        #: Hot-path switch (set from ``OverhaulConfig.fast_paths``): whether
+        #: registered fast handlers serve their message types.
         self.fast_path = True
         #: path -> label for binaries allowed to hold a trusted channel.
         self._trusted_binaries: Dict[str, str] = {
@@ -289,8 +256,8 @@ class NetlinkSubsystem:
         """Bind a payload-level fast handler for a hot message type.
 
         The fast handler must be observably equivalent to the regular
-        handler registered for the same type: the regular one stays
-        registered and serves the reference path (tracing on, fast path
+        handler registered for the same type, spans included: the regular
+        one stays registered and serves the reference path (fast path
         off), and the differential tests compare the two end to end.
         """
         if msg_type in self._fast_handlers:
@@ -367,12 +334,3 @@ class NetlinkSubsystem:
         self._fast_handlers.clear()
         for channel in list(self._channels_by_label.values()):
             channel.close()
-
-    # -- routing ---------------------------------------------------------------
-
-    def dispatch_to_kernel(self, channel: NetlinkChannel, message: NetlinkMessage) -> Any:
-        """Route a userspace message to its registered kernel handler."""
-        handler = self._kernel_handlers.get(message.msg_type)
-        if handler is None:
-            raise InvalidArgument(f"no kernel handler for netlink type {message.msg_type!r}")
-        return handler(channel, message)

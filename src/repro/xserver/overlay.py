@@ -68,10 +68,13 @@ class OverlayManager:
         #: composition path stays O(visible), not O(history).
         self._active: List[Alert] = []
         #: Alert-set generation: bumped whenever a *new* alert appears on
-        #: screen (coalesced repeats change nothing visible, so they do not
-        #: bump it).  Together with the earliest expiry this keys the
-        #: banner cache below.
+        #: screen or the prompt band changes (coalesced repeats change
+        #: nothing visible, so they do not bump it).  Together with the
+        #: earliest expiry this keys the banner cache below.
         self.generation = 0
+        #: The trusted prompt (prompt mode), rendered after the alerts;
+        #: set through :meth:`set_prompt`.
+        self.prompt_band = b""
         #: Hot-path switch mirroring the server's ``fast_display``: cache
         #: the rendered banner for the window of time during which the
         #: visible-alert set cannot change -- from the compute instant until
@@ -79,9 +82,9 @@ class OverlayManager:
         #: composition cache.  Byte-identical to the uncached render.
         self.fast_banner_cache = True
         self._banner_cache: Optional[tuple] = None  # (gen, from, until, bytes)
-        #: Band epoch: bumped exactly when the rendered alert band differs
-        #: from the previously returned one (appearance, expiry, or a
-        #: changed alert set).  The banner composes as its *own region* of
+        #: Band epoch: bumped exactly when the rendered band differs
+        #: from the previously returned one (appearance, expiry, a changed
+        #: alert set, or a changed prompt).  The banner composes as its *own region* of
         #: the screen: the server's incremental compose compares this epoch
         #: to decide whether the band needs re-splicing, independent of
         #: window damage.
@@ -134,6 +137,11 @@ class OverlayManager:
             )
         return alert
 
+    def set_prompt(self, band: bytes) -> None:
+        """Show *band* as the trusted prompt (``b""`` takes it down)."""
+        self.prompt_band = band
+        self.generation += 1
+
     def visible_alerts(self, now: Timestamp) -> List[Alert]:
         """Alerts currently on screen (prunes the expired ones)."""
         self._active = [alert for alert in self._active if now < alert.expires_at]
@@ -147,24 +155,24 @@ class OverlayManager:
         return [alert for alert in self.history if alert.pid == pid]
 
     def banner_bytes(self, now: Timestamp) -> bytes:
-        """The rendered alert band, or b'' when nothing is on screen.
+        """The rendered overlay band -- the visible alerts, then the prompt
+        -- or b'' when nothing is on screen.
 
         The screen-composition path appends this to its part list so even a
         *granted* capture shows the alert band -- the overlay genuinely
         sits above everything, including capture output -- without an extra
         full-framebuffer copy.
 
-        With :attr:`fast_banner_cache` on (and the tracer off -- traced
-        runs take the reference path like every other fast path), the
-        render is memoized for the
-        interval over which the visible-alert set provably cannot change:
-        a cached band is valid while (a) no new alert has been shown (the
-        generation matches) and (b) ``now`` is still before the earliest
-        expiry captured at compute time.  Queries that jump backwards in
+        With :attr:`fast_banner_cache` on (traced runs included), the
+        render is memoized for the interval over which the band provably
+        cannot change: a cached band is valid while (a) no new alert has
+        been shown and the prompt is unchanged (the generation matches)
+        and (b) ``now`` is still before the earliest alert expiry captured
+        at compute time.  Queries that jump backwards in
         time fall through to a fresh render, so the cache never changes
         what a caller observes.
         """
-        if self.fast_banner_cache and not self.tracer.enabled:
+        if self.fast_banner_cache:
             cached = self._banner_cache
             if (
                 cached is not None
@@ -187,13 +195,13 @@ class OverlayManager:
         return banner
 
     def _render_banner(self, now: Timestamp) -> bytes:
-        """The uncached reference render of the alert band."""
+        """The uncached reference render of the overlay band."""
         visible = self.visible_alerts(now)
         if not visible:
-            return b""
+            return self.prompt_band
         return "|".join(
             f"ALERT[{alert.comm}:{alert.operation}:{alert.shared_secret}]" for alert in visible
-        ).encode()
+        ).encode() + self.prompt_band
 
     def compose_over(self, screen_bytes: bytes, now: Timestamp) -> bytes:
         """Composite the alert layer over a captured screen image."""

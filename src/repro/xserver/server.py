@@ -157,7 +157,7 @@ class XServer:
         self.overhaul: Optional[OverhaulXExtension] = None
         #: Prompt-mode click interceptor (repro.core.prompt_mode); consulted
         #: only on the *hardware* button path, so synthetic input can never
-        #: answer a prompt.
+        #: answer a prompt.  Its band is drawn by the overlay.
         self.prompt_interceptor: Optional[object] = None
 
         self._clients: Dict[int, XClient] = {}
@@ -189,9 +189,8 @@ class XServer:
         self.copy_requests = {"copy-area": 0, "copy-plane": 0}
 
         # -- damage-tracked display pipeline (see docs/performance.md) -----
-        #: Hot-path switch set from ``OverhaulConfig.fast_paths``; the
-        #: fast path additionally disables itself while tracing is on or a
-        #: prompt band is installed (those need the reference path).
+        #: Hot-path switch set from ``OverhaulConfig.fast_paths``: the
+        #: compose cache and the zero-copy snapshot and payload handoffs.
         self.fast_display = True
         #: One composed frame plus patch structure (`_ComposeCache`).
         self._compose_cache: Optional[_ComposeCache] = None
@@ -199,8 +198,8 @@ class XServer:
         #: since the last fast compose, keyed by drawable id.  Fed by the
         #: per-drawable ``damage_sink`` hook, so direct draws that bypass
         #: the request layer still land here.  Recording is unconditional
-        #: (reference machines pay one dict store) so the journal is
-        #: complete even across traced interludes.
+        #: (reference machines pay one dict store; their composition
+        #: drains it).
         self._damage_journal: Dict[int, Drawable] = {}
         #: Stable bound-method identity for sink attachment checks.
         self._damage_sink = self._record_damage
@@ -267,22 +266,6 @@ class XServer:
     @property
     def now(self) -> Timestamp:
         return self._scheduler.now
-
-    # -- fast-path gate ---------------------------------------------------------
-
-    def _fast_display_active(self) -> bool:
-        """True when the damage-tracked display pipeline may be used.
-
-        The flag itself comes from ``OverhaulConfig.fast_paths`` (cleared
-        for prompt-mode/gray-box configurations by the system assembly),
-        and tracing forces the reference path at call time so span trees
-        stay complete.
-        """
-        return (
-            self.fast_display
-            and not self.tracer.enabled
-            and self.prompt_interceptor is None
-        )
 
     # -- connections ---------------------------------------------------------------
 
@@ -617,7 +600,7 @@ class XServer:
                     "protocol; blocked"
                 )
 
-        if payload is not None and self._fast_display_active():
+        if payload is not None and self.fast_display:
             # Zero-copy handoff: callers hand the payload over; the
             # reference path keeps the defensive copy.
             event_payload = payload
@@ -927,8 +910,8 @@ class XServer:
         mapped opaque window blits its (zero-extended) content at its
         geometry, bottom-to-top and clipped to the screen; transparent
         windows have an empty paint region and contribute nothing.  The
-        overlay banner is appended after the grid -- it genuinely sits
-        above everything.
+        overlay band (alerts, then any trusted prompt) is appended after
+        the grid -- it genuinely sits above everything.
 
         Damage-tracked fast path, incremental and occlusion-aware: while
         the stacking order is unchanged, dirty rects from the damage
@@ -944,13 +927,7 @@ class XServer:
         occlusion facts cannot change without a generation bump (the
         differential suite asserts the equivalence, numpy path included).
         """
-        # The fast gate is inlined (_fast_display_active) -- this is the
-        # hottest request in the server and the call shows in profiles.
-        if (
-            self.fast_display
-            and not self.tracer.enabled
-            and self.prompt_interceptor is None
-        ):
+        if self.fast_display:
             stacking = self.stacking
             cache = self._compose_cache
             if cache is not None and cache.generation == stacking.generation:
@@ -989,10 +966,11 @@ class XServer:
                                 drawable.composer_skip = True
                             else:
                                 self._patch_window(cache, drawable, pos)
-                # Quiet-overlay shortcut: with no active alerts the
-                # band provably cannot move, so skip the render call.
+                # Quiet-overlay shortcut: with no active alert, no prompt
+                # and an empty band last time, the band provably cannot
+                # move, so skip the render call.
                 overlay = self.overlay
-                if overlay._active:
+                if overlay._active or overlay.prompt_band or overlay._last_band:
                     banner = overlay.banner_bytes(self._scheduler.now)
                 else:
                     banner = b""
@@ -1017,12 +995,9 @@ class XServer:
             )
         # Reference path: a fresh pure-python composition every call.  It
         # also drains the journal (bookkeeping only -- the coalescing
-        # counter is compose-independent) and drops the compose cache, so
-        # a later fast compose rebuilds instead of trusting a journal
-        # someone else consumed (e.g. across a traced interlude).
+        # counter is compose-independent).
         if self._damage_journal:
             self._drain_journal()
-            self._compose_cache = None
         fb = Framebuffer(self.width, self.height, use_numpy=False)
         for window in self.stacking.bottom_to_top():
             if window.transparent:
@@ -1036,10 +1011,6 @@ class XServer:
         banner = self.overlay.banner_bytes(self.now)
         if banner:
             parts.append(banner)
-        if self.prompt_interceptor is not None:
-            prompt_banner = self.prompt_interceptor.banner()  # type: ignore[attr-defined]
-            if prompt_banner:
-                parts.append(prompt_banner)
         return b"".join(parts) if len(parts) > 1 else parts[0]
 
     def _drain_journal(self) -> None:
@@ -1206,7 +1177,7 @@ class XServer:
         self.screen_captures_served += 1
         if drawable is self.root_window:
             return self.compose_screen()
-        if self._fast_display_active():
+        if self.fast_display:
             # Zero-copy handoff: an immutable snapshot cached per damage
             # epoch, shared across repeat reads of an undamaged drawable.
             return drawable.content_bytes()
@@ -1253,7 +1224,7 @@ class XServer:
                 )
         if src is self.root_window:
             dst.draw(self.compose_screen())
-        elif self._fast_display_active():
+        elif self.fast_display:
             # Cached-bytes handoff: one copy into the destination buffer,
             # no intermediate snapshot allocation on repeat transfers.
             dst.draw(src.content_bytes())

@@ -12,12 +12,18 @@ full audit log, and every Table I counter must be byte-identical.  This is
 the contract that lets the optimisations exist at all -- they may change
 how fast a decision is made, never which decision, what gets logged, or
 what the experiments count.
+
+Tracing, prompt mode and gray-box select no path of their own: a traced
+fast machine keeps its fast paths and emits the reference machine's span
+tree, and the prompt-mode and gray-box arms run the same differential with
+those extensions on.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Machine, paper_config, reference_config
+from repro.core import Machine, OverhaulConfig, paper_config, reference_config
+from repro.core.graybox import IntentProfile, Region
 from repro.core.notifications import MSG_INTERACTION, MSG_PERMISSION_QUERY
 from repro.kernel.credentials import ROOT
 from repro.kernel.errors import (
@@ -164,20 +170,40 @@ def test_fast_and_reference_paths_are_byte_identical(script):
     assert _observable_state(fast_machine) == _observable_state(ref_machine)
 
 
+#: Two same-instant queries for the debugger, which no script step
+#: touches: the second is always an epoch-memo hit on a fast machine.
+_MEMO_PROBE = [("query", 0, 0, 0), ("query", 0, 0, 0)]
+
+
 @given(script=script_steps)
 @settings(max_examples=25, deadline=None)
-def test_tracing_forces_the_reference_path_with_identical_results(script):
-    """With the tracer on, a fast-configured machine must behave like the
-    reference machine too (the span tree rides on the reference path)."""
-    traced_machine, traced_dbg, traced_tasks = _build(paper_config())
-    traced_machine.tracer.enabled = True
-    ref_machine, ref_dbg, ref_tasks = _build(reference_config())
+def test_tracing_keeps_the_fast_path_with_identical_results(script):
+    """The tracer selects no path: a traced fast machine runs the fast
+    handlers and the epoch memo exactly as an untraced fast machine does,
+    matches the reference machine, and emits the same span tree as a
+    traced reference machine."""
+    traced, fast, ref = (
+        _build(config) for config in (paper_config(), paper_config(), reference_config())
+    )
+    traced[0].tracer.enabled = True
+    ref[0].tracer.enabled = True
 
-    traced_transcript = _apply(traced_machine, traced_dbg, traced_tasks, script)
-    ref_transcript = _apply(ref_machine, ref_dbg, ref_tasks, script)
+    transcripts = []
+    states = []
+    for machine, debugger, tasks in (traced, fast, ref):
+        transcript = _apply(machine, debugger, tasks, script)
+        transcript += _apply(machine, debugger, [debugger], _MEMO_PROBE)
+        transcripts.append(transcript)
+        states.append(_observable_state(machine))
 
-    assert traced_transcript == ref_transcript
-    assert _observable_state(traced_machine) == _observable_state(ref_machine)
+    assert transcripts[0] == transcripts[1] == transcripts[2]
+    assert states[0] == states[1] == states[2]
+    traced_monitor, fast_monitor = traced[0].monitor, fast[0].monitor
+    assert traced_monitor.cache_hits > 0
+    assert (traced_monitor.cache_hits, traced_monitor.cache_misses) == (
+        fast_monitor.cache_hits, fast_monitor.cache_misses
+    )
+    assert traced[0].tracer.render_tree() == ref[0].tracer.render_tree()
 
 
 # -- display-pipeline differential tests --------------------------------------
@@ -194,14 +220,16 @@ def test_tracing_forces_the_reference_path_with_identical_results(script):
 # process-global, so the two machines allocate different ids for the same
 # windows.  Pids, by contrast, are per-machine deterministic.
 
+import re
+
 from repro.apps.base import SELECTION_PROPERTY, SimApp
 from repro.xserver.errors import BadAccess
 from repro.xserver.events import EventKind
+from repro.xserver.input_drivers import KEYCODE_PRINTSCREEN, KEYCODE_V
 from repro.xserver.selection import CLIPBOARD
 from repro.xserver.window import Geometry
 
-display_steps = st.lists(
-    st.one_of(
+display_step = st.one_of(
         st.tuples(st.just("click"), st.integers(0, 2)),
         st.tuples(st.just("draw"), st.integers(0, 2), st.integers(0, 255)),
         # Region draws on 200x200 windows: coordinates range past the
@@ -226,10 +254,27 @@ display_steps = st.lists(
         st.tuples(st.just("subscribe"), st.integers(0, 2), st.integers(0, 2)),
         st.tuples(st.just("alert"), st.integers(0, 3)),
         st.tuples(st.just("advance"), st.integers(1, int(from_seconds(4.0)))),
+)
+display_steps = st.lists(display_step, min_size=1, max_size=40)
+
+#: The prompt-mode and gray-box arms add device opens (which raise
+#: prompts), hardware clicks at window-relative points (the gray-box input
+#: descriptor), key presses, and hardware clicks on the prompt band's
+#: Approve (0) or Deny (1) half.
+extension_steps = st.lists(
+    st.one_of(
+        display_step,
+        st.tuples(st.just("device"), st.integers(0, 2)),
+        st.tuples(st.just("click_at"), st.integers(0, 2),
+                  st.integers(0, 199), st.integers(0, 199)),
+        st.tuples(st.just("key"), st.integers(0, 2), st.integers(0, 1)),
+        st.tuples(st.just("band_click"), st.integers(0, 1)),
     ),
     min_size=1,
     max_size=40,
 )
+
+_KEYCODES = [KEYCODE_V, KEYCODE_PRINTSCREEN]
 
 _CAPTURE_VIAS = ["core", "mit-shm"]
 
@@ -248,6 +293,15 @@ def _build_display(config):
     for i, app in enumerate(apps):
         machine.xserver.draw(app.client, app.window.drawable_id, bytes([i + 1]) * 24)
         app.pixmap = machine.xserver.create_pixmap(app.client)
+    if config.graybox_enabled:
+        # Two profiled apps; the third keeps black-box semantics.
+        for app in apps[:2]:
+            machine.monitor.graybox.install_profile(
+                IntentProfile(app.comm)
+                .allow_region("microphone", Region(100, 100, 200, 200))
+                .allow_region("screen", Region(0, 0, 100, 100))
+                .allow_keycode("paste", KEYCODE_V)
+            )
     machine.settle()
     return machine, apps
 
@@ -349,6 +403,23 @@ def _apply_display(machine, apps, script):
             xserver.display_alert(f"alert {k}", f"op{k}", pid=9000 + k, comm=f"daemon{k}")
         elif action == "advance":
             machine.run_for(step[1])
+        elif action == "device":
+            # The screen is recorded too: a denial can raise a prompt.
+            try:
+                machine.kernel.device_mediator.gate_open(app.task, "/dev/mic0")
+                transcript.append(("device", "granted", xserver.compose_screen()))
+            except OverhaulDenied:
+                transcript.append(("device", "denied", xserver.compose_screen()))
+        elif action == "click_at":
+            xserver.raise_window(app.client, app.window.drawable_id)
+            geometry = app.window.geometry
+            machine.mouse.click(geometry.x + step[2], geometry.y + step[3])
+        elif action == "key":
+            app.focus()
+            machine.keyboard.press(_KEYCODES[step[2]])
+        elif action == "band_click":
+            machine.mouse.click(10 if step[1] == 0 else xserver.width - 10, 10)
+            transcript.append(("band-click", xserver.compose_screen()))
     return transcript
 
 
@@ -356,7 +427,7 @@ def _display_observable_state(machine, apps):
     xserver = machine.xserver
     monitor = machine.monitor
     extension = machine.overhaul.extension
-    return {
+    state = {
         "decisions": list(monitor.decisions),
         "audit": list(machine.kernel.audit),
         "audit_total": machine.kernel.audit.total_recorded,
@@ -382,19 +453,40 @@ def _display_observable_state(machine, apps):
         "events_received": [app.client.events_received for app in apps],
         "pasted": [list(app.pasted) for app in apps],
         "window_properties": [dict(app.window.properties) for app in apps],
+        "mediator_denials": machine.kernel.device_mediator.denials,
         "screen": xserver.compose_screen(),
     }
+    prompt = extension.prompt_manager
+    if prompt is not None:
+        arbiter = monitor.prompt_arbiter
+        state["prompt"] = (
+            prompt.banner(), len(prompt.queue), prompt.prompts_shown,
+            prompt.responses_sent, arbiter.prompts_posted,
+            arbiter.approvals, arbiter.denials,
+        )
+    if monitor.graybox is not None:
+        state["intent_denials"] = monitor.graybox.intent_denials
+    return state
 
 
-@given(script=display_steps)
-@settings(max_examples=50, deadline=None)
-def test_display_fast_paths_are_byte_identical(script):
-    fast_machine, fast_apps = _build_display(paper_config())
-    ref_machine, ref_apps = _build_display(reference_config())
+def _compose_counters(xserver):
+    return (
+        xserver.compose_cache_hits,
+        xserver.compose_cache_misses,
+        xserver.compose_partial_hits,
+        xserver.compose_rects_culled,
+    )
 
-    # Sanity: the toggle actually selected different code paths.
-    assert fast_machine.xserver._fast_display_active()
-    assert not ref_machine.xserver._fast_display_active()
+
+def _assert_display_equivalent(script, **options):
+    """Run *script* on a fast and a reference machine configured with
+    *options*; everything observable must be byte-identical."""
+    fast_machine, fast_apps = _build_display(OverhaulConfig(**options))
+    ref_machine, ref_apps = _build_display(OverhaulConfig(fast_paths=False, **options))
+
+    # Sanity: the switch actually selected different code paths.
+    assert fast_machine.xserver.fast_display
+    assert not ref_machine.xserver.fast_display
     assert not ref_machine.xserver.overlay.fast_banner_cache
 
     fast_transcript = _apply_display(fast_machine, fast_apps, script)
@@ -407,25 +499,55 @@ def test_display_fast_paths_are_byte_identical(script):
 
 
 @given(script=display_steps)
+@settings(max_examples=50, deadline=None)
+def test_display_fast_paths_are_byte_identical(script):
+    _assert_display_equivalent(script)
+
+
+@given(script=extension_steps)
+@settings(max_examples=30, deadline=None)
+def test_prompt_mode_fast_paths_are_byte_identical(script):
+    """Prompt mode on both machines: hardware clicks answer the band, and
+    the prompt band composites through the compose cache."""
+    _assert_display_equivalent(script, prompt_mode=True)
+
+
+@given(script=extension_steps)
+@settings(max_examples=30, deadline=None)
+def test_graybox_fast_paths_are_byte_identical(script):
+    """Gray-box on both machines, with intent profiles registered: the
+    input descriptor rides on the fast interaction notification."""
+    _assert_display_equivalent(script, graybox_enabled=True)
+
+
+@given(script=display_steps)
 @settings(max_examples=25, deadline=None)
-def test_tracing_forces_the_reference_display_path(script):
-    """A fast-configured machine with the tracer on must match the
-    reference machine: tracing disables every display fast path at call
-    time (composition cache, snapshot handoff, banner cache), so the span
-    tree always describes the reference protocol."""
-    traced_machine, traced_apps = _build_display(paper_config())
-    traced_machine.tracer.enabled = True
-    ref_machine, ref_apps = _build_display(reference_config())
-
-    assert not traced_machine.xserver._fast_display_active()
-
-    traced_transcript = _apply_display(traced_machine, traced_apps, script)
-    ref_transcript = _apply_display(ref_machine, ref_apps, script)
-
-    assert traced_transcript == ref_transcript
-    assert _display_observable_state(traced_machine, traced_apps) == _display_observable_state(
-        ref_machine, ref_apps
+def test_tracing_keeps_the_fast_display_path(script):
+    """The tracer selects no display path: a traced fast machine composes
+    through its cache exactly as an untraced fast machine does, matches
+    the reference machine, and emits a traced reference machine's spans
+    (raw drawable ids aside: the id counter is process-global)."""
+    traced, fast, ref = (
+        _build_display(config) for config in (paper_config(), paper_config(), reference_config())
     )
-    # The fast machine must not have used any cache while traced.
-    assert traced_machine.xserver.compose_cache_hits == 0
-    assert traced_machine.xserver.compose_partial_hits == 0
+    traced[0].tracer.enabled = True
+    ref[0].tracer.enabled = True
+
+    transcripts = []
+    states = []
+    for machine, apps in (traced, fast, ref):
+        transcripts.append(_apply_display(machine, apps, script))
+        # Compose once more, so the state's compose below is a pure hit.
+        machine.xserver.compose_screen()
+        states.append(_display_observable_state(machine, apps))
+
+    assert transcripts[0] == transcripts[1] == transcripts[2]
+    assert states[0] == states[1] == states[2]
+    traced_x, fast_x = traced[0].xserver, fast[0].xserver
+    assert traced_x.compose_cache_hits > 0
+    assert _compose_counters(traced_x) == _compose_counters(fast_x)
+
+    def spans(machine):
+        return re.sub(r"drawable=\d+", "drawable=?", machine.tracer.render_tree())
+
+    assert spans(traced[0]) == spans(ref[0])

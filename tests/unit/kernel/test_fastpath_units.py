@@ -1,8 +1,8 @@
 """Targeted unit tests for the hot-path mechanisms.
 
 The differential property suite proves end-to-end equivalence; these tests
-pin the individual mechanisms -- batched audit retention, the pooled
-netlink datagram (including re-entrant sends), the batched flush, and the
+pin the individual mechanisms -- batched audit retention, netlink
+delivery (including re-entrant sends), the batched flush, and the
 epoch decision cache's invalidation rules -- so a regression points at the
 exact mechanism that broke.
 """
@@ -117,7 +117,8 @@ class TestNetlinkPool:
             )
 
     def test_pooled_path_survives_reentrant_sends(self):
-        """A kernel handler that sends again must not corrupt the pool."""
+        """A kernel handler that sends again must not corrupt the datagram
+        it was handed (each send gets its own)."""
         machine = self._machine()
         kernel = machine.kernel
         channel = machine.overhaul.channel
@@ -125,7 +126,7 @@ class TestNetlinkPool:
         seen = []
 
         def outer(chan, message):
-            # Re-entrant send while the pooled message is lent out.
+            # Re-entrant send while the outer datagram is being handled.
             inner_result = chan.send_to_kernel(xtask, "test.inner", {"n": 1})
             seen.append((message.msg_type, dict(message.payload), inner_result))
             return "outer-done"
@@ -142,8 +143,7 @@ class TestNetlinkPool:
             ("test.inner", {"n": 1}),
             ("test.outer", {"n": 0}, "inner-done"),
         ]
-        # The pool is back in place and serves the next send.
-        assert channel._pool is not None
+        # The channel still serves the next send.
         assert channel.send_to_kernel(xtask, "test.inner", {"n": 2}) == "inner-done"
 
     def test_batched_send_matches_loop_of_sends(self):

@@ -13,6 +13,7 @@ import pytest
 from repro.core.config import OverhaulConfig, reference_config
 from repro.core.system import Machine
 from repro.apps.base import SimApp
+from repro.kernel.errors import OverhaulDenied
 from repro.sim.scheduler import EventScheduler
 from repro.sim.time import from_seconds
 from repro.xserver.errors import BadAccess
@@ -152,14 +153,39 @@ class TestComposeCache:
         assert xserver.compose_cache_hits == 0
         assert xserver.compose_cache_misses == 0
 
-    def test_tracing_disables_the_cache_at_call_time(self):
-        machine, app = _machine_with_app()
-        xserver = machine.xserver
-        app.capture_screen()
-        hits = xserver.compose_cache_hits
-        machine.tracer.enabled = True
-        app.capture_screen()
-        assert xserver.compose_cache_hits == hits
+    def test_tracing_keeps_the_cache(self):
+        """The tracer selects no display path: traced captures are cache
+        hits, like untraced ones, and show the reference frame."""
+        traced, traced_app = _machine_with_app()
+        fast, fast_app = _machine_with_app()
+        ref, ref_app = _machine_with_app(_quiet_config(fast_paths=False))
+        traced.tracer.enabled = True
+        frames = [
+            [app.capture_screen() for _ in range(2)]
+            for app in (traced_app, fast_app, ref_app)
+        ]
+        assert frames[0] == frames[1] == frames[2]
+        assert traced.xserver.compose_cache_hits > 0
+        assert traced.xserver.compose_cache_hits == fast.xserver.compose_cache_hits
+        assert traced.tracer.total_spans > 0
+
+    def test_prompt_band_joins_the_overlay_band(self):
+        """A prompt appears on, and leaves, the cached frame exactly as the
+        reference composition draws it, with no alert on screen."""
+        frames = []
+        for fast_paths in (True, False):
+            config = _quiet_config(prompt_mode=True, force_grant=False, fast_paths=fast_paths)
+            machine, _ = _machine_with_app(config)
+            daemon = SimApp(machine, "/usr/bin/voiced", comm="voiced", with_window=False)
+            shots = [machine.xserver.compose_screen()]
+            with pytest.raises(OverhaulDenied):
+                daemon.open_device("mic0")
+            shots.append(machine.xserver.compose_screen())
+            machine.mouse.click(10, 10)  # Approve: the prompt goes
+            shots.append(machine.xserver.compose_screen())
+            frames.append(shots)
+        assert frames[0] == frames[1]
+        assert [b"PROMPT[" in shot for shot in frames[0]] == [False, True, False]
 
 
 class TestZeroCopySnapshots:
