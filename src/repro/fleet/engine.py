@@ -52,9 +52,10 @@ from repro.fleet.shm_ring import DEFAULT_RING_BYTES, ShmRing
 from repro.fleet.spool import Spool
 from repro.fleet.studies import ShardSpec, get_study
 
-#: How long the driver sleeps on the result queue between bookkeeping
-#: passes (deadline checks, dispatch, ring drains) -- the engine's
-#: reaction latency.
+#: The longest the driver blocks on the result queue while shards are in
+#: flight before its next bookkeeping pass (deadline checks, dispatch,
+#: ring drains).  A message ends the wait at once, and the driver never
+#: waits once nothing is outstanding.
 _POLL_SECONDS = 0.05
 
 #: Bound on lock acquisitions against a worker that may be wedged or dead.
@@ -260,10 +261,14 @@ class _WorkerHandle:
             if acquired:
                 self.control_lock.release()
 
-    def shutdown(self) -> None:
+    def request_stop(self) -> None:
+        """Tell the worker to exit once its current lease ends; no wait."""
         if self.process.is_alive():
             self.task_queue.put(None)
-            self.process.join(timeout=2.0)
+
+    def shutdown(self) -> None:
+        """Join a worker sent :meth:`request_stop`, terminating it if stuck."""
+        self.process.join(timeout=2.0)
         if self.process.is_alive():  # pragma: no cover - stuck worker
             self.process.terminate()
             self.process.join(timeout=2.0)
@@ -702,12 +707,20 @@ def _execute_pool(
                 elif steal:
                     try_steal(worker_id, handle)
 
-            # 4. Block briefly for the next event.
+            # 4. Block for the next event while shards are in flight.  The
+            #    last "lease_done" may already have come in the drain of
+            #    step 1, and then there is nothing left to wait for.
+            if not scheduler.outstanding():
+                break
             try:
                 handle_message(result_queue.get(timeout=_POLL_SECONDS))
             except queue_module.Empty:
                 pass
     finally:
+        # Every worker gets its stop message before any is joined, so they
+        # exit side by side.
+        for handle in pool.values():
+            handle.request_stop()
         for handle in pool.values():
             handle.shutdown()
             drain_ring(handle, timeout=_LOCK_TIMEOUT)

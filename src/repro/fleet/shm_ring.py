@@ -1,10 +1,11 @@
 """Single-producer/single-consumer rings over ``multiprocessing.shared_memory``.
 
 The fleet data plane: each worker process owns one ring and pushes its
-packed result records into it; the driver drains all rings on every poll
-pass.  Records never touch a ``multiprocessing.Queue`` (no pickle, no
-pipe write per record) -- the only per-record cost on the merge path is
-two circular memcpys and a couple of struct packs.
+packed result records into it; the driver drains all rings on every
+driver pass, and returns as soon as nothing is outstanding.  Records
+never touch a ``multiprocessing.Queue`` (no pickle, no pipe write per
+record) -- the only per-record cost on the merge path is two circular
+memcpys and a couple of struct packs.
 
 Layout of the shared block::
 

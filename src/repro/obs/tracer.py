@@ -35,9 +35,12 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from repro.sim.time import Timestamp, format_timestamp
 
 #: Attribute keys whose values are process-global identifiers; render-time
-#: normalisation replaces them with stable first-seen aliases.
+#: normalisation replaces them with stable first-seen aliases.  Windows
+#: and other drawables take their ids from one XID counter, so they share
+#: one alias space.
 NORMALIZED_ATTRS: Dict[str, str] = {
     "window": "w",
+    "drawable": "w",
     "client": "c",
     "area": "a",
     "segment": "s",

@@ -12,7 +12,6 @@ Regenerate (only when a span change is intended) with::
     PYTHONPATH=src python -m tests.integration.test_golden_traces --write
 """
 
-import itertools
 import pathlib
 import sys
 
@@ -37,21 +36,7 @@ NAMES = ["quickstart.tree", "quickstart.report"] + [f"{f}.tree" for f in _FIGURE
 
 
 def render(name: str) -> str:
-    """The current render of golden file *name*.
-
-    ``screen.gate`` spans carry a raw drawable id, drawn from a
-    process-global counter, so each render starts that counter where a
-    fresh process does; the counter is restored afterwards.
-    """
-    saved = window._drawable_ids
-    window._drawable_ids = itertools.count(0x40_0000)
-    try:
-        return _render(name)
-    finally:
-        window._drawable_ids = saved
-
-
-def _render(name: str) -> str:
+    """The current render of golden file *name*."""
     stem, kind = name.split(".")
     if stem == "quickstart":
         with run_traced_quickstart() as machine:
@@ -66,6 +51,19 @@ def _render(name: str) -> str:
 @pytest.mark.parametrize("name", NAMES)
 def test_render_matches_golden(name):
     assert render(name) == (GOLDEN_DIR / name).read_text()
+
+
+def test_drawable_ids_render_as_aliases():
+    """``screen.gate`` names its drawable by a first-seen alias.
+
+    Drawable ids come from a process-global counter, so a process that
+    has already allocated drawables must still render figure 3 exactly as
+    a fresh one does.
+    """
+    fresh = render("figure3.tree")
+    for _ in range(3):
+        window.Drawable(owner_client_id=0)
+    assert render("figure3.tree") == fresh == (GOLDEN_DIR / "figure3.tree").read_text()
 
 
 if __name__ == "__main__":

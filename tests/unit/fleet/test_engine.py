@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from repro.fleet import engine
 from repro.fleet.engine import run_fleet
 from repro.fleet.errors import FleetError, UnknownStudyError
 from repro.fleet.spool import Spool
@@ -207,6 +208,32 @@ class TestPoolExecution:
         assert sorted(report.executed) == [0, 2, 3]
         # Healthy shards aggregated despite the hang.
         assert report.aggregate["values"] == [25, 49, 64]
+
+
+class TestDriverExit:
+    def test_driver_returns_without_sitting_out_a_poll(
+        self, synthetic_studies, monkeypatch
+    ):
+        """The pool driver returns the moment nothing is outstanding.
+
+        A tiny run's last "lease_done" often arrives in the driver's
+        non-blocking drain; a driver that then blocks on the result queue
+        again sits out a whole poll.  With the poll stretched to 30 s, one
+        such stall in any of these runs blows the per-run budget.
+        """
+        monkeypatch.setattr(engine, "_POLL_SECONDS", 30.0)
+        for run in range(12):
+            population = 1 + run % 2  # one shard, then two
+            started = time.monotonic()
+            report = run_fleet(
+                "t-square", population=population, seed=run, workers=2,
+                params=_params("t-square"),
+            )
+            elapsed = time.monotonic() - started
+            assert report.executed == list(range(population))
+            assert elapsed < 5.0, (
+                f"run {run} ({population} shards) took {elapsed:.1f} s"
+            )
 
 
 class TestResume:
