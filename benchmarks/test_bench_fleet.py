@@ -95,72 +95,3 @@ def test_fleet_parallel_speedup_64_machines(benchmark):
             f"{os.cpu_count()}; measured {speedup:.2f}x (recorded in extra_info)"
         )
 
-
-#: The straggler-heavy acceptance scenario: 32 shards, the first 8 each
-#: sleep STRAGGLER_MS -- all of worker 0's opening lease.  Sleeps overlap
-#: across processes, so the measured speedup is valid on any core count.
-STEAL_SHARDS = 32
-STEAL_WORKERS = 4
-STEAL_LEASE = 8
-STRAGGLER_FIRST = 8
-STRAGGLER_MS = 400.0
-STEAL_SPEEDUP_TARGET = 3.0
-
-_STRAGGLER_PARAMS = {
-    "shard_size": 4,
-    "work": 2,
-    "straggler_first": STRAGGLER_FIRST,
-    "straggler_ms": STRAGGLER_MS,
-}
-
-
-@pytest.mark.benchmark(group="fleet-steal-speedup")
-def test_fleet_steal_speedup_on_clustered_stragglers(benchmark):
-    """Work stealing vs static leases on clustered stragglers.
-
-    With stealing off, worker 0 serialises all eight 400 ms sleeps
-    (a hard 3.2 s floor); with stealing on, idle workers carve up the
-    sleeping worker's tail.  The workload is sleep-dominated, so the
-    >= 3x assertion holds even on a single-core host -- sleeps overlap
-    regardless of parallelism.  Both runs must agree byte-for-byte.
-    """
-    population = STEAL_SHARDS * _STRAGGLER_PARAMS["shard_size"]
-
-    static_start = time.perf_counter()
-    static = run_fleet(
-        "synthetic", population=population, seed=77,
-        workers=STEAL_WORKERS, lease_size=STEAL_LEASE, steal=False,
-        params=_STRAGGLER_PARAMS,
-    )
-    static_seconds = time.perf_counter() - static_start
-
-    stolen_start = time.perf_counter()
-    stolen = run_fleet(
-        "synthetic", population=population, seed=77,
-        workers=STEAL_WORKERS, lease_size=STEAL_LEASE, steal=True,
-        params=_STRAGGLER_PARAMS,
-    )
-    stolen_seconds = time.perf_counter() - stolen_start
-
-    # Stealing must never change the answer, only the wall clock.
-    assert static.aggregate_json() == stolen.aggregate_json()
-    assert len(stolen.executed) == STEAL_SHARDS
-    assert stolen.steals > 0, "clustered stragglers must force steals"
-
-    speedup = static_seconds / stolen_seconds
-    benchmark.extra_info["static_seconds"] = round(static_seconds, 3)
-    benchmark.extra_info["stolen_seconds"] = round(stolen_seconds, 3)
-    benchmark.extra_info["steals"] = stolen.steals
-    benchmark.extra_info["shards_stolen"] = stolen.shards_stolen
-    benchmark.extra_info["speedup"] = round(speedup, 3)
-
-    def run():
-        # Timed body is a no-op re-report; each configuration ran once.
-        return speedup
-
-    benchmark.pedantic(run, rounds=1, warmup_rounds=0)
-
-    assert speedup >= STEAL_SPEEDUP_TARGET, (
-        f"expected >= {STEAL_SPEEDUP_TARGET}x from work stealing on the "
-        f"clustered-straggler workload, measured {speedup:.2f}x"
-    )

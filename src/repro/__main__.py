@@ -39,6 +39,17 @@ import argparse
 from typing import Any, List, Optional
 
 
+class _FleetHelpFormatter(argparse.HelpFormatter):
+    """Lists the registered studies, importing the fleet only for ``--help``."""
+
+    def _get_help_string(self, action: argparse.Action) -> Optional[str]:
+        if action.dest != "study":
+            return action.help
+        from repro.fleet import study_names
+
+        return f"{action.help} ({', '.join(study_names())})"
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -64,8 +75,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     longterm.add_argument("--seed", type=int, default=2016)
     longterm.add_argument("--json", action="store_true", help="machine-readable output")
 
-    fleet = sub.add_parser("fleet", help="sharded population run of a study")
-    fleet.add_argument("study", help="study to shard (longterm, usability)")
+    fleet = sub.add_parser(
+        "fleet", help="sharded population run of a study",
+        formatter_class=_FleetHelpFormatter,
+    )
+    fleet.add_argument("study", help="study to shard")
     fleet.add_argument("--machines", type=int, default=16, help="longterm population")
     fleet.add_argument("--users", type=int, default=None, help="usability population")
     fleet.add_argument("--days", type=int, default=21, help="days per longterm machine")
@@ -79,14 +93,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     fleet.add_argument("--timeout", type=float, default=300.0, help="per-shard seconds")
     fleet.add_argument("--retries", type=int, default=2, help="retries per failing shard")
     fleet.add_argument(
-        "--lease", type=int, default=None,
-        help="micro-shards per worker lease (default: auto-sized from the queue)",
-    )
-    fleet.add_argument(
-        "--no-steal", action="store_true",
-        help="disable work stealing (static leases)",
-    )
-    fleet.add_argument(
         "--shard-size", type=int, default=None,
         help="users per shard for user-sharded studies (usability, synthetic)",
     )
@@ -97,7 +103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     fleet.add_argument(
         "--straggler-first", type=int, default=None,
         help="synthetic study: the first N shards each sleep --straggler-ms "
-        "(clusters stragglers into one worker's opening lease)",
+        "(clusters the stragglers at the head of the queue)",
     )
     fleet.add_argument(
         "--straggler-ms", type=float, default=None,
@@ -375,8 +381,6 @@ def run_fleet_command(args: argparse.Namespace) -> int:
             spool_dir=args.resume,
             timeout_seconds=args.timeout,
             max_retries=args.retries,
-            lease_size=args.lease,
-            steal=not args.no_steal,
         )
     except FleetError as error:
         print(f"fleet error: {error}", file=sys.stderr)

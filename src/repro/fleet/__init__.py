@@ -9,10 +9,9 @@ independently seeded simulated machines and users::
 Pieces:
 
 - :mod:`repro.fleet.studies`   -- shardable study definitions + registry;
-- :mod:`repro.fleet.engine`    -- the work-queue driver (worker pool,
-  two-level leases with work stealing, per-shard timeout, bounded
-  retries, poison-shard quarantine);
-- :mod:`repro.fleet.scheduler` -- the pure lease/steal bookkeeping;
+- :mod:`repro.fleet.engine`    -- the work-queue driver (worker pool
+  fed one shard at a time, two deep per worker; per-shard timeout,
+  bounded retries, poison-shard quarantine);
 - :mod:`repro.fleet.reducers`  -- the ordered fold of shard records into
   a study's accumulator;
 - :mod:`repro.fleet.records`   -- deterministic packed result records;
@@ -30,7 +29,6 @@ from repro.fleet.errors import (
 )
 from repro.fleet.records import PackedCounters, pack_record, unpack_record
 from repro.fleet.reducers import OrderedFold
-from repro.fleet.scheduler import Lease, StealScheduler, default_lease_size
 from repro.fleet.shm_ring import DEFAULT_RING_BYTES, ShmRing
 from repro.fleet.spool import SPOOL_VERSION, Spool
 from repro.fleet.studies import (
@@ -46,7 +44,6 @@ __all__ = [
     "DEFAULT_RING_BYTES",
     "FleetError",
     "FleetReport",
-    "Lease",
     "OrderedFold",
     "PackedCounters",
     "QuarantinedShard",
@@ -57,10 +54,8 @@ __all__ = [
     "Spool",
     "SpoolMismatchError",
     "SpoolVersionError",
-    "StealScheduler",
     "StudyDefinition",
     "UnknownStudyError",
-    "default_lease_size",
     "get_study",
     "pack_record",
     "register_study",

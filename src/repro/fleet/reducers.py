@@ -15,7 +15,7 @@ factory for that accumulator, which has two methods:
 
 Determinism contract: ``fold`` is applied in *shard-id order*, never
 arrival order.  :class:`OrderedFold` enforces that -- workers finish out
-of order (retries, stragglers, steals), so it buffers early arrivals and
+of order (retries, stragglers, replaced workers), so it buffers early arrivals and
 advances a cursor through the expected shard ids, folding each record
 exactly when its turn comes.  Buffered entries are thunks: a record that
 lives in the spool is not read into memory until the cursor reaches it,

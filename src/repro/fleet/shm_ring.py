@@ -13,7 +13,7 @@ Layout of the shared block::
     [8:16)  tail  -- producer byte cursor, monotonically increasing
     [16:..) data  -- circular byte area of ``capacity`` bytes
 
-Frames are ``<IBI`` (shard index, flags, payload length) + payload bytes,
+Frames are ``<II`` (shard index, payload length) + payload bytes,
 written circularly (a frame may wrap).  ``head``/``tail`` are cursors
 modulo nothing -- ``tail - head`` is exactly the number of unread bytes,
 so full/empty are unambiguous without wasting a slot.
@@ -21,9 +21,9 @@ so full/empty are unambiguous without wasting a slot.
 Cursor updates are guarded by a shared lock (CPython offers no atomic
 shared-memory stores); the critical sections are a cursor read/write plus
 the memcpy, a few microseconds for the record sizes the fleet moves.
-Records too large for the ring are *spilled*: the producer pushes a
-header-only frame flagged ``FLAG_SPILLED`` and the consumer re-reads the
-record from the shard's spool checkpoint instead.
+A record that does not fit (:meth:`ShmRing.fits`, or a ring full right
+now) is simply not pushed: the consumer reads it back from the shard's
+spool checkpoint instead.
 """
 
 from __future__ import annotations
@@ -35,10 +35,7 @@ from typing import Optional, Tuple
 from repro.fleet.errors import FleetError
 
 _CURSORS = struct.Struct("<QQ")
-_FRAME_HEAD = struct.Struct("<IBI")
-
-#: Frame flags.
-FLAG_SPILLED = 0x01
+_FRAME_HEAD = struct.Struct("<II")
 
 #: Default ring capacity per worker; a longterm machine-pair record packs
 #: to a few KiB, so this buffers hundreds of shards of headroom.
@@ -98,7 +95,7 @@ class ShmRing:
 
     # -- producer ----------------------------------------------------------
 
-    def try_push(self, shard_index: int, payload: bytes, flags: int = 0) -> bool:
+    def try_push(self, shard_index: int, payload: bytes) -> bool:
         """Push one frame; False when the ring lacks space right now."""
         frame_len = _FRAME_HEAD.size + len(payload)
         if frame_len > self.capacity:
@@ -108,7 +105,7 @@ class ShmRing:
             if self.capacity - (tail - head) < frame_len:
                 return False
             self._write_bytes(
-                tail, _FRAME_HEAD.pack(shard_index, flags, len(payload))
+                tail, _FRAME_HEAD.pack(shard_index, len(payload))
             )
             if payload:
                 self._write_bytes(tail + _FRAME_HEAD.size, payload)
@@ -123,8 +120,8 @@ class ShmRing:
 
     def try_pop(
         self, timeout: Optional[float] = None
-    ) -> Optional[Tuple[int, int, bytes]]:
-        """Pop one frame as (shard_index, flags, payload), or None.
+    ) -> Optional[Tuple[int, bytes]]:
+        """Pop one frame as (shard_index, payload), or None.
 
         *timeout* bounds the lock acquisition: draining the ring of a
         worker that was killed (possibly mid-push, holding the lock) must
@@ -141,7 +138,7 @@ class ShmRing:
             head, tail = self._cursors()
             if tail == head:
                 return None
-            index, flags, length = _FRAME_HEAD.unpack(
+            index, length = _FRAME_HEAD.unpack(
                 self._read_bytes(head, _FRAME_HEAD.size)
             )
             payload = (
@@ -152,7 +149,7 @@ class ShmRing:
             )
         finally:
             self.lock.release()
-        return index, flags, payload
+        return index, payload
 
     def drain(self, timeout: Optional[float] = None):
         """Yield every frame currently buffered."""

@@ -53,7 +53,7 @@ _HEADER = struct.Struct("<4sHI")
 #: format-1 checkpoint and name it, instead of calling it corruption.
 _PICKLE_PROTO = 0x80
 
-_SHARD_FILE = re.compile(r"^shard-(\d{5})\.rec$")
+_SHARD_FILE = re.compile(r"^shard-(\d{5,})\.rec$")
 
 
 class Spool:

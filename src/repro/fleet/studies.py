@@ -222,11 +222,11 @@ def _synthetic_build(population: int, seed: int, params: Dict[str, Any]) -> List
     - ``work``: per-user RNG draws (CPU weight of a shard);
     - ``straggler_every``/``straggler_ms``: every Nth shard sleeps that
       many milliseconds -- a deterministic straggler injector for the
-      steal benchmarks and the forced-steal determinism tests;
+      dispatch tests and the determinism tests;
     - ``straggler_first``: the first N shards each sleep ``straggler_ms``
-      instead, *clustering* the stragglers into one worker's opening
-      lease (modulo spacing is load-balanced by construction, which is
-      exactly the workload where stealing cannot help).
+      instead, *clustering* the stragglers at the head of the queue, the
+      shards every worker takes first (modulo spacing spreads them out
+      by construction).
     """
     size = int(params.get("shard_size", SYNTHETIC_SHARD_SIZE))
     if size < 1:
@@ -258,7 +258,7 @@ def _synthetic_build(population: int, seed: int, params: Dict[str, Any]) -> List
 
 def _synthetic_run(spec: ShardSpec) -> Dict[str, Any]:
     """Deterministic per-user work; results derive from (seed, user id)
-    only, so aggregates are invariant to shard size, workers, and steals."""
+    only, so aggregates are invariant to shard size, workers, and dispatch order."""
     import time
 
     root = RandomSource(spec.seed, name="synthetic")

@@ -4,10 +4,13 @@ The synthetic studies registered here are module-level functions so that
 forked worker processes (which share the parent's registry) can run them.
 """
 
+import importlib
 import os
 import time
 
 import pytest
+
+import repro.fleet
 
 from repro.fleet import engine
 from repro.fleet.engine import run_fleet
@@ -61,6 +64,47 @@ def _run_hang(spec):
     return _run_square(spec)
 
 
+def _run_pid(spec):
+    """The first shards sleep; every shard reports the worker that ran it."""
+    if spec.index < spec.param("straggler_first"):
+        time.sleep(spec.param("straggler_s"))
+    return {"index": spec.index, "value": os.getpid()}
+
+
+def _run_slow_tail(spec):
+    """Shards from ``slow_from`` on sleep; shard ``fail_index`` fails once."""
+    if spec.index >= spec.param("slow_from"):
+        time.sleep(spec.param("slow_s"))
+    marker = os.path.join(spec.param("scratch"), "failed")
+    if spec.index == spec.param("fail_index") and not os.path.exists(marker):
+        with open(marker, "w") as handle:
+            handle.write("failed")
+        raise RuntimeError(f"transient failure on shard {spec.index}")
+    return _run_square(spec)
+
+
+def _run_die_once(spec):
+    """Counts every attempt; the first attempt of one shard kills its worker.
+
+    Every other shard sleeps ``slow_s`` (default 0)."""
+    with open(os.path.join(spec.param("scratch"), f"runs-{spec.index}"), "a") as runs:
+        runs.write("run\n")
+    marker = os.path.join(spec.param("scratch"), "died")
+    if spec.index == spec.param("die_index") and not os.path.exists(marker):
+        with open(marker, "w") as handle:
+            handle.write("died")
+        os._exit(1)
+    time.sleep(spec.param("slow_s", 0.0))
+    return _run_square(spec)
+
+
+def _run_bulky(spec):
+    """A square record padded with ``pad`` extra counters."""
+    record = _run_square(spec)
+    record.update({f"pad-{k:05d}": k for k in range(spec.param("pad"))})
+    return record
+
+
 class _SquareState:
     """Accumulator for the square studies: shard values in fold order."""
 
@@ -98,6 +142,10 @@ def synthetic_studies():
         "t-flaky": _run_flaky,
         "t-poison": _run_poison,
         "t-hang": _run_hang,
+        "t-pid": _run_pid,
+        "t-die-once": _run_die_once,
+        "t-slow-tail": _run_slow_tail,
+        "t-bulky": _run_bulky,
     }
     for name, runner in names.items():
         register_study(_definition(name, runner), replace=True)
@@ -108,6 +156,34 @@ def synthetic_studies():
 
 def _params(name, **extra):
     return dict({"study_name": name}, **extra)
+
+
+@pytest.fixture()
+def dispatches(monkeypatch):
+    """Every pool dispatch as (worker id, shard index, shards it then holds)."""
+    log = []
+    dispatch = engine._WorkerHandle.dispatch
+
+    def recording(handle, spec):
+        dispatch(handle, spec)
+        log.append((handle.worker_id, spec.index, len(handle.inflight)))
+
+    monkeypatch.setattr(engine._WorkerHandle, "dispatch", recording)
+    return log
+
+
+@pytest.fixture()
+def spawned(monkeypatch):
+    """Ids of the worker processes the pool starts, replacements included."""
+    ids = []
+
+    class Counting(engine._WorkerHandle):
+        def __init__(self, worker_id, *args):
+            ids.append(worker_id)
+            super().__init__(worker_id, *args)
+
+    monkeypatch.setattr(engine, "_WorkerHandle", Counting)
+    return ids
 
 
 # -- tests -----------------------------------------------------------------
@@ -209,6 +285,262 @@ class TestPoolExecution:
         # Healthy shards aggregated despite the hang.
         assert report.aggregate["values"] == [25, 49, 64]
 
+    def test_retry_on_long_idle_worker_gets_a_fresh_deadline(
+        self, synthetic_studies, tmp_path
+    ):
+        """Worker 0 finishes shards 0 and 1 at once and idles; worker 1
+        spends 0.6 s on each of shards 2 and 3, and shard 3 fails.  The
+        retry goes to worker 0, idle for longer than the 1 s deadline by
+        then; its deadline starts at that dispatch, not at its last
+        message."""
+        report = run_fleet(
+            "t-slow-tail",
+            population=4,
+            workers=2,
+            params=_params(
+                "t-slow-tail", scratch=str(tmp_path), slow_from=2, slow_s=0.6,
+                fail_index=3,
+            ),
+            timeout_seconds=1.0,
+            max_retries=1,
+        )
+        assert report.quarantined == []
+        assert report.retries == 1
+        assert report.executed == [0, 1, 2, 3]
+
+    def test_dead_worker_charges_only_the_shard_it_was_running(
+        self, synthetic_studies, tmp_path
+    ):
+        """Shard 0 kills its worker on its first attempt.  Worker 0 also
+        holds shard 1, queued behind shard 0 and never started: it goes
+        back to the queue unblamed and runs exactly once."""
+        report = run_fleet(
+            "t-die-once",
+            population=6,
+            seed=3,
+            workers=2,
+            params=_params("t-die-once", scratch=str(tmp_path), die_index=0),
+            max_retries=1,
+        )
+        assert report.retries == 1
+        assert report.quarantined == []
+        assert report.executed == list(range(6))
+        runs = [
+            len((tmp_path / f"runs-{index}").read_text().splitlines())
+            for index in range(6)
+        ]
+        assert runs == [2, 1, 1, 1, 1, 1]
+        inline = run_fleet("t-square", population=6, seed=3, params=_params("t-square"))
+        assert report.aggregate == inline.aggregate
+
+    def test_dead_worker_blame_quarantines_the_running_shard(
+        self, synthetic_studies, tmp_path
+    ):
+        """With no retries left the death quarantines shard 0, never
+        shard 1 queued behind it."""
+        report = run_fleet(
+            "t-die-once",
+            population=6,
+            seed=3,
+            workers=2,
+            params=_params("t-die-once", scratch=str(tmp_path), die_index=0),
+            max_retries=0,
+        )
+        assert [shard.index for shard in report.quarantined] == [0]
+        assert report.quarantined[0].reason == "worker died (exit code 1)"
+        assert report.executed == [1, 2, 3, 4, 5]
+        assert (tmp_path / "runs-1").read_text() == "run\n"
+
+    def test_clustered_stragglers_spread_over_every_worker(self, synthetic_studies):
+        """The first eight shards each sleep; at two shards per worker they
+        land on four different workers and their sleeps overlap."""
+        stragglers, sleep_s = 8, 0.25
+        started = time.perf_counter()
+        report = run_fleet(
+            "t-pid",
+            population=32,
+            workers=4,
+            params=_params("t-pid", straggler_first=stragglers, straggler_s=sleep_s),
+        )
+        elapsed = time.perf_counter() - started
+        assert report.quarantined == []
+        assert len(set(report.aggregate["values"][:stragglers])) == 4
+        assert elapsed < stragglers * sleep_s / 2, f"took {elapsed:.2f} s"
+
+
+class TestDispatchOrder:
+    def test_every_worker_starts_two_shards_deep(
+        self, synthetic_studies, dispatches
+    ):
+        run_fleet("t-square", population=8, workers=2, params=_params("t-square"))
+        assert dispatches[:4] == [(0, 0, 1), (0, 1, 2), (1, 2, 1), (1, 3, 2)]
+
+    def test_no_worker_ever_holds_more_than_depth(self, synthetic_studies, dispatches):
+        run_fleet("t-square", population=40, workers=3, params=_params("t-square"))
+        assert engine._DEPTH == 2
+        assert max(depth for _, _, depth in dispatches) == engine._DEPTH
+
+    def test_fresh_shards_dispatch_in_index_order(self, synthetic_studies, dispatches):
+        report = run_fleet(
+            "t-square", population=40, workers=3, params=_params("t-square")
+        )
+        assert [index for _, index, _ in dispatches] == list(range(40))
+        assert report.leases == 40
+
+    def test_failed_shard_is_retried_behind_pending_work(
+        self, synthetic_studies, dispatches, tmp_path
+    ):
+        report = run_fleet(
+            "t-slow-tail",
+            population=6,
+            workers=2,
+            params=_params(
+                "t-slow-tail", scratch=str(tmp_path), slow_from=6, slow_s=0.0,
+                fail_index=0,
+            ),
+        )
+        assert report.retries == 1
+        assert [index for _, index, _ in dispatches] == [0, 1, 2, 3, 4, 5, 0]
+
+    def test_dead_worker_queued_shard_goes_back_to_the_front(
+        self, synthetic_studies, dispatches, tmp_path, monkeypatch
+    ):
+        """Shard 1 was queued behind the fatal shard 0: it is the next
+        shard dispatched after the kill, ahead of shards 4 and 5 (worker 1
+        is still busy with shards 2 and 3), and shard 0's retry joins the
+        back of the queue."""
+        kill = engine._WorkerHandle.kill
+
+        def logged_kill(handle):
+            dispatches.append(("kill", handle.worker_id, None))
+            kill(handle)
+
+        monkeypatch.setattr(engine._WorkerHandle, "kill", logged_kill)
+        report = run_fleet(
+            "t-die-once",
+            population=6,
+            workers=2,
+            params=_params(
+                "t-die-once", scratch=str(tmp_path), die_index=0, slow_s=0.3
+            ),
+            max_retries=1,
+        )
+        killed = dispatches.index(("kill", 0, None))
+        assert [index for _, index, _ in dispatches[killed + 1:]] == [1, 4, 5, 0]
+        # Shard 1's second dispatch counts as a dispatch, not as a retry.
+        assert report.leases == 8
+        assert report.retries == 1
+        # Shard 1's second dispatch counts as a dispatch, not as a retry.
+        assert report.leases == 8
+        assert report.retries == 1
+
+    def test_dead_worker_is_replaced(self, synthetic_studies, spawned, tmp_path):
+        report = run_fleet(
+            "t-die-once",
+            population=6,
+            workers=2,
+            params=_params("t-die-once", scratch=str(tmp_path), die_index=0),
+            max_retries=1,
+        )
+        assert report.executed == list(range(6))
+        assert spawned == [0, 1, 2]
+
+    def test_pool_spawns_no_more_workers_than_shards(self, synthetic_studies, spawned):
+        report = run_fleet("t-square", population=3, workers=8, params=_params("t-square"))
+        assert report.executed == [0, 1, 2]
+        assert spawned == [0, 1, 2]
+
+    def test_timeout_requeues_the_shard_queued_behind_unblamed(
+        self, synthetic_studies, dispatches
+    ):
+        """Shard 0 hangs on worker 0 with shard 1 queued behind it; the
+        deadline kill quarantines shard 0 and runs shard 1 elsewhere."""
+        report = run_fleet(
+            "t-hang",
+            population=4,
+            seed=5,
+            workers=2,
+            params=_params("t-hang", hang_index=0),
+            timeout_seconds=0.5,
+            max_retries=0,
+        )
+        assert [shard.index for shard in report.quarantined] == [0]
+        assert report.executed == [1, 2, 3]
+        assert report.retries == 0
+        assert [worker for worker, index, _ in dispatches if index == 1][0] == 0
+        assert [index for _, index, _ in dispatches].count(1) == 2
+
+    def test_queued_shard_deadline_starts_when_the_one_ahead_reports(
+        self, synthetic_studies, dispatches, tmp_path
+    ):
+        """Worker 0 runs two 0.6 s shards back to back under a 1 s budget:
+        the second one's clock starts at the first one's report, not at
+        its dispatch, so neither overruns."""
+        report = run_fleet(
+            "t-slow-tail",
+            population=2,
+            workers=2,
+            params=_params(
+                "t-slow-tail", scratch=str(tmp_path), slow_from=0, slow_s=0.6,
+                fail_index=-1,
+            ),
+            timeout_seconds=1.0,
+            max_retries=0,
+        )
+        assert dispatches == [(0, 0, 1), (0, 1, 2)]
+        assert report.quarantined == []
+        assert report.executed == [0, 1]
+
+
+class TestRingFallback:
+    def test_records_too_big_for_the_ring_come_back_from_the_spool(
+        self, synthetic_studies, tmp_path
+    ):
+        params = _params("t-bulky", pad=600)
+        spool_dir = str(tmp_path / "spool")
+        pooled = run_fleet(
+            "t-bulky", population=6, seed=2, workers=2, params=params,
+            spool_dir=spool_dir, ring_bytes=4096,
+        )
+        assert len(Spool(spool_dir).read_shard_packed(0)) > 4096
+        inline = run_fleet("t-bulky", population=6, seed=2, params=params)
+        assert pooled.quarantined == []
+        assert pooled.aggregate == inline.aggregate
+
+    def test_records_a_full_ring_refuses_come_back_from_the_spool(
+        self, synthetic_studies, monkeypatch
+    ):
+        # Forked workers inherit the patch: every push finds the ring full.
+        monkeypatch.setattr(engine.ShmRing, "try_push", lambda *args: False)
+        pooled = run_fleet(
+            "t-square", population=12, seed=6, workers=3, params=_params("t-square")
+        )
+        inline = run_fleet("t-square", population=12, seed=6, params=_params("t-square"))
+        assert pooled.executed == list(range(12))
+        assert pooled.aggregate == inline.aggregate
+
+
+class TestRemovedDispatchOptions:
+    @pytest.mark.parametrize("option", [{"lease_size": 8}, {"steal": False}])
+    def test_run_fleet_takes_no_lease_or_steal_option(self, synthetic_studies, option):
+        with pytest.raises(TypeError):
+            run_fleet(
+                "t-square", population=2, workers=2, params=_params("t-square"),
+                **option,
+            )
+
+    def test_scheduler_api_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.fleet.scheduler")
+        for name in ("Lease", "StealScheduler", "default_lease_size"):
+            assert not hasattr(repro.fleet, name)
+            assert name not in repro.fleet.__all__
+
+    def test_report_has_no_lease_size_or_stolen_fields(self):
+        fields = set(engine.FleetReport.__dataclass_fields__)
+        assert {"leases", "steals"} <= fields
+        assert not {"lease_size", "shards_stolen"} & fields
+
 
 class TestDriverExit:
     def test_driver_returns_without_sitting_out_a_poll(
@@ -216,7 +548,7 @@ class TestDriverExit:
     ):
         """The pool driver returns the moment nothing is outstanding.
 
-        A tiny run's last "lease_done" often arrives in the driver's
+        A tiny run's last "done" often arrives in the driver's
         non-blocking drain; a driver that then blocks on the result queue
         again sits out a whole poll.  With the poll stretched to 30 s, one
         such stall in any of these runs blows the per-run budget.
@@ -309,18 +641,24 @@ class TestFoldReduce:
         assert second.aggregate == first.aggregate
 
 
-class TestLeaseAndStealReporting:
-    def test_report_carries_lease_and_steal_fields(self, synthetic_studies):
+class TestDispatchReporting:
+    def test_report_counts_one_dispatch_per_shard_run(self, synthetic_studies):
         report = run_fleet(
-            "t-square", population=12, seed=1, workers=2, lease_size=3,
+            "t-square", population=12, seed=1, workers=2,
             params=_params("t-square"),
         )
-        assert report.lease_size == 3
-        assert report.leases >= 4  # 12 shards / lease 3
-        assert report.steals >= 0
+        assert report.leases == len(report.executed) == 12
+        assert report.steals == 0
         rendered = report.render()
-        assert "lease / steals" in rendered
+        assert "dispatches             : 12" in rendered
         assert "merge                  : peak " in rendered
+
+    def test_retries_are_dispatched_again(self, synthetic_studies, tmp_path):
+        report = run_fleet(
+            "t-flaky", population=4, workers=2,
+            params=_params("t-flaky", scratch=str(tmp_path)),
+        )
+        assert report.leases == len(report.executed) + report.retries == 8
 
     def test_render_reports_buffer_high_water(self, synthetic_studies):
         report = run_fleet(
@@ -332,11 +670,3 @@ class TestLeaseAndStealReporting:
             "records buffered" in rendered
         )
         assert report.peak_buffered_records >= 1
-
-    def test_steal_disabled_still_completes(self, synthetic_studies):
-        report = run_fleet(
-            "t-square", population=10, seed=2, workers=3, lease_size=4,
-            steal=False, params=_params("t-square"),
-        )
-        assert report.steals == 0
-        assert len(report.executed) == 10

@@ -19,14 +19,14 @@ def ring():
 class TestPushPop:
     def test_fifo_round_trip(self, ring):
         assert ring.try_push(3, b"alpha")
-        assert ring.try_push(4, b"beta", flags=1)
-        assert ring.try_pop() == (3, 0, b"alpha")
-        assert ring.try_pop() == (4, 1, b"beta")
+        assert ring.try_push(4, b"beta")
+        assert ring.try_pop() == (3, b"alpha")
+        assert ring.try_pop() == (4, b"beta")
         assert ring.try_pop() is None
 
     def test_empty_payload_frame(self, ring):
         assert ring.try_push(9, b"")
-        assert ring.try_pop() == (9, 0, b"")
+        assert ring.try_pop() == (9, b"")
 
     def test_drain_yields_everything_buffered(self, ring):
         for index in range(5):
@@ -38,7 +38,7 @@ class TestPushPop:
         payload = bytes(range(256)) * 3  # 768 bytes -> ~5 frames per lap
         for index in range(50):
             assert ring.try_push(index, payload)
-            popped_index, _flags, popped = ring.try_pop()
+            popped_index, popped = ring.try_pop()
             assert popped_index == index
             assert popped == payload
 
@@ -51,6 +51,18 @@ class TestPushPop:
         assert not ring.try_push(99, payload)
         assert ring.try_pop() is not None
         assert ring.try_push(99, payload)
+
+    def test_frame_is_index_and_length_then_payload(self, ring):
+        # An 8-byte <II head: a payload of capacity - 8 fills the ring exactly.
+        assert _FRAME_HEAD.format == "<II" and _FRAME_HEAD.size == 8
+        assert ring.try_push(1, b"y" * (4096 - 8))
+        assert not ring.try_push(2, b"")
+        assert ring.try_pop() == (1, b"y" * (4096 - 8))
+        assert ring.try_push(2, b"")
+
+    def test_largest_shard_index_round_trips(self, ring):
+        assert ring.try_push(2**32 - 1, b"last")
+        assert ring.try_pop() == (2**32 - 1, b"last")
 
     def test_oversized_payload_never_fits(self, ring):
         huge = b"x" * 5000
@@ -78,7 +90,7 @@ class TestLifecycle:
                 assert list(ring.drain(timeout=0.05)) == []
             finally:
                 lock.release()
-            assert ring.try_pop(timeout=0.05) == (1, 0, b"stuck")
+            assert ring.try_pop(timeout=0.05) == (1, b"stuck")
         finally:
             ring.close()
             ring.unlink()
@@ -90,7 +102,7 @@ class TestLifecycle:
             peer = ShmRing(4096, lock, name=owner.name, create=False)
             assert peer.try_push(7, b"via-peer")
             peer.close()
-            assert owner.try_pop() == (7, 0, b"via-peer")
+            assert owner.try_pop() == (7, b"via-peer")
         finally:
             owner.close()
             owner.unlink()

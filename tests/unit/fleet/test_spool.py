@@ -112,6 +112,35 @@ class TestShardCheckpoints:
         spool.shard_path(7).unlink()
         assert spool.completed_indexes() == set()
 
+    def test_six_digit_indexes_are_completed(self, tmp_path):
+        # A run of 100,000 shards or more names checkpoints past five digits.
+        spool = Spool(tmp_path)
+        spool.root.mkdir(exist_ok=True)
+        for index in (99_999, 100_000, 1_234_567):
+            spool.write_shard(_spec(index).to_dict(), {})
+        assert spool.shard_path(100_000).name == "shard-100000.rec"
+        assert spool.completed_indexes() == {99_999, 100_000, 1_234_567}
+
+    def test_discard_removes_a_six_digit_checkpoint(self, tmp_path):
+        spool = Spool(tmp_path)
+        spool.root.mkdir(exist_ok=True)
+        for index in (99_999, 100_000):
+            spool.write_shard(_spec(index).to_dict(), {})
+        assert spool.completed_indexes() == {99_999, 100_000}
+        spool.discard_shard(100_000)
+        assert not spool.shard_path(100_000).exists()
+        assert spool.completed_indexes() == {99_999}
+
+    def test_names_outside_the_checkpoint_pattern_ignored(self, tmp_path):
+        spool = Spool(tmp_path)
+        spool.root.mkdir(exist_ok=True)
+        names = ("shard-1234.rec", "shard-abcde.rec", "shard-00005.recx", "notes.txt")
+        for name in names:
+            (tmp_path / name).write_bytes(b"not a checkpoint")
+        assert spool.completed_indexes() == set()
+        # Unmatched names are not taken for corrupt checkpoints and deleted.
+        assert all((tmp_path / name).exists() for name in names)
+
     def test_tmp_files_ignored(self, tmp_path):
         spool = Spool(tmp_path)
         spool.root.mkdir(exist_ok=True)

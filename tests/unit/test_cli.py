@@ -139,6 +139,42 @@ class TestFleetCommand:
         assert main(["fleet", "nope"]) == 2
         assert "unknown study" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--lease", "8"], ["--no-steal"]])
+    def test_fleet_removed_dispatch_flags_rejected(self, capsys, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", "synthetic", "--users", "8", *flags])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_fleet_help_lists_registered_studies(self, capsys):
+        from repro.fleet import study_names
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fleet", "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"study to shard ({', '.join(study_names())})" in text
+        assert "lease" not in text
+
+    def test_fleet_human_output_reports_dispatches(self, capsys):
+        assert main([
+            "fleet", "synthetic", "--users", "16", "--shard-size", "4",
+            "--workers", "2",
+        ]) == 0
+        output = capsys.readouterr().out
+        assert "dispatches             : 4" in output
+        assert "steal" not in output
+
+    def test_fleet_clustered_stragglers_json_identical_w4_and_w1(self, capsys):
+        argv = [
+            "fleet", "synthetic", "--users", "64", "--shard-size", "4",
+            "--straggler-first", "8", "--straggler-ms", "20", "--json",
+        ]
+        assert main(argv + ["--workers", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--workers", "4"]) == 0
+        assert capsys.readouterr().out == serial
+
 
 class TestRedteamCommand:
     def test_campaign_table(self, capsys):
