@@ -4,8 +4,8 @@ Table I reports end-to-end overhead; this harness breaks the Overhaul
 addition into its components so the EXPERIMENTS.md discussion ("the added
 cost per operation is a small constant") is backed by direct measurement:
 
-- the temporal decision itself, through the fast core production runs
-  (``PermissionMonitor.authorize``);
+- the temporal decision itself, ptrace verdict included
+  (``PermissionMonitor.authorize``; nothing is memoized);
 - a netlink query round trip (display manager -> kernel -> response);
 - a batched audit-log append (``AuditLog.record_deferred``, the mediation
   paths' append);
@@ -68,7 +68,7 @@ def _measure(machine: Machine, ops: int) -> List[ComponentCost]:
 
     results.append(
         ComponentCost(
-            "decision (authorize -> _decide_core)",
+            "decision (authorize: ptrace + rule)",
             _time_per_op(lambda: monitor.authorize(task, now, "bench"), ops),
         )
     )

@@ -68,9 +68,9 @@ class OverhaulConfig:
 
     # -- hot-path switch ------------------------------------------------------
     #: The production fast paths, all on or all off: zero-copy netlink
-    #: delivery, the decision core's epoch memo, batched audit appends and
-    #: the damage-tracked display pipeline (composition cache, zero-copy
-    #: snapshots, banner cache; numpy blits when numpy is installed).  Off
+    #: delivery, batched audit appends and the damage-tracked display
+    #: pipeline (composition cache, zero-copy snapshots; numpy blits when
+    #: numpy is installed).  Off
     #: is the reference path: the differential property tests drive both
     #: and compare decision logs, audit records, counters and frames byte
     #: for byte.  Only this field selects the reference path: tracing,

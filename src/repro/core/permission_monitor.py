@@ -22,19 +22,18 @@ Table I methodology.
 Hot-path structure
 ------------------
 
-Every mediated operation runs the decision rule, :meth:`_rule` (the
-temporal check, then the gray-box and prompt extensions when configured),
-which two entry points share:
+Every mediated operation runs one decision, :meth:`_decide_core`: the
+ptrace verdict, read on every call as the paper's §IV-B patch does, then
+the rule :meth:`_rule` (the temporal check, then the gray-box and prompt
+extensions when configured).  Nothing is memoized.
 
-- :meth:`decide` is the reference path: a
-  :class:`~repro.core.notifications.PermissionResponse` per call and eager
-  audit appends.  Only ``OverhaulConfig.fast_paths=False`` selects it.
-- :meth:`_decide_core` is the fast core: a per-pid memo of the ptrace
-  verdict keyed by the ``(interaction_ts, ptrace.version)`` epoch -- a new
-  interaction, a fork (fresh pid; pids are never reused), or any
-  trace-state change invalidates in O(1).  The fast netlink handlers
-  (:meth:`_fast_handle_interaction`, :meth:`_fast_handle_query`) sit on
-  top and skip datagram construction entirely.
+- :meth:`authorize` (device opens) calls it on either configuration.
+- The netlink display queries reach it through :meth:`_handle_query`,
+  which wraps it in a
+  :class:`~repro.core.notifications.PermissionResponse` and appends the
+  audit record eagerly (``OverhaulConfig.fast_paths=False``), or through
+  the fast handlers (:meth:`_fast_handle_interaction`,
+  :meth:`_fast_handle_query`), which skip datagram construction entirely.
 
 Tracing, prompt mode and gray-box run on whichever path the configuration
 selects: both paths emit the same ``monitor.record`` and
@@ -107,10 +106,6 @@ def _category_for(operation: str) -> AuditCategory:
     return category
 
 
-#: Decision-cache size backstop; entries die naturally with their epoch,
-#: but a workload churning through pids could otherwise grow it unbounded.
-_DECISION_CACHE_LIMIT = 4096
-
 
 class PermissionMonitor:
     """The in-kernel decision engine."""
@@ -135,11 +130,7 @@ class PermissionMonitor:
         self.alerts_coalesced = 0
         #: (pid, operation, blocked) -> expiry of the alert on screen.
         self._alert_coalesce: dict = {}
-        #: pid -> (interaction_ts, ptrace_version, permissions_disabled).
-        #: The epoch memo of the fast core; see the module docstring.
-        self._decision_cache: Dict[int, Tuple[Timestamp, int, bool]] = {}
-        #: Epoch-memo effectiveness counters (diagnostics; not compared by
-        #: the equivalence tests since the reference path never caches).
+        #: Both always 0; kept only because perfbench still reads them.
         self.cache_hits = 0
         self.cache_misses = 0
         #: Prompt-mode arbiter (Section IV-A's verified extension).
@@ -154,9 +145,8 @@ class PermissionMonitor:
             from repro.core.graybox import GrayBoxRegistry
 
             self.graybox = GrayBoxRegistry()
-        #: Whether the fast paths run: the fast netlink handlers and the
-        #: memoizing :meth:`_decide_core`, which only they and
-        #: :meth:`authorize` call.
+        #: Whether the fast netlink handlers run; they call
+        #: :meth:`_decide_core`.
         self._fast = config.fast_paths
 
     # -- netlink wiring --------------------------------------------------------
@@ -296,40 +286,16 @@ class PermissionMonitor:
     # -- the decision rule ---------------------------------------------------------
 
     def _decide_core(self, task: Task, op_time: Timestamp, operation: str) -> Tuple[bool, str, Timestamp]:
-        """The decision, fast form: ``(granted, reason, age)``.
-
-        Only the fast paths (``_fast``) call it.  It runs the same
-        :meth:`_rule` as :meth:`decide`, under the same span; only the
-        ptrace verdict may come from the epoch memo, and no response
-        object is built.
-        """
-        interaction_ts = task.interaction_ts
-        ptrace = self._kernel.ptrace
-        version = ptrace.version
-        cache = self._decision_cache
-        entry = cache.get(task.pid)
-        if entry is not None and entry[0] == interaction_ts and entry[1] == version:
-            disabled = entry[2]
-            self.cache_hits += 1
-        else:
-            disabled = ptrace.permissions_disabled(task)
-            if len(cache) >= _DECISION_CACHE_LIMIT:
-                cache.clear()
-            cache[task.pid] = (interaction_ts, version, disabled)
-            self.cache_misses += 1
-        if self._tracer.enabled:
-            return self._traced_rule(task, op_time, operation, disabled)
-        return self._rule(task, op_time, operation, disabled)
+        """The decision: ``(granted, reason, age)``, traced when enabled."""
+        rule = self._traced_rule if self._tracer.enabled else self._rule
+        return rule(task, op_time, operation, self._kernel.ptrace.permissions_disabled(task))
 
     def decide(self, task: Task, op_time: Timestamp, operation: str) -> PermissionResponse:
-        """The reference decision: :meth:`_rule` with no memo.
+        """The reference decision, as a :class:`PermissionResponse`.
 
-        :meth:`_decide_core` is the fast twin the mediation hot paths use.
+        :meth:`_decide_core` is the tuple form the fast netlink handler uses.
         """
-        rule = self._traced_rule if self._tracer.enabled else self._rule
-        granted, reason, age = rule(
-            task, op_time, operation, self._kernel.ptrace.permissions_disabled(task)
-        )
+        granted, reason, age = self._decide_core(task, op_time, operation)
         return PermissionResponse(granted, reason, interaction_age=age)
 
     def _traced_rule(
@@ -427,9 +393,7 @@ class PermissionMonitor:
 
     def authorize(self, task: Task, now: Timestamp, operation: str) -> bool:
         """Device-mediation entry point (called from the augmented open)."""
-        if self._fast:
-            return self._decide_core(task, now, operation)[0]
-        return self.decide(task, now, operation).granted
+        return self._decide_core(task, now, operation)[0]
 
     def request_visual_alert(
         self, task: Task, operation: str, blocked: bool = False

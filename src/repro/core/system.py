@@ -63,7 +63,6 @@ class OverhaulSystem:
         # Damage-tracked display pipeline: the same switch (the prompt band
         # is one more part of the overlay band the compose cache keys on).
         xserver.fast_display = config.fast_paths
-        xserver.overlay.fast_banner_cache = config.fast_paths
         self.extension = DisplayManagerExtension(
             xserver, machine.xserver_task, self.channel, config
         )

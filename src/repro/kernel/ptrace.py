@@ -10,13 +10,8 @@ proc filesystem node" -- see :mod:`repro.kernel.procfs`.
 
 The permission monitor consults :meth:`PtraceSubsystem.permissions_disabled`
 before every grant, which is how the "trivial patch" manifests in the
-simulation.
-
-Hot-path note: the monitor's decision cache keys its validity on
-:attr:`PtraceSubsystem.version`, a counter bumped by every state change that
-can flip a ``permissions_disabled`` verdict (attach, detach, tracee exit,
-and toggling :attr:`protection_enabled`).  That gives the cache O(1)
-invalidation without subscribing to individual tasks.
+simulation.  The verdict is one flag and one field read, so it is computed
+on every decision and never cached.
 """
 
 from __future__ import annotations
@@ -31,11 +26,8 @@ class PtraceSubsystem:
     """Attach/detach bookkeeping plus the Overhaul permission-revocation rule."""
 
     def __init__(self, protection_enabled: bool = True) -> None:
-        #: Monotonic counter of trace-state changes; cached permission
-        #: decisions are valid only while this is unchanged.
-        self.version = 0
         #: Overhaul hardening switch (procfs-toggleable, default on).
-        self._protection_enabled = protection_enabled
+        self.protection_enabled = protection_enabled
         self.attach_log: List[Tuple[int, int]] = []  # (tracer_pid, tracee_pid)
         self.denied_attaches: List[Tuple[int, int]] = []
         #: Live trace links, tracee pid -> tracee Task.  ``Task.tracees``
@@ -43,17 +35,6 @@ class PtraceSubsystem:
         #: lets a dying *tracer* reach its tracee objects to sever their
         #: ``traced_by`` links.
         self._traced: Dict[int, Task] = {}
-
-    @property
-    def protection_enabled(self) -> bool:
-        """Overhaul hardening switch (procfs-toggleable, default on)."""
-        return self._protection_enabled
-
-    @protection_enabled.setter
-    def protection_enabled(self, value: bool) -> None:
-        if value != self._protection_enabled:
-            self._protection_enabled = value
-            self.version += 1
 
     def attach(self, tracer: Task, tracee: Task) -> None:
         """ptrace(PTRACE_ATTACH) with stock-Linux eligibility rules.
@@ -85,7 +66,6 @@ class PtraceSubsystem:
         tracee.traced_by = tracer
         tracer.tracees.add(tracee.pid)
         self._traced[tracee.pid] = tracee
-        self.version += 1
         self.attach_log.append((tracer.pid, tracee.pid))
 
     def detach(self, tracer: Task, tracee: Task) -> None:
@@ -97,7 +77,6 @@ class PtraceSubsystem:
         tracee.traced_by = None
         tracer.tracees.discard(tracee.pid)
         self._traced.pop(tracee.pid, None)
-        self.version += 1
 
     def permissions_disabled(self, task: Task) -> bool:
         """Overhaul rule: a traced task has *all* resource permissions revoked.
@@ -105,7 +84,7 @@ class PtraceSubsystem:
         Consulted by the permission monitor on every decision.  Returns
         False when the superuser has toggled the hardening off.
         """
-        return self._protection_enabled and task.is_traced
+        return self.protection_enabled and task.is_traced
 
     def on_task_exit(self, task: Task) -> None:
         """Cleanup hook: sever trace relationships of an exiting task.
@@ -113,22 +92,16 @@ class PtraceSubsystem:
         Both directions matter.  A dying *tracee* leaves its tracer's
         ``tracees`` set.  A dying *tracer* detaches every tracee it holds
         -- exactly what Linux does on tracer exit -- because a stale
-        ``traced_by`` link would keep ``permissions_disabled`` (and any
-        verdict cached under the current :attr:`version`) denying a task
+        ``traced_by`` link would keep ``permissions_disabled`` denying a task
         nobody is debugging anymore.
         """
-        changed = False
         if task.traced_by is not None:
             task.traced_by.tracees.discard(task.pid)
             task.traced_by = None
             self._traced.pop(task.pid, None)
-            changed = True
         if task.tracees:
             for pid in sorted(task.tracees):
                 tracee = self._traced.pop(pid, None)
                 if tracee is not None and tracee.traced_by is task:
                     tracee.traced_by = None
-                    changed = True
             task.tracees.clear()
-        if changed:
-            self.version += 1

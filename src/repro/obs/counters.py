@@ -196,10 +196,7 @@ def collect_counters(machine: "Machine") -> Counters:
     counters.set("x.captures_denied", xserver.screen_captures_denied)
     counters.set("x.sendevent_blocked", xserver.sendevent_blocked)
     counters.set("x.snoops_blocked", xserver.property_snoops_blocked)
-    # Damage-rect coalescing is recorded unconditionally (fast and
-    # reference machines agree -- the differential suite asserts parity);
-    # partial hits are a fast-path-only diagnostic like hits/misses.
-    counters.set("damage.rects_coalesced", xserver.damage_rects_coalesced)
+    # Partial hits and culled rects are fast-path-only diagnostics.
     counters.set("compose.partial_hits", xserver.compose_partial_hits)
     counters.set("compose.rects_culled", xserver.compose_rects_culled)
     counters.set("overlay.shown", xserver.overlay.total_shown)

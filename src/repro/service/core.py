@@ -202,6 +202,7 @@ class TenantState:
             "denies": monitor.deny_count,
             "notifications": monitor.notifications_received,
             "decisions": len(monitor.decisions),
+            # Both always 0; kept only because perfbench still reads them.
             "cache_hits": monitor.cache_hits,
             "cache_misses": monitor.cache_misses,
             "pids": len(self._apps),

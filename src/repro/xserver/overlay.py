@@ -25,10 +25,6 @@ from repro.sim.time import Timestamp, from_seconds
 #: The paper displays alerts "for a few seconds"; we default to three.
 DEFAULT_ALERT_DURATION: Timestamp = from_seconds(3.0)
 
-#: Sentinel expiry for "no visible alert": the empty banner stays valid
-#: until the next show_alert bumps the overlay generation.
-_FAR_FUTURE = float("inf")
-
 
 @dataclass(frozen=True)
 class Alert:
@@ -67,21 +63,9 @@ class OverlayManager:
         #: Only alerts that may still be on screen; pruned on query so the
         #: composition path stays O(visible), not O(history).
         self._active: List[Alert] = []
-        #: Alert-set generation: bumped whenever a *new* alert appears on
-        #: screen or the prompt band changes (coalesced repeats change
-        #: nothing visible, so they do not bump it).  Together with the
-        #: earliest expiry this keys the banner cache below.
-        self.generation = 0
         #: The trusted prompt (prompt mode), rendered after the alerts;
         #: set through :meth:`set_prompt`.
         self.prompt_band = b""
-        #: Hot-path switch mirroring the server's ``fast_display``: cache
-        #: the rendered banner for the window of time during which the
-        #: visible-alert set cannot change -- from the compute instant until
-        #: the earliest expiry -- so an active alert does not defeat the
-        #: composition cache.  Byte-identical to the uncached render.
-        self.fast_banner_cache = True
-        self._banner_cache: Optional[tuple] = None  # (gen, from, until, bytes)
         #: Band epoch: bumped exactly when the rendered band differs
         #: from the previously returned one (appearance, expiry, a changed
         #: alert set, or a changed prompt).  The banner composes as its *own region* of
@@ -129,7 +113,6 @@ class OverlayManager:
         if len(self.history) > self.HISTORY_LIMIT:
             del self.history[: -self.HISTORY_LIMIT // 2]
         self._active.append(alert)
-        self.generation += 1
         self.total_shown += 1
         if self.tracer.enabled:
             self.tracer.event(
@@ -140,7 +123,6 @@ class OverlayManager:
     def set_prompt(self, band: bytes) -> None:
         """Show *band* as the trusted prompt (``b""`` takes it down)."""
         self.prompt_band = band
-        self.generation += 1
 
     def visible_alerts(self, now: Timestamp) -> List[Alert]:
         """Alerts currently on screen (prunes the expired ones)."""
@@ -163,45 +145,21 @@ class OverlayManager:
         sits above everything, including capture output -- without an extra
         full-framebuffer copy.
 
-        With :attr:`fast_banner_cache` on (traced runs included), the
-        render is memoized for the interval over which the band provably
-        cannot change: a cached band is valid while (a) no new alert has
-        been shown and the prompt is unchanged (the generation matches)
-        and (b) ``now`` is still before the earliest alert expiry captured
-        at compute time.  Queries that jump backwards in
-        time fall through to a fresh render, so the cache never changes
-        what a caller observes.
+        The band is rendered on every call (at most a few alerts and the
+        prompt), and :attr:`band_epoch` bumps when it differs from the
+        previous render.
         """
-        if self.fast_banner_cache:
-            cached = self._banner_cache
-            if (
-                cached is not None
-                and cached[0] == self.generation
-                and cached[1] <= now < cached[2]
-            ):
-                # Provably unchanged interval: the band epoch cannot have
-                # moved, so skip the comparison entirely.
-                return cached[3]
-            banner = self._render_banner(now)
-            valid_until = min(
-                (alert.expires_at for alert in self._active), default=_FAR_FUTURE
-            )
-            self._banner_cache = (self.generation, now, valid_until, banner)
-        else:
-            banner = self._render_banner(now)
+        visible = self.visible_alerts(now)
+        banner = self.prompt_band
+        if visible:
+            banner = "|".join(
+                f"ALERT[{alert.comm}:{alert.operation}:{alert.shared_secret}]"
+                for alert in visible
+            ).encode() + banner
         if banner != self._last_band:
             self._last_band = banner
             self.band_epoch += 1
         return banner
-
-    def _render_banner(self, now: Timestamp) -> bytes:
-        """The uncached reference render of the overlay band."""
-        visible = self.visible_alerts(now)
-        if not visible:
-            return self.prompt_band
-        return "|".join(
-            f"ALERT[{alert.comm}:{alert.operation}:{alert.shared_secret}]" for alert in visible
-        ).encode() + self.prompt_band
 
     def compose_over(self, screen_bytes: bytes, now: Timestamp) -> bytes:
         """Composite the alert layer over a captured screen image."""

@@ -203,13 +203,7 @@ class XServer:
         self._damage_journal: Dict[int, Drawable] = {}
         #: Stable bound-method identity for sink attachment checks.
         self._damage_sink = self._record_damage
-        #: The merge-counter cell shared with every drawable (a one-element
-        #: list): draws add their coalescing merges here directly, so the
-        #: accounting survives even when journal registration is skipped
-        #: for composer-proven-invisible windows.
-        self._coalesce_cell = [0]
         self.root_window.damage_sink = self._damage_sink
-        self.root_window._coalesce_cell = self._coalesce_cell
         #: Composition-cache effectiveness (diagnostics; not part of the
         #: equivalence contract -- the reference path never caches).
         self.compose_cache_hits = 0
@@ -224,24 +218,6 @@ class XServer:
         #: dropped without touching a single framebuffer byte.
         #: Fast-path-only diagnostics, like the partial counter.
         self.compose_rects_culled = 0
-    @property
-    def damage_rects_coalesced(self) -> int:
-        """Damage rects merged while folding draws into each drawable's
-        coalescing buffer.
-
-        The buffer is a pure function of the draw stream (composition and
-        snapshot refreshes never touch it), so fast and reference
-        machines -- which see identical draws -- report identical counts;
-        the differential suite asserts it.  Backed by a cell the drawables
-        increment directly, keeping the accounting alive even for windows
-        whose journal registration the composer has culled.
-        """
-        return self._coalesce_cell[0]
-
-    @damage_rects_coalesced.setter
-    def damage_rects_coalesced(self, value: int) -> None:
-        self._coalesce_cell[0] = value
-
     # -- teardown ---------------------------------------------------------------
 
     def close(self) -> None:
@@ -311,7 +287,6 @@ class XServer:
         window = Window(client.client_id, geometry, title)
         window.transparent = transparent
         window.damage_sink = self._damage_sink
-        window._coalesce_cell = self._coalesce_cell
         self._windows[window.drawable_id] = window
         return window
 
@@ -320,7 +295,6 @@ class XServer:
         self.requests_processed += 1
         pixmap = Pixmap(client.client_id)
         pixmap.damage_sink = self._damage_sink
-        pixmap._coalesce_cell = self._coalesce_cell
         self._pixmaps[pixmap.drawable_id] = pixmap
         return pixmap
 
@@ -994,8 +968,7 @@ class XServer:
                 stacking, self.overlay.banner_bytes(self._scheduler.now)
             )
         # Reference path: a fresh pure-python composition every call.  It
-        # also drains the journal (bookkeeping only -- the coalescing
-        # counter is compose-independent).
+        # also drains the journal (bookkeeping only).
         if self._damage_journal:
             self._drain_journal()
         fb = Framebuffer(self.width, self.height, use_numpy=False)
@@ -1043,7 +1016,6 @@ class XServer:
                 # Defensive: windows constructed outside the request
                 # layer (tests, rigs) join the journal on first compose.
                 window.damage_sink = sink
-                window._coalesce_cell = self._coalesce_cell
             # Occlusion verdicts from the previous cache die with it: a
             # full recompose re-reads every window's content directly, so
             # re-arming journal registration here is what makes the

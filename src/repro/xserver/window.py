@@ -124,15 +124,15 @@ class Rect(NamedTuple):
 _MAX_PENDING_RECTS = 8
 
 
-def coalesce_rect(rects: List[Rect], rect: Rect, cap: int = _MAX_PENDING_RECTS) -> int:
-    """Fold *rect* into the pending set in place; returns merges performed.
+def coalesce_rect(rects: List[Rect], rect: Rect, cap: int = _MAX_PENDING_RECTS) -> None:
+    """Fold *rect* into the pending set in place.
 
     Replaces PR-5's merge-on-overlap + bounding-rect-collapse-at-cap with
     a strategy that keeps narrow rects narrow (scroll bars, drag ghosts,
     cursor columns):
 
-    - a rect equal to the most recent entry counts one merge and leaves
-      the set unchanged (the repeat-draw hot shape);
+    - a rect equal to the most recent entry leaves the set unchanged (the
+      repeat-draw hot shape);
     - **tight unions only**: two rects merge when their bounding union
       covers exactly the cells they already cover (no smear), so row
       bands extend into taller bands and columns stack into columns, but
@@ -148,8 +148,7 @@ def coalesce_rect(rects: List[Rect], rect: Rect, cap: int = _MAX_PENDING_RECTS) 
     that closed form.  Both it and the pair search work on unpacked ints.
     """
     if rects and rects[-1] == rect:
-        return 1
-    merged = 0
+        return
     # Tight-union cascade: each merge may enable another.
     changed = True
     while changed:
@@ -169,7 +168,6 @@ def coalesce_rect(rects: List[Rect], rect: Rect, cap: int = _MAX_PENDING_RECTS) 
             ):
                 del rects[i]
                 rect = rect.union(other)
-                merged += 1
                 changed = True
                 break
     rects.append(rect)
@@ -197,17 +195,11 @@ def coalesce_rect(rects: List[Rect], rect: Rect, cap: int = _MAX_PENDING_RECTS) 
                     best_waste = waste
                     best_i, best_j = i, j
         rects[best_i] = rects[best_i].union(rects.pop(best_j))
-        merged += 1
-    return merged
 
 
 #: Called with the drawable on damage events that need journal
 #: registration; the server installs its damage journal here.
 DamageSink = Callable[["Drawable"], None]
-
-#: Merge-counter cell for drawables not attached to a server: increments
-#: land here and are never read.  Keeps the hot path branch-free.
-_DISCARD_CELL = [0]
 
 _drawable_ids = itertools.count(0x40_0000)
 
@@ -247,23 +239,6 @@ class Drawable:
         self.journal_rects: List[Rect] = []
         #: True when journal damage covers the whole drawable.
         self.journal_full = False
-        #: The coalescing buffer behind the ``damage_rects_coalesced``
-        #: counter: the last few draw rects since the last full damage.
-        #: Mutated *only* by the draw stream (never by composition or
-        #: snapshot refreshes), so fast and reference machines -- which see
-        #: identical draws -- count identical merges by construction.
-        self._coalesce_buf: List[Rect] = []
-        #: The server's merge counter cell (a shared one-element list);
-        #: kept separate from the sink so merge accounting continues even
-        #: when journal registration is skipped.  Unattached drawables
-        #: count into the module-level discard cell.
-        self._coalesce_cell: List[int] = _DISCARD_CELL
-        #: Repeat-draw memo: ``(x, y, width, lo, end, rect)`` of the most
-        #: recent single-row draw, valid only while that rect is still the
-        #: newest coalescing-buffer entry (so a repeat counts exactly the
-        #: one merge ``coalesce_rect`` would) and the content has not been
-        #: replaced (full damage clears it).
-        self._last_draw: Optional[tuple] = None
         #: Set by the incremental composer once it proves this drawable
         #: invisible (fully occluded, offscreen, or never composed): draws
         #: then skip journal registration entirely.  Sound because every
@@ -318,23 +293,18 @@ class Drawable:
         """Record a content mutation (invalidates cached snapshots).
 
         With a rect, the damage is region-granular: the rect folds into
-        the **coalescing buffer** (whose merge count feeds the
-        ``damage_rects_coalesced`` counter -- a pure function of the draw
-        stream, so fast and reference machines agree exactly), into the
-        **journal** set (what the incremental composer patches from,
-        unless the composer has proven the drawable invisible), and,
-        while a snapshot cache exists, into the **splice** set (what
+        the **journal** set (what the incremental composer patches from,
+        unless the composer has proven the drawable invisible) and, while
+        a snapshot cache exists, into the **splice** set (what
         :meth:`content_bytes` refreshes from).  Without a rect the damage
         covers the whole drawable.  Either way the damage counter bumps
         and the :attr:`damage_sink` (the server's journal) is notified on
         first pending damage.
         """
-        self._last_draw = None
         if rect is None:
             self._damage_full = True
             if self.damage_rects:
                 self.damage_rects.clear()
-            self._coalesce_buf.clear()
             if not self.composer_skip:
                 pending = self.journal_full or bool(self.journal_rects)
                 self.journal_full = True
@@ -348,9 +318,6 @@ class Drawable:
                 return
             self.damage += 1
             return
-        coalesced = coalesce_rect(self._coalesce_buf, rect)
-        if coalesced:
-            self._coalesce_cell[0] += coalesced
         if self._content_cache is not None and not self._damage_full:
             coalesce_rect(self.damage_rects, rect)
         self.damage += 1
@@ -514,95 +481,6 @@ class Window(Drawable):
 
     def _stride(self) -> int:
         return self.geometry.width
-
-    def draw_rect(
-        self, x: int, y: int, width: int, height: int, data: bytes
-    ) -> Optional[Rect]:
-        """Region paint with an inlined fast path for the hot shape.
-
-        In-bounds single-row writes with an exact-length payload (cursor
-        blinks, scroll lines, animation bands -- every compose benchmark's
-        inner loop) skip the generic clip/pad machinery and the
-        ``mark_damaged`` call chain; the bookkeeping below is line-for-line
-        what the generic path performs for this shape, so the two are
-        indistinguishable (the differential suite drives both).  Every
-        other shape falls through to :meth:`Drawable.draw_rect`.
-        """
-        memo = self._last_draw
-        if (
-            memo is not None
-            and height == 1
-            and memo[0] == x
-            and memo[1] == y
-            and memo[2] == width
-            and type(data) is bytes
-            and len(data) == width
-        ):
-            # Repeat of the previous draw: the clip arithmetic, the Rect,
-            # and the coalescing outcome (one merge -- ``coalesce_rect``'s
-            # repeat-draw branch) are all memoized.  The memo is dropped
-            # by any other damage, so this is observably the generic path.
-            rect = memo[5]
-            self.content[memo[3] : memo[4]] = data
-            self.damage += 1
-            self._coalesce_cell[0] += 1
-            if self._content_cache is not None and not self._damage_full:
-                coalesce_rect(self.damage_rects, rect)
-            if self.composer_skip:
-                return rect
-            pending = self.journal_full
-            if not pending:
-                journal = self.journal_rects
-                pending = bool(journal)
-                coalesce_rect(journal, rect)
-            if not pending:
-                sink = self.damage_sink
-                if sink is not None:
-                    sink(self)
-            return rect
-        geometry = self.geometry
-        if (
-            height == 1
-            and 0 <= y < geometry.height
-            and x >= 0
-            and width > 0
-            and x + width <= geometry.width
-            and len(data) == width
-            and type(data) is bytes
-        ):
-            lo = y * geometry.width + x
-            end = lo + width
-            content = self.content
-            if len(content) < end:
-                content.extend(bytes(end - len(content)))
-            content[lo:end] = data
-            self.damage += 1
-            rect = Rect(x, y, width, 1)
-            buf = self._coalesce_buf
-            coalesced = coalesce_rect(buf, rect)
-            if coalesced:
-                self._coalesce_cell[0] += coalesced
-            if buf[-1] == rect:
-                # The rect survived coalescing as the newest entry: a
-                # repeat of this exact draw may take the memoized lane.
-                self._last_draw = (x, y, width, lo, end, rect)
-            else:
-                self._last_draw = None
-            if self._content_cache is not None and not self._damage_full:
-                coalesce_rect(self.damage_rects, rect)
-            if self.composer_skip:
-                return rect
-            pending = self.journal_full
-            if not pending:
-                journal = self.journal_rects
-                pending = bool(journal)
-                coalesce_rect(journal, rect)
-            if not pending:
-                sink = self.damage_sink
-                if sink is not None:
-                    sink(self)
-            return rect
-        return Drawable.draw_rect(self, x, y, width, height, data)
 
     def screen_rect(self, screen_width: int, screen_height: int) -> Optional[Rect]:
         """The window's geometry clipped to the screen, or None offscreen."""

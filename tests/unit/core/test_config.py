@@ -84,5 +84,4 @@ class TestFastPathSwitch:
             assert m.kernel.netlink.fast_path is fast_paths
             assert m.kernel.device_mediator.use_deferred_audit is fast_paths
             assert m.xserver.fast_display is fast_paths
-            assert m.xserver.overlay.fast_banner_cache is fast_paths
             assert m.overhaul.monitor._fast is fast_paths

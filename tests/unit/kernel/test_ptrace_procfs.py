@@ -104,14 +104,6 @@ class TestTracerExit:
         assert second.traced_by is None and not second.is_traced
         assert not parent.tracees
 
-    def test_tracer_exit_bumps_version(self, kernel):
-        parent = spawn(kernel)
-        child = kernel.sys_fork(parent)
-        kernel.ptrace.attach(parent, child)
-        version = kernel.ptrace.version
-        kernel.sys_exit(parent)
-        assert kernel.ptrace.version == version + 1
-
     def test_tracee_regains_permissions_when_tracer_dies(self, kernel):
         parent = spawn(kernel)
         child = kernel.sys_fork(parent)
@@ -119,12 +111,6 @@ class TestTracerExit:
         assert kernel.ptrace.permissions_disabled(child)
         kernel.sys_exit(parent)
         assert not kernel.ptrace.permissions_disabled(child)
-
-    def test_exit_without_trace_links_does_not_bump_version(self, kernel):
-        task = spawn(kernel)
-        version = kernel.ptrace.version
-        kernel.sys_exit(task)
-        assert kernel.ptrace.version == version
 
     def test_new_tracer_can_attach_after_tracer_death(self, kernel):
         first = spawn(kernel, creds=ROOT, comm="gdb1")
@@ -136,6 +122,27 @@ class TestTracerExit:
         kernel.sys_exit(first)
         kernel.ptrace.attach(second, victim)
         assert victim.traced_by is second
+
+    def test_exit_without_trace_links_leaves_other_links_alone(self, kernel):
+        parent = spawn(kernel)
+        child = kernel.sys_fork(parent)
+        kernel.ptrace.attach(parent, child)
+        bystander = spawn(kernel, comm="bystander")
+        kernel.sys_exit(bystander)
+        assert child.traced_by is parent
+        assert parent.tracees == {child.pid}
+        assert kernel.ptrace.permissions_disabled(child)
+
+    def test_tracee_exit_leaves_its_siblings_traced(self, kernel):
+        parent = spawn(kernel)
+        first = kernel.sys_fork(parent)
+        second = kernel.sys_fork(parent)
+        kernel.ptrace.attach(parent, first)
+        kernel.ptrace.attach(parent, second)
+        kernel.sys_exit(first)
+        assert parent.tracees == {second.pid}
+        assert second.traced_by is parent
+        assert kernel.ptrace.permissions_disabled(second)
 
 
 class TestPermissionRevocation:
@@ -155,6 +162,26 @@ class TestPermissionRevocation:
         kernel.ptrace.attach(parent, child)
         kernel.ptrace.protection_enabled = False
         assert not kernel.ptrace.permissions_disabled(child)
+
+    def test_toggle_back_on_restores_revocation(self, kernel):
+        """The switch gates the verdict only: trace links survive it."""
+        parent = spawn(kernel)
+        child = kernel.sys_fork(parent)
+        kernel.ptrace.attach(parent, child)
+        kernel.ptrace.protection_enabled = False
+        assert child.traced_by is parent
+        kernel.ptrace.protection_enabled = True
+        assert kernel.ptrace.permissions_disabled(child)
+
+    def test_procfs_toggle_reaches_the_verdict(self, kernel):
+        rootproc = spawn(kernel, creds=ROOT, comm="admin")
+        parent = spawn(kernel)
+        child = kernel.sys_fork(parent)
+        kernel.ptrace.attach(parent, child)
+        kernel.procfs.write(rootproc, PTRACE_PROTECTION_NODE, "0")
+        assert not kernel.ptrace.permissions_disabled(child)
+        kernel.procfs.write(rootproc, PTRACE_PROTECTION_NODE, "1")
+        assert kernel.ptrace.permissions_disabled(child)
 
 
 class TestProcfsToggle:

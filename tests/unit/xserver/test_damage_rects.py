@@ -202,25 +202,33 @@ class TestDamageCoalescing:
         assert window.damage_rects == []
         assert window._damage_full
 
-    def test_coalesce_counter_reaches_the_server(self):
-        machine, apps = _machine_with_stack()
-        window = apps[0].window
-        window.content_bytes()  # settle the initial full-paint damage
-        before = machine.xserver.damage_rects_coalesced
-        window.draw_rect(0, 0, 10, 1, b"a" * 10)
-        window.draw_rect(5, 0, 10, 1, b"b" * 10)  # merges with the first
-        assert machine.xserver.damage_rects_coalesced == before + 1
+    def test_repeat_draw_keeps_one_pending_rect(self):
+        window = self._window()
+        damage = window.damage
+        for _ in range(5):
+            rect = window.draw_rect(3, 2, 6, 1, b"r" * 6)
+        assert rect == Rect(3, 2, 6, 1)
+        assert window.damage_rects == [rect]
+        assert window.journal_rects == [rect]
+        assert window.damage == damage + 5
 
-    def test_repeat_draw_counts_one_merge_per_repeat(self):
-        # The repeat-draw memo lane must count exactly what coalesce_rect's
-        # dedupe-last branch would.
-        machine, apps = _machine_with_stack()
-        window = apps[0].window
-        window.draw_rect(4, 0, 8, 1, b"p" * 8)
-        before = machine.xserver.damage_rects_coalesced
-        window.draw_rect(4, 0, 8, 1, b"q" * 8)
-        window.draw_rect(4, 0, 8, 1, b"r" * 8)
-        assert machine.xserver.damage_rects_coalesced == before + 2
+    def test_repeat_draw_registers_with_the_journal_once(self):
+        window = self._window()
+        registered = []
+        window.damage_sink = registered.append
+        for _ in range(3):
+            window.draw_rect(0, 4, 8, 1, b"s" * 8)
+        window.draw_rect(0, 9, 8, 2, b"t" * 16)
+        assert registered == [window]
+
+    def test_window_and_pixmap_draws_share_one_path(self):
+        window = Window(owner_client_id=1, geometry=Geometry(0, 0, 8, 1))
+        pixmap = Pixmap(owner_client_id=1)
+        for drawable in (window, pixmap):
+            assert drawable.draw_rect(2, 0, 4, 1, b"abcd") == Rect(2, 0, 4, 1)
+            assert drawable.draw_rect(2, 0, 4, 1, b"abcd") == Rect(2, 0, 4, 1)
+        assert bytes(window.content) == bytes(pixmap.content) == b"\x00\x00abcd"
+        assert window.journal_rects == pixmap.journal_rects == [Rect(2, 0, 4, 1)]
 
 
 class TestSnapshotRegionRefresh:

@@ -294,26 +294,72 @@ class TestSelectionTransfers:
         assert machine.xserver.selections.completed_transfers == 5
 
 
-class TestBannerCache:
-    def test_banner_cached_within_expiry_window(self):
+class TestBannerBand:
+    def test_coalesced_alert_does_not_bump_band_epoch(self):
         xserver = XServer(EventScheduler())
+        overlay = xserver.overlay
         xserver.display_alert("m", "op", pid=1, comm="a")
-        first = xserver.overlay.banner_bytes(xserver.now)
-        second = xserver.overlay.banner_bytes(xserver.now)
-        assert first is second  # memoized render
-
-    def test_coalesced_alert_does_not_bump_generation(self):
-        xserver = XServer(EventScheduler())
-        xserver.display_alert("m", "op", pid=1, comm="a")
-        generation = xserver.overlay.generation
+        first = overlay.banner_bytes(xserver.now)
+        epoch = overlay.band_epoch
         xserver.display_alert("m", "op", pid=1, comm="a")  # coalesces
-        assert xserver.overlay.generation == generation
-        assert xserver.overlay.total_coalesced == 1
+        assert overlay.banner_bytes(xserver.now) == first
+        assert overlay.band_epoch == epoch
+        assert overlay.total_coalesced == 1
 
-    def test_new_alert_bumps_generation_and_rerenders(self):
+    def test_new_alert_bumps_band_epoch_and_rerenders(self):
         xserver = XServer(EventScheduler())
+        overlay = xserver.overlay
         xserver.display_alert("m", "op", pid=1, comm="a")
-        first = xserver.overlay.banner_bytes(xserver.now)
+        first = overlay.banner_bytes(xserver.now)
+        epoch = overlay.band_epoch
         xserver.display_alert("m2", "op2", pid=2, comm="b")
-        second = xserver.overlay.banner_bytes(xserver.now)
+        second = overlay.banner_bytes(xserver.now)
         assert second != first and b"b:op2" in second
+        assert overlay.band_epoch == epoch + 1
+
+    def test_expiry_empties_the_band_and_bumps_band_epoch(self):
+        overlay = XServer(EventScheduler()).overlay
+        overlay.show_alert("m", "op", pid=1, comm="a", now=0, duration=100)
+        assert b"a:op" in overlay.banner_bytes(50)
+        epoch = overlay.band_epoch
+        assert overlay.banner_bytes(100) == b""
+        assert overlay.band_epoch == epoch + 1
+
+    def test_unchanged_band_keeps_band_epoch_across_renders(self):
+        overlay = XServer(EventScheduler()).overlay
+        overlay.show_alert("m", "op", pid=1, comm="a", now=0, duration=100)
+        first = overlay.banner_bytes(0)
+        epoch = overlay.band_epoch
+        assert [overlay.banner_bytes(t) for t in (10, 50, 99)] == [first] * 3
+        assert overlay.band_epoch == epoch
+
+    def test_alerts_leave_the_band_each_at_its_own_expiry(self):
+        overlay = XServer(EventScheduler()).overlay
+        overlay.show_alert("m", "op", pid=1, comm="a", now=0, duration=100)
+        overlay.show_alert("m2", "op2", pid=2, comm="b", now=20, duration=100)
+        both = overlay.banner_bytes(50)
+        assert both.index(b"a:op") < both.index(b"b:op2")
+        later = overlay.banner_bytes(110)
+        assert b"a:op" not in later and b"b:op2" in later
+        assert overlay.banner_bytes(120) == b""
+
+    def test_band_is_rendered_for_the_queried_instant(self):
+        """An earlier query shows the band of that instant, and a later one
+        the band of its own -- no render outlives the instant it was for."""
+        overlay = XServer(EventScheduler()).overlay
+        overlay.show_alert("m", "op", pid=1, comm="a", now=100, duration=100)
+        shown = overlay.banner_bytes(150)
+        assert b"a:op" in shown
+        assert overlay.banner_bytes(50) == b""  # before the alert went up
+        assert overlay.banner_bytes(150) == shown
+
+    def test_prompt_change_bumps_band_epoch(self):
+        overlay = XServer(EventScheduler()).overlay
+        overlay.banner_bytes(0)
+        epoch = overlay.band_epoch
+        overlay.set_prompt(b"PROMPT[x]")
+        assert overlay.banner_bytes(0) == b"PROMPT[x]"
+        assert overlay.band_epoch == epoch + 1
+        overlay.set_prompt(b"")
+        assert overlay.banner_bytes(0) == b""
+        assert overlay.band_epoch == epoch + 2
