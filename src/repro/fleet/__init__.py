@@ -14,8 +14,8 @@ Pieces:
   bounded retries, poison-shard quarantine);
 - :mod:`repro.fleet.reducers`  -- the ordered fold of shard records into
   a study's accumulator;
-- :mod:`repro.fleet.records`   -- deterministic packed result records;
-- :mod:`repro.fleet.shm_ring`  -- shared-memory rings for the merge path;
+- :mod:`repro.fleet.records`   -- deterministic packed result records,
+  sent home in each worker's "done" message;
 - :mod:`repro.fleet.spool`     -- atomic per-shard checkpoints for resume.
 """
 
@@ -29,7 +29,6 @@ from repro.fleet.errors import (
 )
 from repro.fleet.records import PackedCounters, pack_record, unpack_record
 from repro.fleet.reducers import OrderedFold
-from repro.fleet.shm_ring import DEFAULT_RING_BYTES, ShmRing
 from repro.fleet.spool import SPOOL_VERSION, Spool
 from repro.fleet.studies import (
     ShardSpec,
@@ -41,7 +40,6 @@ from repro.fleet.studies import (
 )
 
 __all__ = [
-    "DEFAULT_RING_BYTES",
     "FleetError",
     "FleetReport",
     "OrderedFold",
@@ -50,7 +48,6 @@ __all__ = [
     "RecordFormatError",
     "SPOOL_VERSION",
     "ShardSpec",
-    "ShmRing",
     "Spool",
     "SpoolMismatchError",
     "SpoolVersionError",

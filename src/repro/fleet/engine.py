@@ -13,10 +13,11 @@
   slow shard holds back at most the one shard queued behind it; every
   other shard goes to whichever worker frees up first.
 
-Result records travel over per-worker shared-memory rings
-(:mod:`repro.fleet.shm_ring`) in the deterministic packed codec of
-:mod:`repro.fleet.records`; the driver folds them into the study's
-accumulator strictly in shard-index order
+A worker receives shard indexes and looks each spec up in the table it
+was started with.  Its result record travels home inside the "done"
+message, in the deterministic packed codec of :mod:`repro.fleet.records`
+(the same bytes its spool checkpoint holds); the driver folds records into
+the study's accumulator strictly in shard-index order
 (:class:`~repro.fleet.reducers.OrderedFold`), so parent memory holds the
 out-of-order window, not the population.
 
@@ -43,18 +44,14 @@ from typing import Any, Deque, Dict, List, Optional
 from repro.fleet.errors import FleetError
 from repro.fleet.records import unpack_record
 from repro.fleet.reducers import OrderedFold
-from repro.fleet.shm_ring import DEFAULT_RING_BYTES, ShmRing
 from repro.fleet.spool import Spool
 from repro.fleet.studies import ShardSpec, get_study
 
 #: The longest the driver blocks on the result queue while shards are in
-#: flight before its next bookkeeping pass (deadline checks, dispatch,
-#: ring drains).  A message ends the wait at once, and the driver never
-#: waits once nothing is outstanding.
+#: flight before its next bookkeeping pass (deadline checks, dispatch).
+#: A message ends the wait at once, and the driver never waits once
+#: nothing is outstanding.
 _POLL_SECONDS = 0.05
-
-#: Bound on ring-lock acquisitions against a worker that may be dead.
-_LOCK_TIMEOUT = 0.2
 
 #: Shards queued on one worker at a time: the one it runs and the one it
 #: starts the moment it reports, without waiting for the driver.
@@ -130,33 +127,31 @@ def _worker_loop(
     task_queue: "multiprocessing.Queue",
     result_queue: "multiprocessing.Queue",
     spool_root: str,
-    ring: Optional[ShmRing],
+    specs: Dict[int, ShardSpec],
 ) -> None:
-    """Worker body: take a shard, run it, checkpoint it, report home.
+    """Worker body: take a shard index, run its spec, checkpoint it, report home.
 
     The checkpoint write happens *in the worker*, before the "done"
     message -- if the driver dies, finished work is already durable.  The
-    packed record is pushed onto the shared-memory ring after the
-    checkpoint (best effort: a full ring just means the driver reads that
-    record back from the spool).
+    "done" message carries the packed record the checkpoint holds, so the
+    driver never reads a freshly run shard back from the spool.
     """
     spool = Spool(spool_root)
     while True:
-        spec = task_queue.get()
-        if spec is None:
+        index = task_queue.get()
+        if index is None:
             return
+        spec = specs[index]
         try:
             study = get_study(spec.study)
             result = study.run_shard(spec)
             packed = spool.write_shard(spec.to_dict(), result)
-            if ring is not None and ring.fits(len(packed)):
-                ring.try_push(spec.index, packed)
         except BaseException as error:  # noqa: BLE001 - forwarded to driver
             result_queue.put(
-                ("error", worker_id, spec.index, f"{type(error).__name__}: {error}")
+                ("error", worker_id, index, f"{type(error).__name__}: {error}")
             )
         else:
-            result_queue.put(("done", worker_id, spec.index, None))
+            result_queue.put(("done", worker_id, index, packed))
 
 
 class _WorkerHandle:
@@ -168,16 +163,13 @@ class _WorkerHandle:
         ctx,
         result_queue,
         spool_root: str,
-        ring_bytes: Optional[int],
+        specs: Dict[int, ShardSpec],
     ) -> None:
         self.worker_id = worker_id
         self.task_queue = ctx.Queue()
-        self.ring: Optional[ShmRing] = None
-        if ring_bytes is not None:
-            self.ring = ShmRing(ring_bytes, ctx.Lock())
         self.process = ctx.Process(
             target=_worker_loop,
-            args=(worker_id, self.task_queue, result_queue, spool_root, self.ring),
+            args=(worker_id, self.task_queue, result_queue, spool_root, specs),
             daemon=True,
             name=f"fleet-worker-{worker_id}",
         )
@@ -192,7 +184,7 @@ class _WorkerHandle:
         if not self.inflight:
             self.last_activity = time.monotonic()
         self.inflight.append(spec)
-        self.task_queue.put(spec)
+        self.task_queue.put(spec.index)
 
     def request_stop(self) -> None:
         """Tell the worker to exit once its queued shards end; no wait."""
@@ -214,17 +206,11 @@ class _WorkerHandle:
             self.process.join(timeout=2.0)
         self.task_queue.close()
 
-    def destroy_ring(self) -> None:
-        if self.ring is not None:
-            self.ring.close()
-            self.ring.unlink()
-            self.ring = None
-
 
 def _mp_context():
     """Fork where available (Linux): cheap worker start-up, test studies
-    registered in the parent are inherited by children, and the rings'
-    mapped views survive into the child without re-attachment."""
+    registered in the parent are inherited by children, and so is the spec
+    table, which another start method pickles once per worker."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
@@ -238,7 +224,6 @@ def run_fleet(
     spool_dir: Optional[str] = None,
     timeout_seconds: Optional[float] = 300.0,
     max_retries: int = 2,
-    ring_bytes: int = DEFAULT_RING_BYTES,
 ) -> FleetReport:
     """Run *study_name* over a *population*, sharded across *workers*.
 
@@ -258,13 +243,13 @@ def run_fleet(
         with tempfile.TemporaryDirectory(prefix="repro-fleet-") as scratch:
             report = _run_with_spool(
                 study, population, seed, workers, params, scratch,
-                timeout_seconds, max_retries, ring_bytes,
+                timeout_seconds, max_retries,
             )
             report.spool_dir = None  # scratch dir is gone; do not advertise it
     else:
         report = _run_with_spool(
             study, population, seed, workers, params, spool_dir,
-            timeout_seconds, max_retries, ring_bytes,
+            timeout_seconds, max_retries,
         )
     report.wall_seconds = time.perf_counter() - started
     return report
@@ -279,7 +264,6 @@ def _run_with_spool(
     spool_dir: str,
     timeout_seconds: Optional[float],
     max_retries: int,
-    ring_bytes: int,
 ) -> FleetReport:
     spool = Spool(spool_dir)
     specs = study.build_shards(population, seed, params)
@@ -320,7 +304,7 @@ def _run_with_spool(
         else:
             _execute_pool(
                 pending, spool, workers, timeout_seconds, max_retries,
-                report, fold, ring_bytes,
+                report, fold,
             )
 
     meta = {
@@ -389,12 +373,8 @@ def _execute_pool(
     max_retries: int,
     report: FleetReport,
     fold: OrderedFold,
-    ring_bytes: int,
 ) -> None:
     ctx = _mp_context()
-    # Rings ride fork-inherited mappings; without fork the packed records
-    # simply come back off the spool (same bytes, same fold).
-    use_rings = ctx.get_start_method() == "fork"
     result_queue = ctx.Queue()
     spool_root = str(spool.root)
     pool: Dict[int, _WorkerHandle] = {}
@@ -405,22 +385,13 @@ def _execute_pool(
     failures: Dict[int, int] = {}
     done: set = set()
     quarantined_indexes: set = set()
-    #: Packed records drained from the rings, awaiting their "done".
-    ring_records: Dict[int, bytes] = {}
 
     def spawn_worker() -> None:
         nonlocal next_worker_id
         pool[next_worker_id] = _WorkerHandle(
-            next_worker_id, ctx, result_queue, spool_root,
-            ring_bytes if use_rings else None,
+            next_worker_id, ctx, result_queue, spool_root, spec_by_index
         )
         next_worker_id += 1
-
-    def drain_ring(handle: _WorkerHandle, timeout: Optional[float] = None) -> None:
-        if handle.ring is None:
-            return
-        for index, payload in handle.ring.drain(timeout=timeout):
-            ring_records[index] = payload
 
     def record_failure(spec: ShardSpec, reason: str) -> None:
         failures[spec.index] = failures.get(spec.index, 0) + 1
@@ -429,7 +400,6 @@ def _execute_pool(
             # shard before the kill landed; a surviving file would let a
             # later resume silently adopt a quarantined shard as done.
             spool.discard_shard(spec.index)
-            ring_records.pop(spec.index, None)
             quarantined_indexes.add(spec.index)
             fold.skip(spec.index)
             report.quarantined.append(
@@ -455,25 +425,11 @@ def _execute_pool(
                 # the shard stays quarantined, so its checkpoint must not
                 # survive into a resume either.
                 spool.discard_shard(shard_index)
-                ring_records.pop(shard_index, None)
                 return
             if shard_index in done:
                 return
             done.add(shard_index)
-            if (
-                shard_index not in ring_records
-                and handle is not None
-                and handle.ring is not None
-            ):
-                # The frame was pushed before this message was sent (same
-                # worker, FIFO), so one targeted drain finds it unless the
-                # ring was full and the worker skipped it.
-                drain_ring(handle)
-            payload = ring_records.pop(shard_index, None)
-            if payload is not None:
-                fold.offer(shard_index, lambda packed=payload: unpack_record(packed))
-            else:
-                fold.offer_resident(shard_index)
+            fold.offer(shard_index, lambda packed=detail: unpack_record(packed))
         elif shard_index not in done and shard_index not in quarantined_indexes:
             record_failure(spec_by_index[shard_index], detail)
 
@@ -490,13 +446,12 @@ def _execute_pool(
         Once the worker is gone, every report it sent is in the pipe, so
         after one more drain the oldest shard it holds is the one it was
         running; the shard queued behind it never started, so it goes
-        back to the front of the pending queue unblamed.
+        back to the front of the pending queue unblamed.  A live worker
+        is killed only after a whole deadline without a report, so a kill
+        cuts a report (and the record in it) short only if the worker
+        began writing it in that same instant.
         """
-        drain_ring(handle, timeout=_LOCK_TIMEOUT)
         handle.kill()
-        # Without its ring (it may have died holding the ring lock), a
-        # late "done" is read back from the spool.
-        handle.destroy_ring()
         drain_messages()
         del pool[handle.worker_id]
         spawn_worker()
@@ -511,11 +466,8 @@ def _execute_pool(
 
     try:
         while True:
-            # 1. Pull freshly pushed records off every ring, then drain
-            #    every finished/failed notification, so the deadline pass
+            # 1. Drain every finished/failed report, so the deadline pass
             #    below never kills a worker that already reported.
-            for handle in pool.values():
-                drain_ring(handle)
             drain_messages()
 
             # 2. Deadline + liveness pass: replace overdue or dead workers.
@@ -561,8 +513,6 @@ def _execute_pool(
             handle.request_stop()
         for handle in pool.values():
             handle.shutdown()
-            drain_ring(handle, timeout=_LOCK_TIMEOUT)
-            handle.destroy_ring()
         result_queue.close()
 
     report.executed = sorted(done)

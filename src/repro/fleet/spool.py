@@ -111,22 +111,10 @@ class Spool:
     def shard_path(self, index: int) -> Path:
         return self.root / f"shard-{index:05d}.rec"
 
-    def write_shard(
-        self,
-        spec_dict: Dict[str, Any],
-        result: Optional[Dict[str, Any]] = None,
-        *,
-        packed_result: Optional[bytes] = None,
-    ) -> bytes:
-        """Atomically checkpoint one completed shard.
-
-        Pass ``packed_result`` when the caller already packed the envelope
-        (the worker hot path packs once and reuses the bytes for both the
-        spool and the shared-memory ring); returns the packed result bytes
-        either way.
-        """
-        if packed_result is None:
-            packed_result = pack_record(result)
+    def write_shard(self, spec_dict: Dict[str, Any], result: Dict[str, Any]) -> bytes:
+        """Atomically checkpoint one completed shard; returns the packed
+        result bytes, which a pool worker also sends home in its report."""
+        packed_result = pack_record(result)
         packed_spec = pack_record(spec_dict)
         payload = b"".join(
             (

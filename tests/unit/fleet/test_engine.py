@@ -5,7 +5,12 @@ forked worker processes (which share the parent's registry) can run them.
 """
 
 import importlib
+import multiprocessing
+import multiprocessing.queues
 import os
+import queue as queue_module
+import subprocess
+import sys
 import time
 
 import pytest
@@ -15,6 +20,7 @@ import repro.fleet
 from repro.fleet import engine
 from repro.fleet.engine import run_fleet
 from repro.fleet.errors import FleetError, UnknownStudyError
+from repro.fleet.records import unpack_record
 from repro.fleet.spool import Spool
 from repro.fleet.studies import (
     ShardSpec,
@@ -103,6 +109,23 @@ def _run_bulky(spec):
     record = _run_square(spec)
     record.update({f"pad-{k:05d}": k for k in range(spec.param("pad"))})
     return record
+
+
+def _worker_reporting_shard_0_late(worker_id, task_queue, result_queue, spool_root, specs):
+    """A pool worker that reports shard 0 failed, waits until the driver
+    has quarantined it (its checkpoint is discarded), checkpoints it again
+    and then reports it done with its record."""
+    spool = Spool(spool_root)
+    for index in iter(task_queue.get, None):
+        spec = specs[index]
+        packed = spool.write_shard(spec.to_dict(), _run_square(spec))
+        if index == 0:
+            result_queue.put(("error", worker_id, index, "RuntimeError: lost"))
+            deadline = time.monotonic() + 10.0
+            while spool.shard_path(index).exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            packed = spool.write_shard(spec.to_dict(), _run_square(spec))
+        result_queue.put(("done", worker_id, index, packed))
 
 
 class _SquareState:
@@ -245,6 +268,18 @@ class TestPoolExecution:
         assert pooled.aggregate == inline.aggregate
         assert pooled.executed == inline.executed
 
+    def test_spawned_workers_receive_the_spec_table(self, monkeypatch):
+        """Without fork the table reaches each worker as a pickled
+        ``Process`` argument; a built-in study, because spawned workers
+        do not inherit test registrations."""
+        monkeypatch.setattr(
+            engine, "_mp_context", lambda: multiprocessing.get_context("spawn")
+        )
+        pooled = run_fleet("synthetic", population=256, seed=4, workers=2)
+        inline = run_fleet("synthetic", population=256, seed=4)
+        assert pooled.executed == [0, 1, 2, 3]
+        assert pooled.aggregate == inline.aggregate
+
     def test_pool_retry_across_processes(self, synthetic_studies, tmp_path):
         report = run_fleet(
             "t-flaky",
@@ -375,6 +410,19 @@ class TestDispatchOrder:
         run_fleet("t-square", population=8, workers=2, params=_params("t-square"))
         assert dispatches[:4] == [(0, 0, 1), (0, 1, 2), (1, 2, 1), (1, 3, 2)]
 
+    def test_dispatch_sends_only_the_shard_index(self, synthetic_studies, monkeypatch):
+        """Workers look specs up in their table; the driver pickles no spec."""
+        sent = []
+        put = multiprocessing.queues.Queue.put
+
+        def recording(queue, item, *args, **kwargs):
+            sent.append(item)
+            return put(queue, item, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.queues.Queue, "put", recording)
+        run_fleet("t-square", population=6, workers=2, params=_params("t-square"))
+        assert [item for item in sent if item is not None] == [0, 1, 2, 3, 4, 5]
+
     def test_no_worker_ever_holds_more_than_depth(self, synthetic_studies, dispatches):
         run_fleet("t-square", population=40, workers=3, params=_params("t-square"))
         assert engine._DEPTH == 2
@@ -427,9 +475,6 @@ class TestDispatchOrder:
         )
         killed = dispatches.index(("kill", 0, None))
         assert [index for _, index, _ in dispatches[killed + 1:]] == [1, 4, 5, 0]
-        # Shard 1's second dispatch counts as a dispatch, not as a retry.
-        assert report.leases == 8
-        assert report.retries == 1
         # Shard 1's second dispatch counts as a dispatch, not as a retry.
         assert report.leases == 8
         assert report.retries == 1
@@ -492,32 +537,121 @@ class TestDispatchOrder:
         assert report.executed == [0, 1]
 
 
-class TestRingFallback:
-    def test_records_too_big_for_the_ring_come_back_from_the_spool(
+class TestRecordsInTheDoneMessage:
+    def test_records_larger_than_pipe_buf_fold_like_inline(
         self, synthetic_studies, tmp_path
     ):
+        """A 't-bulky' record is bigger than ``PIPE_BUF`` (4096 bytes on
+        Linux), so its "done" message is no single atomic pipe write."""
         params = _params("t-bulky", pad=600)
         spool_dir = str(tmp_path / "spool")
         pooled = run_fleet(
             "t-bulky", population=6, seed=2, workers=2, params=params,
-            spool_dir=spool_dir, ring_bytes=4096,
+            spool_dir=spool_dir,
         )
         assert len(Spool(spool_dir).read_shard_packed(0)) > 4096
         inline = run_fleet("t-bulky", population=6, seed=2, params=params)
         assert pooled.quarantined == []
         assert pooled.aggregate == inline.aggregate
 
-    def test_records_a_full_ring_refuses_come_back_from_the_spool(
+    def test_fresh_pool_run_reads_no_checkpoint_back(
         self, synthetic_studies, monkeypatch
     ):
-        # Forked workers inherit the patch: every push finds the ring full.
-        monkeypatch.setattr(engine.ShmRing, "try_push", lambda *args: False)
-        pooled = run_fleet(
+        reads = []
+        read = Spool.read_shard_packed
+
+        def counting(spool, index):
+            reads.append(index)
+            return read(spool, index)
+
+        monkeypatch.setattr(Spool, "read_shard_packed", counting)
+        report = run_fleet(
             "t-square", population=12, seed=6, workers=3, params=_params("t-square")
         )
-        inline = run_fleet("t-square", population=12, seed=6, params=_params("t-square"))
-        assert pooled.executed == list(range(12))
-        assert pooled.aggregate == inline.aggregate
+        assert report.executed == list(range(12))
+        assert reads == []
+
+    def test_worker_sends_the_checkpointed_record_in_its_done_message(
+        self, synthetic_studies, tmp_path
+    ):
+        """Run in-process: the worker takes shard indexes, looks the specs
+        up in its table, and reports the bytes its checkpoint holds."""
+        specs = {
+            spec.index: spec
+            for spec in _build(3, 10, _params("t-square"))
+        }
+        tasks, results = queue_module.Queue(), queue_module.Queue()
+        for item in (2, 0, None):
+            tasks.put(item)
+        engine._worker_loop(7, tasks, results, str(tmp_path), specs)
+        spool = Spool(tmp_path)
+        reports = [results.get_nowait() for _ in range(2)]
+        assert [report[:3] for report in reports] == [("done", 7, 2), ("done", 7, 0)]
+        for _, _, index, packed in reports:
+            assert packed == spool.read_shard_packed(index)
+            assert unpack_record(packed).to_dict() == _run_square(specs[index])
+        assert results.empty()
+
+    def test_late_done_of_a_quarantined_shard_discards_and_folds_nothing(
+        self, synthetic_studies, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(engine, "_worker_loop", _worker_reporting_shard_0_late)
+        spool_dir = str(tmp_path / "spool")
+        report = run_fleet(
+            "t-square", population=4, seed=3, workers=2,
+            params=_params("t-square"), spool_dir=spool_dir, max_retries=0,
+        )
+        assert [shard.index for shard in report.quarantined] == [0]
+        assert report.executed == [1, 2, 3]
+        assert report.aggregate["values"] == [16, 25, 36]
+        assert report.aggregate["quarantined"] == [0]
+        assert not Spool(spool_dir).shard_path(0).exists()
+        assert Spool(spool_dir).completed_indexes() == {1, 2, 3}
+
+    def test_run_fleet_takes_no_ring_option(self, synthetic_studies):
+        with pytest.raises(TypeError):
+            run_fleet(
+                "t-square", population=2, workers=2, params=_params("t-square"),
+                ring_bytes=4096,
+            )
+        for name in ("ShmRing", "DEFAULT_RING_BYTES"):
+            assert not hasattr(repro.fleet, name)
+            assert name not in repro.fleet.__all__
+
+
+class TestNoSharedMemory:
+    def test_pool_run_starts_no_resource_tracker(self):
+        """Shared-memory blocks start ``multiprocessing``'s resource-tracker
+        process, which outlives the run until it notices its parent left."""
+        script = (
+            "from multiprocessing import resource_tracker\n"
+            "from repro.fleet import run_fleet\n"
+            "report = run_fleet('synthetic', 256, workers=2)\n"
+            "assert report.executed == list(range(4)), report.executed\n"
+            "print(resource_tracker._resource_tracker._pid)\n"
+        )
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "None"
+
+    def test_fleet_package_never_names_shared_memory(self):
+        package = os.path.dirname(os.path.abspath(repro.fleet.__file__))
+        hits = []
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as source:
+                    hits += [
+                        f"{name}:{number}"
+                        for number, line in enumerate(source, 1)
+                        if "shared_memory" in line
+                    ]
+        assert hits == []
 
 
 class TestRemovedDispatchOptions:
