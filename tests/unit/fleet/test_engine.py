@@ -128,6 +128,18 @@ def _worker_reporting_shard_0_late(worker_id, task_queue, result_queue, spool_ro
         result_queue.put(("done", worker_id, index, packed))
 
 
+def _worker_reporting_every_shard_twice(
+    worker_id, task_queue, result_queue, spool_root, specs
+):
+    """A pool worker that sends each shard's "done" message twice."""
+    spool = Spool(spool_root)
+    for index in iter(task_queue.get, None):
+        spec = specs[index]
+        packed = spool.write_shard(spec.to_dict(), _run_square(spec))
+        for _ in range(2):
+            result_queue.put(("done", worker_id, index, packed))
+
+
 class _SquareState:
     """Accumulator for the square studies: shard values in fold order."""
 
@@ -608,6 +620,81 @@ class TestRecordsInTheDoneMessage:
         assert not Spool(spool_dir).shard_path(0).exists()
         assert Spool(spool_dir).completed_indexes() == {1, 2, 3}
 
+    def test_worker_reports_a_failing_shard_with_no_checkpoint(
+        self, synthetic_studies, tmp_path
+    ):
+        specs = {
+            spec.index: spec
+            for spec in _build(2, 1, _params("t-poison", poison_index=1))
+        }
+        tasks, results = queue_module.Queue(), queue_module.Queue()
+        for item in (1, 0, None):
+            tasks.put(item)
+        engine._worker_loop(3, tasks, results, str(tmp_path), specs)
+        failed, finished = results.get_nowait(), results.get_nowait()
+        assert failed == ("error", 3, 1, "ValueError: this shard always fails")
+        assert finished[:3] == ("done", 3, 0)
+        assert Spool(tmp_path).completed_indexes() == {0}
+        assert results.empty()
+
+    def test_duplicate_done_folds_the_shard_once(
+        self, synthetic_studies, monkeypatch
+    ):
+        monkeypatch.setattr(
+            engine, "_worker_loop", _worker_reporting_every_shard_twice
+        )
+        pooled = run_fleet(
+            "t-square", population=6, seed=5, workers=2, params=_params("t-square")
+        )
+        inline = run_fleet("t-square", population=6, seed=5, params=_params("t-square"))
+        assert pooled.executed == list(range(6))
+        assert pooled.quarantined == []
+        assert pooled.aggregate == inline.aggregate
+
+    def test_retried_shards_fold_the_record_of_their_successful_run(
+        self, synthetic_studies, monkeypatch, tmp_path
+    ):
+        reads = []
+        read = Spool.read_shard_packed
+
+        def counting(spool, index):
+            reads.append(index)
+            return read(spool, index)
+
+        monkeypatch.setattr(Spool, "read_shard_packed", counting)
+        params = _params("t-flaky", scratch=str(tmp_path))
+        pooled = run_fleet("t-flaky", population=4, seed=8, workers=2, params=params)
+        assert pooled.retries == 4
+        assert reads == []
+        inline = run_fleet("t-square", population=4, seed=8, params=_params("t-square"))
+        assert pooled.aggregate["values"] == inline.aggregate["values"]
+
+    def test_pool_resume_reads_back_only_the_resumed_shards(
+        self, synthetic_studies, monkeypatch, tmp_path
+    ):
+        spool_dir = str(tmp_path / "spool")
+        first = run_fleet(
+            "t-square", population=6, seed=4, params=_params("t-square"),
+            spool_dir=spool_dir,
+        )
+        Spool(spool_dir).shard_path(2).unlink()
+        Spool(spool_dir).shard_path(5).unlink()
+        reads = []
+        read = Spool.read_shard_packed
+
+        def counting(spool, index):
+            reads.append(index)
+            return read(spool, index)
+
+        monkeypatch.setattr(Spool, "read_shard_packed", counting)
+        second = run_fleet(
+            "t-square", population=6, seed=4, params=_params("t-square"),
+            spool_dir=spool_dir, workers=2,
+        )
+        assert second.executed == [2, 5]
+        assert sorted(reads) == second.resumed == [0, 1, 3, 4]
+        assert second.aggregate == first.aggregate
+
     def test_run_fleet_takes_no_ring_option(self, synthetic_studies):
         with pytest.raises(TypeError):
             run_fleet(
@@ -639,6 +726,18 @@ class TestNoSharedMemory:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "None"
+
+    def test_shm_ring_stub_keeps_the_names_perfbench_wraps(self):
+        """``perfbench/layers.py`` imports ``ShmRing`` and wraps these two
+        methods; nothing in the engine calls them."""
+        from repro.fleet.shm_ring import ShmRing
+
+        ring = ShmRing()
+        with pytest.raises(NotImplementedError):
+            ring.try_push(0, b"record")
+        with pytest.raises(NotImplementedError):
+            ring.try_pop()
+        assert not hasattr(engine, "ShmRing")
 
     def test_fleet_package_never_names_shared_memory(self):
         package = os.path.dirname(os.path.abspath(repro.fleet.__file__))

@@ -7,7 +7,7 @@ import shutil
 import pytest
 
 from repro.fleet.errors import SpoolMismatchError, SpoolVersionError
-from repro.fleet.records import unpack_record
+from repro.fleet.records import pack_record, unpack_record
 from repro.fleet.spool import SPOOL_VERSION, Spool
 from repro.fleet.studies import ShardSpec
 
@@ -67,6 +67,23 @@ class TestShardCheckpoints:
         packed = spool.write_shard(_spec(4).to_dict(), {"counters": {"a.b": 2}})
         assert spool.read_shard_packed(4) == packed
         assert _read(spool, 4) == {"counters": {"a.b": 2}}
+
+    def test_write_shard_returns_exactly_the_packed_result(self, tmp_path):
+        """The returned bytes are what a pool worker sends home, so they
+        hold the result alone, never the spec it is checkpointed with."""
+        spool = Spool(tmp_path)
+        spool.root.mkdir(exist_ok=True)
+        result = {"index": 5, "value": 25}
+        packed = spool.write_shard(_spec(5).to_dict(), result)
+        assert packed == pack_record(result)
+        assert unpack_record(packed, materialize=True) == result
+
+    def test_write_shard_takes_no_packed_result_keyword(self, tmp_path):
+        spool = Spool(tmp_path)
+        spool.root.mkdir(exist_ok=True)
+        with pytest.raises(TypeError):
+            spool.write_shard(_spec(6).to_dict(), packed_result=pack_record({}))
+        assert spool.completed_indexes() == set()
 
     def test_corrupt_checkpoint_dropped(self, tmp_path):
         spool = Spool(tmp_path)
