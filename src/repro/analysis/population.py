@@ -14,7 +14,7 @@ to a fixed precision, and no wall-clock value ever enters an aggregate.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.obs.counters import Counters
 
@@ -109,34 +109,10 @@ class StreamingDistribution:
         }
 
 
-def count_total(counts: Any) -> int:
-    """Sum of a count mapping's values (dict or packed view)."""
-    total = getattr(counts, "total", None)
-    if callable(total):
-        return total()
-    return sum(counts.values())
-
-
-def add_counts(accumulator: Dict[str, int], counts: Any) -> None:
-    """Fold one shard's count mapping (dict or packed view) into a running
-    total, in place."""
+def add_counts(accumulator: Dict[str, int], counts: Mapping[str, int]) -> None:
+    """Fold one shard's count dict into a running total, in place."""
     for key, value in counts.items():
         accumulator[key] = accumulator.get(key, 0) + int(value)
-
-
-def merge_counters(registry: Counters, counts: Any) -> None:
-    """Fold one shard's counter payload into a :class:`Counters` registry.
-
-    Packed views merge blob-to-registry in one pass (the shared-memory
-    path); dicts and registries use the existing merge primitives.
-    """
-    merge_into = getattr(counts, "merge_into", None)
-    if callable(merge_into):
-        merge_into(registry)
-    elif isinstance(counts, Counters):
-        registry.merge(counts)
-    else:
-        registry.merge_snapshot(counts)
 
 
 class _LongtermArm:
@@ -164,7 +140,7 @@ class _LongtermArm:
         self.stolen_per_machine = StreamingDistribution()
         self.counters = Counters()
 
-    def fold(self, result: Dict[str, Any], arm_counters: Any) -> None:
+    def fold(self, result: Dict[str, Any], arm_counters: Mapping[str, int]) -> None:
         self.machines += 1
         add_counts(self.stolen, result["stolen_counts"])
         add_counts(self.blocked, result["blocked_counts"])
@@ -175,8 +151,8 @@ class _LongtermArm:
         self.device_denials += result["device_denials"]
         self.alerts_shown += result["alerts_shown"]
         self.spy_rounds += result["spy_rounds"]
-        self.stolen_per_machine.add(count_total(result["stolen_counts"]))
-        merge_counters(self.counters, arm_counters)
+        self.stolen_per_machine.add(sum(result["stolen_counts"].values()))
+        self.counters.merge_snapshot(arm_counters)
 
     def summary(self) -> Dict[str, Any]:
         stolen = dict(sorted(self.stolen.items()))

@@ -14,7 +14,7 @@ Pieces:
   bounded retries, poison-shard quarantine);
 - :mod:`repro.fleet.reducers`  -- the ordered fold of shard records into
   a study's accumulator;
-- :mod:`repro.fleet.records`   -- deterministic packed result records,
+- :mod:`repro.fleet.records`   -- result records as canonical JSON bytes,
   sent home in each worker's "done" message;
 - :mod:`repro.fleet.spool`     -- atomic per-shard checkpoints for resume.
 """
@@ -27,7 +27,7 @@ from repro.fleet.errors import (
     SpoolVersionError,
     UnknownStudyError,
 )
-from repro.fleet.records import PackedCounters, pack_record, unpack_record
+from repro.fleet.records import pack_record, unpack_record
 from repro.fleet.reducers import OrderedFold
 from repro.fleet.spool import SPOOL_VERSION, Spool
 from repro.fleet.studies import (
@@ -43,7 +43,6 @@ __all__ = [
     "FleetError",
     "FleetReport",
     "OrderedFold",
-    "PackedCounters",
     "QuarantinedShard",
     "RecordFormatError",
     "SPOOL_VERSION",

@@ -15,8 +15,8 @@
 
 A worker receives shard indexes and looks each spec up in the table it
 was started with.  Its result record travels home inside the "done"
-message, in the deterministic packed codec of :mod:`repro.fleet.records`
-(the same bytes its spool checkpoint holds); the driver folds records into
+message as canonical JSON bytes (:mod:`repro.fleet.records`, the same
+bytes its spool checkpoint holds); the driver folds records into
 the study's accumulator strictly in shard-index order
 (:class:`~repro.fleet.reducers.OrderedFold`), so parent memory holds the
 out-of-order window, not the population.
@@ -235,6 +235,10 @@ def run_fleet(
         raise FleetError(f"population must be >= 1, got {population}")
     if workers < 1:
         raise FleetError(f"workers must be >= 1, got {workers}")
+    if timeout_seconds is not None and not timeout_seconds > 0:
+        raise FleetError(f"timeout_seconds must be > 0, got {timeout_seconds}")
+    if max_retries < 0:
+        raise FleetError(f"max_retries must be >= 0, got {max_retries}")
     study = get_study(study_name)
     params = dict(params or {})
     started = time.perf_counter()

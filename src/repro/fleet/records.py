@@ -1,286 +1,37 @@
-"""The fleet result-record codec: deterministic struct-packed envelopes.
+"""The fleet result-record codec: canonical JSON.
 
-Shard envelopes are JSON-safe trees (dicts with string keys, lists,
-strings, ints, floats, bools, None).  Historically they crossed the
-worker->parent boundary as pickles; this codec replaces that with a
-compact tag-length-value binary layout so the hot merge path never runs
-the pickle machinery and the bytes are a *deterministic* function of the
-value (dict keys are packed sorted).
-
-Two extra twists tuned for the merge path:
-
-- **Counter dicts pack as delta blobs.**  A non-empty ``str -> int`` dict
-  packs with its own tag in the :meth:`repro.obs.counters.Counters.pack_deltas`
-  layout, and unpacks (by default) to a :class:`PackedCounters` view --
-  the streaming reducers feed that blob straight into
-  :meth:`Counters.merge_packed` without materialising a dict per shard.
-  ``unpack_record(..., materialize=True)`` restores plain dicts for exact
-  round-trips (the spool read path).
-- **No self-describing schema.**  The layout is versioned by the spool /
-  ring framing around it, not per record; a record is only ever read by
-  the build that wrote it or via the spool's version header.
-
-Layout (little-endian):
-
-===== ======================================================
-tag   payload
-===== ======================================================
-``Z``  None
-``T``  True
-``F``  False
-``I``  ``<q`` int
-``G``  ``<I`` byte length + big-int bytes (signed, two's complement)
-``D``  ``<d`` float
-``S``  ``<I`` byte length + UTF-8 bytes
-``B``  ``<I`` byte length + raw bytes
-``L``  ``<I`` element count + packed elements
-``M``  ``<I`` pair count + (packed str key, packed value) pairs, sorted
-``C``  counter-delta blob (``Counters.pack_deltas`` layout)
-===== ======================================================
+Shard envelopes are JSON trees (dicts with string keys, lists, strings,
+ints, floats, bools, None).  A record is the envelope as compact JSON with
+sorted keys, UTF-8 encoded, so the bytes are a deterministic function of
+the value: equal envelopes pack to equal bytes whatever order their keys
+were inserted in.  The layout is versioned by the spool header around it
+(:data:`repro.fleet.spool.SPOOL_VERSION`), not per record.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Any, Dict, Iterator, List, Tuple, Union
+import json
+from typing import Any
 
 from repro.fleet.errors import RecordFormatError
-from repro.obs.counters import (
-    _PACK_COUNT,
-    _PACK_ENTRY_HEAD,
-    _PACK_VALUE,
-    Counters,
-)
-
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-
-_I64_MIN = -(2 ** 63)
-_I64_MAX = 2 ** 63 - 1
-
-Buffer = Union[bytes, bytearray, memoryview]
-
-
-class PackedCounters:
-    """A zero-copy view of a counter-delta blob inside a packed record.
-
-    The streaming reducers' unit of exchange: holds a memoryview over the
-    record buffer and merges straight into a :class:`Counters` registry
-    (or iterates lazily) without ever building an intermediate dict.
-    """
-
-    __slots__ = ("payload",)
-
-    def __init__(self, payload: Buffer) -> None:
-        self.payload = payload
-
-    def merge_into(self, counters: Counters) -> None:
-        """One-pass in-place merge -- the hot path."""
-        counters.merge_packed(self.payload)
-
-    def items(self) -> Iterator[Tuple[str, int]]:
-        """Lazily yield (name, delta) pairs in packed (sorted) order."""
-        payload = self.payload
-        (entries,) = _PACK_COUNT.unpack_from(payload, 0)
-        offset = _PACK_COUNT.size
-        for _ in range(entries):
-            (name_len,) = _PACK_ENTRY_HEAD.unpack_from(payload, offset)
-            offset += _PACK_ENTRY_HEAD.size
-            name = bytes(payload[offset:offset + name_len]).decode("utf-8")
-            offset += name_len
-            (value,) = _PACK_VALUE.unpack_from(payload, offset)
-            offset += _PACK_VALUE.size
-            yield name, value
-
-    def to_dict(self) -> Dict[str, int]:
-        return dict(self.items())
-
-    def total(self) -> int:
-        return sum(value for _, value in self.items())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PackedCounters):
-            return self.to_dict() == other.to_dict()
-        if isinstance(other, dict):
-            return self.to_dict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"PackedCounters({self.to_dict()!r})"
-
-
-def _is_counter_dict(value: dict) -> bool:
-    """True for non-empty pure ``str -> i64 int`` dicts (bools excluded)."""
-    if not value:
-        return False
-    for key, item in value.items():
-        if not isinstance(key, str):
-            return False
-        if isinstance(item, bool) or not isinstance(item, int):
-            return False
-        if not _I64_MIN <= item <= _I64_MAX:
-            return False
-    return True
-
-
-def _pack_into(value: Any, parts: List[bytes]) -> None:
-    if value is None:
-        parts.append(b"Z")
-    elif value is True:
-        parts.append(b"T")
-    elif value is False:
-        parts.append(b"F")
-    elif isinstance(value, int):
-        if _I64_MIN <= value <= _I64_MAX:
-            parts.append(b"I")
-            parts.append(_I64.pack(value))
-        else:
-            raw = value.to_bytes(
-                (value.bit_length() + 8) // 8, "little", signed=True
-            )
-            parts.append(b"G")
-            parts.append(_U32.pack(len(raw)))
-            parts.append(raw)
-    elif isinstance(value, float):
-        parts.append(b"D")
-        parts.append(_F64.pack(value))
-    elif isinstance(value, str):
-        encoded = value.encode("utf-8")
-        parts.append(b"S")
-        parts.append(_U32.pack(len(encoded)))
-        parts.append(encoded)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        raw = bytes(value)
-        parts.append(b"B")
-        parts.append(_U32.pack(len(raw)))
-        parts.append(raw)
-    elif isinstance(value, (list, tuple)):
-        parts.append(b"L")
-        parts.append(_U32.pack(len(value)))
-        for item in value:
-            _pack_into(item, parts)
-    elif isinstance(value, PackedCounters):
-        parts.append(b"C")
-        parts.append(bytes(value.payload))
-    elif isinstance(value, dict):
-        if _is_counter_dict(value):
-            parts.append(b"C")
-            parts.append(_PACK_COUNT.pack(len(value)))
-            for key in sorted(value):
-                encoded = key.encode("utf-8")
-                parts.append(_PACK_ENTRY_HEAD.pack(len(encoded)))
-                parts.append(encoded)
-                parts.append(_PACK_VALUE.pack(value[key]))
-        else:
-            for key in value:
-                if not isinstance(key, str):
-                    raise RecordFormatError(
-                        f"record dict keys must be str, got {key!r}"
-                    )
-            parts.append(b"M")
-            parts.append(_U32.pack(len(value)))
-            for key in sorted(value):
-                _pack_into(key, parts)
-                _pack_into(value[key], parts)
-    else:
-        raise RecordFormatError(
-            f"value of type {type(value).__name__} is not record-packable: "
-            f"{value!r}"
-        )
 
 
 def pack_record(value: Any) -> bytes:
-    """Pack a JSON-safe envelope tree into deterministic bytes."""
-    parts: List[bytes] = []
-    _pack_into(value, parts)
-    return b"".join(parts)
-
-
-def _counter_blob_end(buf: Buffer, offset: int) -> int:
-    (entries,) = _PACK_COUNT.unpack_from(buf, offset)
-    offset += _PACK_COUNT.size
-    for _ in range(entries):
-        (name_len,) = _PACK_ENTRY_HEAD.unpack_from(buf, offset)
-        offset += _PACK_ENTRY_HEAD.size + name_len + _PACK_VALUE.size
-    return offset
-
-
-def _unpack_from(buf: Buffer, offset: int, materialize: bool) -> Tuple[Any, int]:
+    """Pack a JSON envelope tree into deterministic bytes."""
     try:
-        tag = buf[offset:offset + 1]
-        if not tag:
-            raise RecordFormatError("truncated record: missing tag byte")
-        tag = bytes(tag)
-        offset += 1
-        if tag == b"Z":
-            return None, offset
-        if tag == b"T":
-            return True, offset
-        if tag == b"F":
-            return False, offset
-        if tag == b"I":
-            return _I64.unpack_from(buf, offset)[0], offset + _I64.size
-        if tag == b"G":
-            (length,) = _U32.unpack_from(buf, offset)
-            offset += _U32.size
-            raw = bytes(buf[offset:offset + length])
-            return int.from_bytes(raw, "little", signed=True), offset + length
-        if tag == b"D":
-            return _F64.unpack_from(buf, offset)[0], offset + _F64.size
-        if tag == b"S":
-            (length,) = _U32.unpack_from(buf, offset)
-            offset += _U32.size
-            return (
-                bytes(buf[offset:offset + length]).decode("utf-8"),
-                offset + length,
-            )
-        if tag == b"B":
-            (length,) = _U32.unpack_from(buf, offset)
-            offset += _U32.size
-            return bytes(buf[offset:offset + length]), offset + length
-        if tag == b"L":
-            (count,) = _U32.unpack_from(buf, offset)
-            offset += _U32.size
-            items = []
-            for _ in range(count):
-                item, offset = _unpack_from(buf, offset, materialize)
-                items.append(item)
-            return items, offset
-        if tag == b"M":
-            (count,) = _U32.unpack_from(buf, offset)
-            offset += _U32.size
-            mapping: Dict[str, Any] = {}
-            for _ in range(count):
-                key, offset = _unpack_from(buf, offset, materialize)
-                value, offset = _unpack_from(buf, offset, materialize)
-                mapping[key] = value
-            return mapping, offset
-        if tag == b"C":
-            end = _counter_blob_end(buf, offset)
-            view = memoryview(buf)[offset:end] if not isinstance(
-                buf, memoryview
-            ) else buf[offset:end]
-            packed = PackedCounters(view)
-            if materialize:
-                return packed.to_dict(), end
-            return packed, end
-    except struct.error as error:
-        raise RecordFormatError(f"truncated record: {error}") from None
-    raise RecordFormatError(f"unknown record tag {tag!r} at offset {offset - 1}")
+        text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError) as error:
+        raise RecordFormatError(f"value is not record-packable: {error}") from None
+    return text.encode("utf-8")
 
 
-def unpack_record(buf: Buffer, materialize: bool = False) -> Any:
-    """Unpack one record.
+def unpack_record(buf: bytes) -> Any:
+    """Unpack one record packed by :func:`pack_record`.
 
-    With ``materialize=False`` (the merge path) counter dicts come back as
-    :class:`PackedCounters` views over *buf* -- zero copies, merge in
-    place.  With ``materialize=True`` (the spool read path) the exact
-    original tree is restored.
+    Decodes as UTF-8 explicitly: ``json.loads`` on bytes would guess a
+    UTF-16 or UTF-32 encoding from NUL bytes and accept some garbage.
     """
-    value, end = _unpack_from(buf, 0, materialize)
-    if end != len(buf):
-        raise RecordFormatError(
-            f"trailing garbage after record: consumed {end} of {len(buf)} bytes"
-        )
-    return value
+    try:
+        return json.loads(buf.decode("utf-8"))
+    except ValueError as error:
+        raise RecordFormatError(f"malformed record: {error}") from None

@@ -5,10 +5,10 @@ time, into a small accumulator.  A study's ``reducer`` is a zero-argument
 factory for that accumulator, which has two methods:
 
 ``fold(envelope)``
-    Absorb one shard envelope, in place.  Envelopes arrive with counter
-    dicts as :class:`repro.fleet.records.PackedCounters` views, so counter
-    merges go straight from the shared-memory ring into the accumulator
-    with no intermediate dicts.
+    Absorb one shard envelope, in place.  The envelope is the plain
+    JSON tree :func:`repro.fleet.records.unpack_record` returns; counter
+    dicts merge into the accumulator's registry with
+    :meth:`repro.obs.counters.Counters.merge_snapshot`.
 ``finalize(meta)``
     Produce the population aggregate (JSON-safe), with *meta* under
     ``"meta"``.

@@ -7,19 +7,16 @@ Layout of a spool directory::
     shard-00001.rec
     ...
 
-Checkpoint files are **not pickles** (they were, in spool format 1):
-each is a fixed header followed by two records in the deterministic
-struct-packed codec of :mod:`repro.fleet.records`::
+Each checkpoint file is a fixed header followed by two records in the
+canonical JSON of :mod:`repro.fleet.records`::
 
     [0:4)   magic  b"OVSP"
     [4:6)   <H  spool format version
     [6:10)  <I  byte length of the packed spec record
     [10:..) packed spec record, then packed result record
 
-Splitting spec and result means the completion scan
-(:meth:`completed_indexes`) parses only the tiny spec, and the merge path
-(:meth:`read_shard_packed`) hands the result bytes straight to the fold
-without materialising the envelope.
+Splitting spec and result lets :meth:`read_shard_packed` hand the result
+bytes to the fold without touching the spec.
 
 Writes are atomic (``.tmp`` + :func:`os.replace`), so a run killed
 mid-shard leaves either a complete checkpoint or none -- never a torn one.
@@ -43,8 +40,9 @@ from repro.fleet.errors import SpoolMismatchError, SpoolVersionError
 from repro.fleet.records import pack_record, unpack_record
 
 #: Bumped when the checkpoint layout changes; old spools refuse to resume
-#: with a :class:`SpoolVersionError`.  Version 1 was one pickle per shard.
-SPOOL_VERSION = 2
+#: with a :class:`SpoolVersionError`.  Version 1 was one pickle per shard,
+#: version 2 a tag-length-value record codec.
+SPOOL_VERSION = 3
 
 _MAGIC = b"OVSP"
 _HEADER = struct.Struct("<4sHI")
@@ -150,17 +148,16 @@ class Spool:
                 f"directory to start fresh (or resume it with the build "
                 f"that wrote it)"
             )
-        body = memoryview(data)[_HEADER.size:]
-        if len(body) < spec_len:
+        spec_end = _HEADER.size + spec_len
+        if len(data) < spec_end:
             raise ValueError(f"checkpoint {path} is truncated")
-        return body[:spec_len], body[spec_len:]
+        return data[_HEADER.size:spec_end], data[spec_end:]
 
     def read_shard_packed(self, index: int) -> bytes:
-        """A completed shard's packed result bytes -- the engine's fold
-        unpacks them to counter views without building the dict tree
-        (``unpack_record(..., materialize=True)`` restores the envelope)."""
+        """A completed shard's packed result bytes, for the engine's fold
+        to unpack when its turn comes."""
         _, packed = self._split_checkpoint(self.shard_path(index))
-        return bytes(packed)
+        return packed
 
     def discard_shard(self, index: int) -> None:
         """Drop a shard's checkpoint, if any.
@@ -191,10 +188,10 @@ class Spool:
             index = int(match.group(1))
             try:
                 packed_spec, packed_result = self._split_checkpoint(entry)
-                spec = unpack_record(packed_spec, materialize=True)
+                spec = unpack_record(packed_spec)
                 if spec["index"] != index:
                     raise ValueError("index mismatch")
-                unpack_record(packed_result, materialize=False)
+                unpack_record(packed_result)
             except SpoolVersionError:
                 raise
             except Exception:

@@ -304,13 +304,11 @@ class SyntheticState:
         self.counters = Counters()
 
     def fold(self, envelope: Dict[str, Any]) -> None:
-        from repro.analysis.population import merge_counters
-
         self.shards += 1
         self.users += envelope["users"]
         self.checksum = (self.checksum + envelope["checksum"]) % (1 << 61)
         self.events += envelope["events"]
-        merge_counters(self.counters, envelope["counters"])
+        self.counters.merge_snapshot(envelope["counters"])
 
     def finalize(self, meta: Optional[Dict[str, Any]]) -> Dict[str, Any]:
         from repro.analysis.population import proportion_summary

@@ -14,19 +14,10 @@ analysis tables key on them.
 
 from __future__ import annotations
 
-import struct
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Mapping, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Mapping, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import Machine
-
-#: Packed-delta wire layout (see :meth:`Counters.pack_deltas`): a ``<I``
-#: entry count, then per entry a ``<H`` name length, the UTF-8 name, and a
-#: ``<q`` signed delta.  Entries are sorted by name, so equal-content
-#: registries pack to identical bytes.
-_PACK_COUNT = struct.Struct("<I")
-_PACK_ENTRY_HEAD = struct.Struct("<H")
-_PACK_VALUE = struct.Struct("<q")
 
 
 class Counters:
@@ -78,60 +69,16 @@ class Counters:
         for name, value in snapshot.items():
             counts[name] = counts.get(name, 0) + int(value)
 
-    # -- packed deltas (the shared-memory merge path) ----------------------
-
-    def pack_deltas(self) -> bytes:
-        """Serialise the registry as a compact struct-packed delta blob.
-
-        Sorted by name, so equal contents pack to identical bytes; the
-        fleet result records embed these blobs instead of pickled dicts.
-        """
-        parts = [_PACK_COUNT.pack(len(self._counts))]
-        for name in sorted(self._counts):
-            encoded = name.encode("utf-8")
-            parts.append(_PACK_ENTRY_HEAD.pack(len(encoded)))
-            parts.append(encoded)
-            parts.append(_PACK_VALUE.pack(self._counts[name]))
-        return b"".join(parts)
-
-    def merge_packed(self, payload: Union[bytes, memoryview], offset: int = 0) -> int:
-        """Add a :meth:`pack_deltas` blob in place; returns the end offset.
-
-        This is the fleet hot merge path: one pass over the packed bytes,
-        no intermediate dict or registry per shard.
-        """
-        counts = self._counts
-        (entries,) = _PACK_COUNT.unpack_from(payload, offset)
-        offset += _PACK_COUNT.size
-        for _ in range(entries):
-            (name_len,) = _PACK_ENTRY_HEAD.unpack_from(payload, offset)
-            offset += _PACK_ENTRY_HEAD.size
-            name = bytes(payload[offset:offset + name_len]).decode("utf-8")
-            offset += name_len
-            (value,) = _PACK_VALUE.unpack_from(payload, offset)
-            offset += _PACK_VALUE.size
-            counts[name] = counts.get(name, 0) + value
-        return offset
-
     @classmethod
-    def merged(
-        cls, snapshots: Iterable[Union[Mapping[str, int], bytes, memoryview]]
-    ) -> "Counters":
-        """Combine many :meth:`snapshot` dicts (or :meth:`pack_deltas`
-        blobs) into one registry.
+    def merged(cls, snapshots: Iterable[Mapping[str, int]]) -> "Counters":
+        """Combine many :meth:`snapshot` dicts into one registry.
 
-        The fleet aggregation path: each shard ships its machines' counter
-        deltas home -- historically as plain dicts, now also as packed
-        blobs -- and the driver sums them here, in place, without building
-        an intermediate registry or dict copy per shard.  The result is
-        independent of the order the snapshots arrive in.
+        Sums in place, without an intermediate registry or dict copy per
+        snapshot; the result is independent of the order they arrive in.
         """
         combined = cls()
         for snapshot in snapshots:
-            if isinstance(snapshot, (bytes, bytearray, memoryview)):
-                combined.merge_packed(snapshot)
-            else:
-                combined.merge_snapshot(snapshot)
+            combined.merge_snapshot(snapshot)
         return combined
 
     # Pickle via the sorted snapshot so equal-content registries produce

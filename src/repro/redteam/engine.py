@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.population import merge_counters, proportion_summary
+from repro.analysis.population import proportion_summary
 from repro.obs.counters import Counters
 from repro.redteam.corpus import scenario_by_name, scenarios_for_families
 from repro.redteam.scenario import AttackScenario, VerdictEnvelope, run_counted_trial
@@ -296,8 +296,8 @@ class _ScenarioAccumulator:
         sums = self.sums
         for key in _SUM_KEYS:
             sums[key] += envelope[key]
-        merge_counters(self.protected, envelope["counters"]["protected"])
-        merge_counters(self.baseline, envelope["counters"]["baseline"])
+        self.protected.merge_snapshot(envelope["counters"]["protected"])
+        self.baseline.merge_snapshot(envelope["counters"]["baseline"])
 
     def score(self) -> ScenarioScore:
         return ScenarioScore(

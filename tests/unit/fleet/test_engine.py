@@ -147,10 +147,7 @@ class _SquareState:
         self.values = []
 
     def fold(self, envelope):
-        # The square-study envelope is a pure str->int dict, so on the
-        # merge path it arrives as a zero-copy PackedCounters view (the
-        # codec's counter-blob contract).
-        self.values.append(envelope.to_dict()["value"])
+        self.values.append(envelope["value"])
 
     def finalize(self, meta):
         return {
@@ -234,6 +231,27 @@ class TestValidation:
             run_fleet("t-square", population=0, params=_params("t-square"))
         with pytest.raises(FleetError):
             run_fleet("t-square", population=1, workers=0, params=_params("t-square"))
+
+    @pytest.mark.parametrize("timeout", [0, 0.0, -1.0, float("nan")])
+    def test_non_positive_or_nan_timeout_rejected(self, synthetic_studies, timeout):
+        with pytest.raises(FleetError, match="timeout_seconds must be > 0"):
+            run_fleet(
+                "t-square", population=2, workers=2,
+                params=_params("t-square"), timeout_seconds=timeout,
+            )
+
+    def test_negative_retries_rejected(self, synthetic_studies):
+        with pytest.raises(FleetError, match="max_retries must be >= 0"):
+            run_fleet(
+                "t-square", population=2, params=_params("t-square"), max_retries=-1,
+            )
+
+    def test_no_deadline_and_no_retries_stay_valid(self, synthetic_studies):
+        report = run_fleet(
+            "t-square", population=3, workers=2, params=_params("t-square"),
+            timeout_seconds=None, max_retries=0,
+        )
+        assert report.executed == [0, 1, 2] and not report.quarantined
 
 
 class TestInlineExecution:
@@ -601,7 +619,7 @@ class TestRecordsInTheDoneMessage:
         assert [report[:3] for report in reports] == [("done", 7, 2), ("done", 7, 0)]
         for _, _, index, packed in reports:
             assert packed == spool.read_shard_packed(index)
-            assert unpack_record(packed).to_dict() == _run_square(specs[index])
+            assert unpack_record(packed) == _run_square(specs[index])
         assert results.empty()
 
     def test_late_done_of_a_quarantined_shard_discards_and_folds_nothing(

@@ -1,4 +1,4 @@
-"""Unit tests for the checkpoint spool (record format v2)."""
+"""Unit tests for the checkpoint spool (record format v3)."""
 
 import json
 import pickle
@@ -17,8 +17,8 @@ def _spec(index: int) -> ShardSpec:
 
 
 def _read(spool: Spool, index: int):
-    """A checkpoint's result envelope, fully materialised."""
-    return unpack_record(spool.read_shard_packed(index), materialize=True)
+    """A checkpoint's result envelope."""
+    return unpack_record(spool.read_shard_packed(index))
 
 
 class TestManifest:
@@ -29,7 +29,7 @@ class TestManifest:
         spool.ensure_manifest(manifest)  # same config resumes fine
         stored = json.loads(spool.manifest_path().read_text())
         assert stored["study"] == "longterm"
-        assert stored["version"] == SPOOL_VERSION == 2
+        assert stored["version"] == SPOOL_VERSION == 3
 
     def test_mismatched_manifest_rejected(self, tmp_path):
         spool = Spool(tmp_path)
@@ -76,7 +76,7 @@ class TestShardCheckpoints:
         result = {"index": 5, "value": 25}
         packed = spool.write_shard(_spec(5).to_dict(), result)
         assert packed == pack_record(result)
-        assert unpack_record(packed, materialize=True) == result
+        assert unpack_record(packed) == result
 
     def test_write_shard_takes_no_packed_result_keyword(self, tmp_path):
         spool = Spool(tmp_path)
@@ -111,14 +111,20 @@ class TestShardCheckpoints:
             spool.read_shard_packed(1)
 
     def test_future_format_checkpoint_raises_version_error(self, tmp_path):
+        """A format-2 (tag-length-value) checkpoint and a future one both
+        refuse loudly instead of being dropped as corrupt."""
         spool = Spool(tmp_path)
         spool.root.mkdir(exist_ok=True)
-        spool.write_shard(_spec(1).to_dict(), {"ok": True})
-        data = bytearray(spool.shard_path(1).read_bytes())
-        data[4:6] = (99).to_bytes(2, "little")
-        spool.shard_path(1).write_bytes(bytes(data))
-        with pytest.raises(SpoolVersionError, match="format 99"):
-            spool.completed_indexes()
+        for version in (2, 99):
+            spool.write_shard(_spec(1).to_dict(), {"ok": True})
+            data = bytearray(spool.shard_path(1).read_bytes())
+            data[4:6] = version.to_bytes(2, "little")
+            spool.shard_path(1).write_bytes(bytes(data))
+            with pytest.raises(SpoolVersionError, match=f"format {version}"):
+                spool.completed_indexes()
+            with pytest.raises(SpoolVersionError):
+                spool.read_shard_packed(1)
+            assert spool.shard_path(1).exists()
 
     def test_index_mismatch_inside_payload_dropped(self, tmp_path):
         spool = Spool(tmp_path)

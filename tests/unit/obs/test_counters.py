@@ -144,60 +144,3 @@ class TestCountersSerialization:
         collected = collect_counters(machine)
         clone = pickle.loads(pickle.dumps(collected))
         assert clone.snapshot() == collected.snapshot()
-
-
-class TestPackedDeltas:
-    """The struct-packed delta blobs that ride the fleet's shm rings."""
-
-    def test_pack_round_trips_through_merge_packed(self):
-        source = Counters({"b.ops": 2, "a.ops": -3, "c.ops": 0})
-        target = Counters()
-        end = target.merge_packed(source.pack_deltas())
-        assert target.snapshot() == source.snapshot()
-        assert end == len(source.pack_deltas())
-
-    def test_pack_is_deterministic_under_insertion_order(self):
-        one = Counters()
-        one.inc("z", 5)
-        one.inc("a", 1)
-        other = Counters({"a": 1, "z": 5})
-        assert one.pack_deltas() == other.pack_deltas()
-
-    def test_merge_packed_accumulates_in_place(self):
-        target = Counters({"x": 1})
-        target.merge_packed(Counters({"x": 2, "y": 7}).pack_deltas())
-        target.merge_packed(Counters({"y": -7}).pack_deltas())
-        assert target.snapshot() == {"x": 3, "y": 0}
-
-    def test_merge_packed_from_offset_and_memoryview(self):
-        blob = Counters({"k": 4}).pack_deltas()
-        framed = b"\xff\xff" + blob
-        target = Counters()
-        end = target.merge_packed(memoryview(framed), offset=2)
-        assert end == len(framed)
-        assert target.snapshot() == {"k": 4}
-
-    def test_empty_registry_packs_and_merges(self):
-        target = Counters({"x": 1})
-        target.merge_packed(Counters().pack_deltas())
-        assert target.snapshot() == {"x": 1}
-
-    def test_merged_accepts_blobs_and_dicts_mixed(self):
-        combined = Counters.merged(
-            [
-                {"a": 1, "b": 2},
-                Counters({"b": 3}).pack_deltas(),
-                memoryview(Counters({"a": 4, "c": 5}).pack_deltas()),
-            ]
-        )
-        assert combined.snapshot() == {"a": 5, "b": 5, "c": 5}
-
-    def test_merged_blob_order_independent(self):
-        blobs = [
-            Counters({"a": 1}).pack_deltas(),
-            Counters({"a": 2, "b": 9}).pack_deltas(),
-        ]
-        assert (
-            Counters.merged(blobs).snapshot()
-            == Counters.merged(list(reversed(blobs))).snapshot()
-        )

@@ -139,6 +139,19 @@ class TestFleetCommand:
         assert main(["fleet", "nope"]) == 2
         assert "unknown study" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--timeout", "0"], "timeout_seconds must be > 0"),
+            (["--timeout", "nan"], "timeout_seconds must be > 0"),
+            (["--retries", "-1"], "max_retries must be >= 0"),
+        ],
+    )
+    def test_fleet_bad_timeout_or_retries_exit_2(self, capsys, flags, message):
+        argv = ["fleet", "synthetic", "--users", "8", "--workers", "2", *flags]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("flags", [["--lease", "8"], ["--no-steal"]])
     def test_fleet_removed_dispatch_flags_rejected(self, capsys, flags):
         with pytest.raises(SystemExit) as exit_info:
