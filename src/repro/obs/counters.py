@@ -14,7 +14,7 @@ analysis tables key on them.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import Machine
@@ -68,18 +68,6 @@ class Counters:
         counts = self._counts
         for name, value in snapshot.items():
             counts[name] = counts.get(name, 0) + int(value)
-
-    @classmethod
-    def merged(cls, snapshots: Iterable[Mapping[str, int]]) -> "Counters":
-        """Combine many :meth:`snapshot` dicts into one registry.
-
-        Sums in place, without an intermediate registry or dict copy per
-        snapshot; the result is independent of the order they arrive in.
-        """
-        combined = cls()
-        for snapshot in snapshots:
-            combined.merge_snapshot(snapshot)
-        return combined
 
     # Pickle via the sorted snapshot so equal-content registries produce
     # byte-identical payloads regardless of insertion order -- shard

@@ -79,6 +79,14 @@ class RequestError(Exception):
         self.code = code
 
 
+def _check_tenant_id(tenant_id: Any) -> None:
+    if not isinstance(tenant_id, str) or not _TENANT_RE.match(tenant_id):
+        raise RequestError(
+            E_BAD_REQUEST,
+            "'tenant' must be a 1-64 char token of [A-Za-z0-9_.:-]",
+        )
+
+
 def _field_int(request: Dict[str, Any], name: str, minimum: Optional[int] = None) -> int:
     value = request.get(name)
     if not isinstance(value, int) or isinstance(value, bool):
@@ -247,9 +255,15 @@ class PermissionService:
         return sorted(self._tenants)
 
     def tenant(self, tenant_id: str) -> TenantState:
-        """The tenant's partition, created on first touch."""
-        state = self._tenants.get(tenant_id)
+        """The tenant's partition, created on first touch.
+
+        The id is validated here, once, when its partition is created: every
+        key of the table is a valid id, so a lookup that finds one needs no
+        further check.
+        """
+        state = self._tenants.get(tenant_id) if isinstance(tenant_id, str) else None
         if state is None:
+            _check_tenant_id(tenant_id)
             if len(self._tenants) >= self.max_tenants:
                 raise RequestError(
                     E_TENANT_LIMIT,
@@ -275,11 +289,10 @@ class PermissionService:
 
     def _tenant_for(self, request: Dict[str, Any]) -> TenantState:
         tenant_id = request.get("tenant")
-        if not isinstance(tenant_id, str) or not _TENANT_RE.match(tenant_id):
-            raise RequestError(
-                E_BAD_REQUEST,
-                "'tenant' must be a 1-64 char token of [A-Za-z0-9_.:-]",
-            )
+        if type(tenant_id) is str:
+            state = self._tenants.get(tenant_id)
+            if state is not None:
+                return state
         return self.tenant(tenant_id)
 
     # -- request engine ------------------------------------------------------
@@ -438,11 +451,7 @@ class PermissionService:
                 )
             if op == "reset":
                 tenant_id = request.get("tenant")
-                if not isinstance(tenant_id, str) or not _TENANT_RE.match(tenant_id):
-                    raise RequestError(
-                        E_BAD_REQUEST,
-                        "'tenant' must be a 1-64 char token of [A-Za-z0-9_.:-]",
-                    )
+                _check_tenant_id(tenant_id)
                 # Deliberately history-free: whether a partition already
                 # existed depends on what ran before on this daemon, and a
                 # reset response must be byte-identical across runs.

@@ -17,12 +17,15 @@ single-threaded decision core:
 Batching
     Each connection is a buffered :mod:`asyncio` protocol whose
     ``data_received`` splits every complete frame out of each read and
-    queues the parsed requests centrally; readers never call the core.  A
-    non-empty queue schedules one dispatch pass (``call_soon``), which
-    hands up to ``batch_limit`` requests to the backend in one call and
-    re-schedules itself while work remains -- so reads from any number of
-    sockets coalesce into one core pass, and each connection's answers
-    from a pass leave in one write.
+    queues the parsed requests centrally.  When no dispatch pass is
+    pending, the same callback then runs the pass: the read's requests go
+    to the backend in one call and each connection's answers leave in one
+    write, with no second trip through the event loop.  A pass is
+    scheduled (``call_soon``) instead only while one is already pending or
+    held by the test gate, to finish a drain, or to go on with a queue
+    longer than ``batch_limit``; a scheduled pass hands up to
+    ``batch_limit`` requests to the backend and re-schedules itself while
+    work remains, so reads that arrive meanwhile coalesce into it.
 
 Backpressure
     Each connection has a bounded in-flight budget (``max_pending``).  A
@@ -55,7 +58,7 @@ from __future__ import annotations
 import asyncio
 import signal
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.obs.counters import Counters
 from repro.service.core import PermissionService
@@ -156,10 +159,13 @@ class _Connection(asyncio.BufferedProtocol):
             counters.inc("service.frames_rejected")
             self.farewell = encode_response_frame(error_response(None, error.code, str(error)))
             self.transport.pause_reading()
-        if queue:
-            daemon._schedule()
         if replies or self.farewell is not None:
             daemon._write(self, replies)
+        if queue:
+            if daemon._scheduled or daemon.dispatch_gate is not None:
+                daemon._schedule()  # a pending (or held) pass takes these too
+            else:
+                daemon._dispatch()  # answer this read now, in this callback
 
     def connection_lost(self, exc: Optional[BaseException]) -> None:
         self.closed = True
@@ -292,6 +298,10 @@ class ServiceDaemon:
         self._connections: Set[_Connection] = set()
         self._queue: Deque[Admitted] = deque()
         self._scheduled = False
+        #: The queue-depth and batch-size high-water marks, kept here so a
+        #: pass reads no counter; the registry is written only on a rise.
+        self._depth_high = self.counters.get("service.queue_depth_high")
+        self._batch_high = self.counters.get("service.batch_size_high")
         self._draining = False
         self._stopped = asyncio.Event()
         #: Created when the drain starts; set once no connection is left.
@@ -370,13 +380,16 @@ class ServiceDaemon:
         if queue:
             counters = self.counters
             depth = len(queue)
-            if depth > counters.get("service.queue_depth_high"):
+            if depth > self._depth_high:
+                self._depth_high = depth
                 counters.set("service.queue_depth_high", depth)
             batch = [queue.popleft() for _ in range(min(depth, self.batch_limit))]
+            size = len(batch)
             counters.inc("service.batches")
-            counters.inc("service.batched_requests", len(batch))
-            if len(batch) > counters.get("service.batch_size_high"):
-                counters.set("service.batch_size_high", len(batch))
+            counters.inc("service.batched_requests", size)
+            if size > self._batch_high:
+                self._batch_high = size
+                counters.set("service.batch_size_high", size)
             try:
                 self.backend.dispatch(self, batch)
             except Exception as error:  # noqa: BLE001 - the last line of defence
@@ -389,13 +402,18 @@ class ServiceDaemon:
                     error_response(request.get("id"), E_INTERNAL, detail), packed
                 )) for conn, request, packed in batch])
         if queue:
-            self._schedule()  # the yield that lets readers grow the next batch
+            self._schedule()  # past batch_limit: yield to readers, then go on
         elif self._draining and self._all_closed is None:
             self._all_closed = asyncio.Event()
             self._task = self._loop.create_task(self._finish_drain())
 
-    def deliver(self, answers: Iterable[Tuple[_Connection, bytes]]) -> None:
+    def deliver(self, answers: List[Tuple[_Connection, bytes]]) -> None:
         """Send answered frames, one write per connection, and free their budget."""
+        if len(answers) == 1:
+            conn, frame = answers[0]
+            conn.pending -= 1
+            self._write(conn, [frame])
+            return
         out: Dict[_Connection, List[bytes]] = {}
         for conn, frame in answers:
             conn.pending -= 1

@@ -391,6 +391,12 @@ def encode_request_frame(request: Dict[str, Any], packed: bool = False) -> bytes
     return encode_frame(request)
 
 
+#: The result key sets of the two packed response shapes.  A dict's key
+#: view compares with a set without building one.
+_QUERY_OK_KEYS = frozenset({"granted", "reason", "interaction_age", "time"})
+_INTERACT_OK_KEYS = frozenset({"time"})
+
+
 def encode_response_frame(response: Dict[str, Any], packed: bool = False) -> bytes:
     """Encode a response, packing recognised success shapes when *packed*.
 
@@ -408,8 +414,8 @@ def encode_response_frame(response: Dict[str, Any], packed: bool = False) -> byt
             and isinstance(result, dict)
         ):
             try:
-                keys = set(result)
-                if keys == {"granted", "reason", "interaction_age", "time"}:
+                keys = result.keys()
+                if keys == _QUERY_OK_KEYS:
                     return encode_packed_frame(
                         pack_query_ok(
                             request_id,
@@ -419,7 +425,7 @@ def encode_response_frame(response: Dict[str, Any], packed: bool = False) -> byt
                             result["time"],
                         )
                     )
-                if keys == {"time"}:
+                if keys == _INTERACT_OK_KEYS:
                     return encode_packed_frame(
                         pack_interact_ok(request_id, result["time"])
                     )

@@ -30,9 +30,9 @@ class TestTrialDeterminism:
         right = run_redteam_shard("launder-pipe-chain", 11, 2, 2)
         for key in ("false_grants", "blocked", "detected_blocked", "baseline_successes"):
             assert whole[key] == left[key] + right[key]
-        merged = Counters.merged(
-            [left["counters"]["protected"], right["counters"]["protected"]]
-        )
+        merged = Counters()
+        merged.merge_snapshot(left["counters"]["protected"])
+        merged.merge_snapshot(right["counters"]["protected"])
         assert merged.snapshot() == whole["counters"]["protected"]
 
     def test_campaign_repeats_identically(self):

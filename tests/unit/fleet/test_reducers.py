@@ -119,6 +119,9 @@ def test_counter_merge_commutes_up_to_snapshot(counter_sets):
     *non*-commutative state, like float sums, stays deterministic too)."""
     from repro.obs.counters import Counters
 
-    forward = Counters.merged(counter_sets).snapshot()
-    backward = Counters.merged(list(reversed(counter_sets))).snapshot()
-    assert forward == backward
+    forward, backward = Counters(), Counters()
+    for counts in counter_sets:
+        forward.merge_snapshot(counts)
+    for counts in reversed(counter_sets):
+        backward.merge_snapshot(counts)
+    assert forward.snapshot() == backward.snapshot()

@@ -124,8 +124,12 @@ class TestCountersSerialization:
     def test_merged_snapshots_order_independent(self):
         snap_a = {"x.ops": 3, "y.ops": 1}
         snap_b = {"x.ops": 2, "z.ops": 5}
-        one = Counters.merged([snap_a, snap_b]).snapshot()
-        other = Counters.merged([snap_b, snap_a]).snapshot()
+        one, other = Counters(), Counters()
+        for snapshot in (snap_a, snap_b):
+            one.merge_snapshot(snapshot)
+        for snapshot in (snap_b, snap_a):
+            other.merge_snapshot(snapshot)
+        one, other = one.snapshot(), other.snapshot()
         assert one == other == {"x.ops": 5, "y.ops": 1, "z.ops": 5}
 
     def test_merge_order_stable_after_interleaved_updates(self):

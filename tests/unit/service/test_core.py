@@ -8,7 +8,7 @@ config factory threaded through a tenant partition.
 import pytest
 
 from repro.core.config import OverhaulConfig
-from repro.service.core import PermissionService
+from repro.service.core import PermissionService, RequestError
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     E_BAD_REQUEST,
@@ -156,6 +156,56 @@ class TestValidation:
         )
         assert responses[0]["ok"] and responses[2]["ok"]
         assert responses[1]["error"] == E_BAD_REQUEST
+
+
+#: Ids the tenant token refuses: wrong type, empty, too long, a leading
+#: separator, a path, whitespace.
+BAD_TENANT_IDS = [None, 7, ["t0"], {"t": 0}, "", "x" * 65, "-t0", "../etc", "t 0", "t0/"]
+
+
+class TestTenantIdValidation:
+    """A tenant id is checked once, when its partition is created."""
+
+    @pytest.mark.parametrize("tenant_id", BAD_TENANT_IDS)
+    def test_bad_id_refused_by_tenant(self, tenant_id):
+        service = PermissionService()
+        with pytest.raises(RequestError) as excinfo:
+            service.tenant(tenant_id)
+        assert excinfo.value.code == E_BAD_REQUEST
+        assert service.tenant_ids == []
+        assert service.counters.get("service.tenants_created") == 0
+
+    @pytest.mark.parametrize("op", ["spawn", "query", "interact", "advance", "digest",
+                                    "stats", "reset"])
+    @pytest.mark.parametrize("tenant_id", BAD_TENANT_IDS[1:])
+    def test_bad_id_refused_by_apply_beside_known_tenants(self, op, tenant_id):
+        service = PermissionService()
+        spawn_pid(service, "t0")
+        fields = {"name": "alpha", "pid": 1, "operation": "paste", "dt": 1}
+        response = service.apply(req(op, tenant=tenant_id, **fields))
+        assert response["error"] == E_BAD_REQUEST
+        assert service.tenant_ids == ["t0"]
+
+    def test_bad_id_refused_before_the_table_limit(self):
+        service = PermissionService(max_tenants=1)
+        spawn_pid(service, "t0")
+        response = service.apply(req("spawn", tenant="../etc", name="alpha"))
+        assert response["error"] == E_BAD_REQUEST
+        with pytest.raises(RequestError) as excinfo:
+            service.tenant("../etc")
+        assert excinfo.value.code == E_BAD_REQUEST
+
+    def test_known_tenant_served_from_the_table(self):
+        service = PermissionService()
+        state = service.tenant("t0")
+        assert service.tenant("t0") is state
+        pid = spawn_pid(service, "t0")
+        service.apply(req("interact", tenant="t0", pid=pid))
+        response = service.apply(req("query", tenant="t0", pid=pid, operation="paste"))
+        assert response["ok"] and response["result"]["granted"] is True
+        assert service.tenant("t0") is state
+        assert state.requests_applied == 3
+        assert service.counters.get("service.tenants_created") == 1
 
 
 class TestBatching:

@@ -11,6 +11,7 @@ one-worker :class:`WorkerPool`.
 """
 
 import asyncio
+import shutil
 import socket
 import struct
 
@@ -51,11 +52,26 @@ def backend(request):
         return pools[-1]
 
     yield make
-    for pool in pools:  # a failed case must not leave a worker running
-        for worker in pool._workers:
-            if worker.process.poll() is None:
-                worker.process.kill()
-                worker.process.wait()
+    for pool in pools:
+        kill_workers(pool)
+
+
+@pytest.fixture
+def pool():
+    """A one-worker pool for the cases only that backend has."""
+    made = WorkerPool(1)
+    yield made
+    kill_workers(made)
+
+
+def kill_workers(pool):
+    """A failed case must leave neither a worker nor its socket directory."""
+    for worker in pool._workers:
+        if worker.process.poll() is None:
+            worker.process.kill()
+            worker.process.wait()
+    if pool._socket_dir is not None:
+        shutil.rmtree(pool._socket_dir, ignore_errors=True)
 
 
 async def start_daemon(tmp_path, service=None, **kwargs):
@@ -77,6 +93,26 @@ async def read_frame(reader):
     header = await reader.readexactly(4)
     (length,) = struct.unpack("!I", header)
     return json.loads(await reader.readexactly(length))
+
+
+async def only_connection(daemon):
+    """The daemon's side of the one client connection, once it is accepted."""
+    while not daemon._connections:
+        await asyncio.sleep(0.005)
+    (conn,) = daemon._connections
+    return conn
+
+
+def record_writes(transport):
+    """Copy every write on *transport* into the returned list, then send it."""
+    writes = []
+    write = transport.write
+    transport.write = lambda data: (writes.append(bytes(data)), write(data))
+    return writes
+
+
+def ping(request_id):
+    return encode_frame({"v": PROTOCOL_VERSION, "id": request_id, "op": "ping"})
 
 
 class TestFrameRejection:
@@ -251,9 +287,7 @@ class TestFramingReadPath:
             while daemon.queue_depth < count:
                 await asyncio.sleep(0.005)
             (conn,) = daemon._connections
-            writes = []
-            write = conn.transport.write
-            conn.transport.write = lambda data: (writes.append(bytes(data)), write(data))
+            writes = record_writes(conn.transport)
             gate.set()
             decoder = FrameDecoder()
             answers = []
@@ -459,6 +493,135 @@ class TestFrontEndCounters:
                 assert counters["service.batches"] == sent + 1
                 assert counters["service.connections"] == 1
             finally:
+                await client.close()
+                daemon.begin_drain()
+                await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
+
+        run(body)
+
+
+class TestOnePassPerRequest:
+    """An idle daemon answers a read inside the callback that read it."""
+
+    def test_idle_daemon_answers_a_lone_request_before_the_read_returns(self, tmp_path):
+        spawn = {"v": PROTOCOL_VERSION, "id": 1, "op": "spawn", "tenant": "t0", "name": "alpha"}
+        expected = PermissionService().apply(spawn)
+
+        async def body():
+            daemon, path = await start_daemon(tmp_path)
+            reader, writer = await raw_connection(path)
+            conn = await only_connection(daemon)
+            writes = record_writes(conn.transport)
+            conn.data_received(encode_request_frame(spawn))
+            # Written before data_received returned: no loop pass in between.
+            assert FrameDecoder().feed(b"".join(writes)) == [expected]
+            assert len(writes) == 1
+            assert not daemon._scheduled and daemon.queue_depth == 0
+            assert daemon.counters.get("service.batches") == 1
+            assert await asyncio.wait_for(read_frame(reader), timeout=5) == expected
+            writer.close()
+            daemon.begin_drain()
+            await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
+
+        run(body)
+
+    def test_idle_pool_routes_a_lone_request_before_the_read_returns(self, tmp_path, pool):
+        spawn = {"v": PROTOCOL_VERSION, "id": 7, "op": "spawn", "tenant": "t0", "name": "alpha"}
+        expected = PermissionService().apply(spawn)
+
+        async def body():
+            daemon, path = await start_daemon(tmp_path, pool)
+            reader, writer = await raw_connection(path)
+            conn = await only_connection(daemon)
+            (worker,) = pool._workers
+            forwarded = record_writes(worker.transport)
+            answered = record_writes(conn.transport)
+            conn.data_received(encode_request_frame(spawn))
+            assert len(forwarded) == 1  # on the worker's pipe already
+            assert await asyncio.wait_for(read_frame(reader), timeout=5) == expected
+            # The pool answers a ping itself, so it leaves in the same callback.
+            conn.data_received(ping(8))
+            assert [answer["id"] for answer in FrameDecoder().feed(answered[-1])] == [8]
+            writer.close()
+            daemon.begin_drain()
+            await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
+
+        run(body)
+
+    def test_reads_during_a_pending_pass_wait_for_it(self, tmp_path, backend):
+        async def body():
+            daemon, path = await start_daemon(tmp_path, backend())
+            reader, writer = await raw_connection(path)
+            conn = await only_connection(daemon)
+            writes = record_writes(conn.transport)
+            daemon._schedule()  # a pass is pending when the reads land
+            conn.data_received(ping(1))
+            conn.data_received(ping(2))
+            assert writes == [] and daemon.queue_depth == 2
+            answers = [await asyncio.wait_for(read_frame(reader), timeout=5) for _ in range(2)]
+            assert [answer["id"] for answer in answers] == [1, 2]
+            assert daemon.counters.get("service.batches") == 1  # both in that pass
+            assert daemon.counters.get("service.batch_size_high") == 2
+            writer.close()
+            daemon.begin_drain()
+            await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
+
+        run(body)
+
+    @pytest.mark.parametrize("opened", [False, True], ids=["closed-gate", "open-gate"])
+    def test_reads_under_the_gate_wait_for_a_pass(self, tmp_path, backend, opened):
+        async def body():
+            daemon, path = await start_daemon(tmp_path, backend())
+            gate = asyncio.Event()
+            if opened:
+                gate.set()
+            daemon.dispatch_gate = gate
+            reader, writer = await raw_connection(path)
+            conn = await only_connection(daemon)
+            writes = record_writes(conn.transport)
+            conn.data_received(ping(1))
+            assert writes == [] and daemon.queue_depth == 1
+            gate.set()
+            answer = await asyncio.wait_for(read_frame(reader), timeout=5)
+            assert answer["id"] == 1 and answer["ok"] is True
+            writer.close()
+            daemon.begin_drain()
+            await asyncio.wait_for(daemon.wait_stopped(), timeout=5)
+
+        run(body)
+
+    def test_high_water_marks_read_one_for_lone_requests_and_n_for_a_batch(
+        self, tmp_path, backend
+    ):
+        async def body():
+            daemon, path = await start_daemon(tmp_path, backend())
+            counters = daemon.counters
+            client = await AsyncServiceClient.connect(unix_path=path)
+            reader, writer = await raw_connection(path)
+            try:
+                for _ in range(3):
+                    await client.request("ping")
+                assert counters.get("service.batch_size_high") == 1
+                assert counters.get("service.queue_depth_high") == 1
+                assert counters.get("service.batches") == 3
+                gate = asyncio.Event()
+                daemon.dispatch_gate = gate
+                count = 5
+                writer.write(b"".join(ping(i) for i in range(count)))
+                while daemon.queue_depth < count:
+                    await asyncio.sleep(0.005)
+                gate.set()
+                for _ in range(count):
+                    await asyncio.wait_for(read_frame(reader), timeout=5)
+                daemon.dispatch_gate = None
+                await client.request("ping")  # a lone request lowers no mark
+                assert counters.get("service.batch_size_high") == count
+                assert counters.get("service.queue_depth_high") == count
+                wire = (await client.request("stats"))["counters"]
+                assert wire["service.batch_size_high"] == count
+                assert wire["service.queue_depth_high"] == count
+            finally:
+                writer.close()
                 await client.close()
                 daemon.begin_drain()
                 await asyncio.wait_for(daemon.wait_stopped(), timeout=5)

@@ -268,6 +268,22 @@ class TestEncodeNegotiatedFrames:
         (raw,) = struct.unpack("!I", encode_response_frame(err, True)[:HEADER_SIZE])
         assert not raw & PACKED_BIT  # errors always fall back to JSON
 
+    def test_response_frame_near_miss_shapes_fall_back_to_json(self):
+        query_ok = {"granted": True, "reason": "r", "interaction_age": None, "time": 5}
+        for result in (
+            dict(query_ok, extra=1),
+            {key: value for key, value in query_ok.items() if key != "reason"},
+            {"time": 5, "pid": 2},
+            {},
+        ):
+            frame = encode_response_frame(ok_response(1, result), True)
+            (raw,) = struct.unpack("!I", frame[:HEADER_SIZE])
+            assert not raw & PACKED_BIT
+            assert decode_body(frame[HEADER_SIZE:])["result"] == result
+        frame = encode_response_frame(ok_response(1, {"time": 5}), True)
+        (raw,) = struct.unpack("!I", frame[:HEADER_SIZE])
+        assert raw & PACKED_BIT
+
     def test_wire_version_constant(self):
         assert WIRE_VERSION == 2
         assert PACKED_BIT == 0x80000000
