@@ -16,7 +16,7 @@ Pieces:
   a study's accumulator;
 - :mod:`repro.fleet.records`   -- result records as canonical JSON bytes,
   sent home in each worker's "done" message;
-- :mod:`repro.fleet.spool`     -- atomic per-shard checkpoints for resume.
+- :mod:`repro.fleet.spool`     -- append-only shard-record segments for resume.
 """
 
 from repro.fleet.engine import FleetReport, QuarantinedShard, run_fleet

@@ -13,11 +13,12 @@
   slow shard holds back at most the one shard queued behind it; every
   other shard goes to whichever worker frees up first.
 
-A worker receives shard indexes and looks each spec up in the table it
-was started with.  Its result record travels home inside the "done"
-message as canonical JSON bytes (:mod:`repro.fleet.records`, the same
-bytes its spool checkpoint holds); the driver folds records into
-the study's accumulator strictly in shard-index order
+A worker receives shard indexes, looks each spec up in the table it was
+started with, and only computes: its result record travels home inside
+the "done" message as canonical JSON bytes (:mod:`repro.fleet.records`).
+The driver is the spool's only writer.  It appends those same bytes to
+the run's spool segment when it accepts the shard, then folds records
+into the study's accumulator strictly in shard-index order
 (:class:`~repro.fleet.reducers.OrderedFold`), so parent memory holds the
 out-of-order window, not the population.
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional
 
 from repro.fleet.errors import FleetError
-from repro.fleet.records import unpack_record
+from repro.fleet.records import pack_record, unpack_record
 from repro.fleet.reducers import OrderedFold
 from repro.fleet.spool import Spool
 from repro.fleet.studies import ShardSpec, get_study
@@ -126,17 +127,10 @@ def _worker_loop(
     worker_id: int,
     task_queue: "multiprocessing.Queue",
     result_queue: "multiprocessing.Queue",
-    spool_root: str,
     specs: Dict[int, ShardSpec],
 ) -> None:
-    """Worker body: take a shard index, run its spec, checkpoint it, report home.
-
-    The checkpoint write happens *in the worker*, before the "done"
-    message -- if the driver dies, finished work is already durable.  The
-    "done" message carries the packed record the checkpoint holds, so the
-    driver never reads a freshly run shard back from the spool.
-    """
-    spool = Spool(spool_root)
+    """Worker body: take a shard index, run its spec, report the packed
+    record home.  The driver checkpoints it; a worker writes no file."""
     while True:
         index = task_queue.get()
         if index is None:
@@ -144,8 +138,7 @@ def _worker_loop(
         spec = specs[index]
         try:
             study = get_study(spec.study)
-            result = study.run_shard(spec)
-            packed = spool.write_shard(spec.to_dict(), result)
+            packed = pack_record(study.run_shard(spec))
         except BaseException as error:  # noqa: BLE001 - forwarded to driver
             result_queue.put(
                 ("error", worker_id, index, f"{type(error).__name__}: {error}")
@@ -162,14 +155,13 @@ class _WorkerHandle:
         worker_id: int,
         ctx,
         result_queue,
-        spool_root: str,
         specs: Dict[int, ShardSpec],
     ) -> None:
         self.worker_id = worker_id
         self.task_queue = ctx.Queue()
         self.process = ctx.Process(
             target=_worker_loop,
-            args=(worker_id, self.task_queue, result_queue, spool_root, specs),
+            args=(worker_id, self.task_queue, result_queue, specs),
             daemon=True,
             name=f"fleet-worker-{worker_id}",
         )
@@ -299,17 +291,20 @@ def _run_with_spool(
         [spec.index for spec in specs],
         reader=lambda index: unpack_record(spool.read_shard_packed(index)),
     )
-    for index in sorted(completed):
-        fold.offer_resident(index)
+    try:
+        for index in sorted(completed):
+            fold.offer_resident(index)
 
-    if pending:
-        if workers == 1:
-            _execute_inline(study, pending, spool, max_retries, report, fold)
-        else:
-            _execute_pool(
-                pending, spool, workers, timeout_seconds, max_retries,
-                report, fold,
-            )
+        if pending:
+            if workers == 1:
+                _execute_inline(study, pending, spool, max_retries, report, fold)
+            else:
+                _execute_pool(
+                    pending, spool, workers, timeout_seconds, max_retries,
+                    report, fold,
+                )
+    finally:
+        spool.close()
 
     meta = {
         "study": study.name,
@@ -335,23 +330,18 @@ def _execute_inline(
     """The workers=1 path: same retry/quarantine semantics, no processes.
 
     (Wall-clock timeouts need a killable process, so they are enforced
-    only by the pool executor.)  Each shard's record folds right after
-    its checkpoint -- the cursor tracks execution, so nothing buffers.
+    only by the pool executor.)  Each shard's record is appended to the
+    spool and folded right after it runs -- the cursor tracks execution,
+    so nothing buffers.
     """
     for spec in pending:
         failures = 0
         while True:
             try:
-                result = study.run_shard(spec)
-                packed = spool.write_shard(spec.to_dict(), result)
+                packed = pack_record(study.run_shard(spec))
             except Exception as error:  # noqa: BLE001 - quarantine, don't crash
                 failures += 1
                 if failures > max_retries:
-                    # A failed attempt may still have left a checkpoint
-                    # (e.g. the run_shard wrote it before dying); drop it
-                    # so a resume re-executes the shard instead of
-                    # adopting a result this run declared failed.
-                    spool.discard_shard(spec.index)
                     fold.skip(spec.index)
                     report.quarantined.append(
                         QuarantinedShard(
@@ -363,6 +353,7 @@ def _execute_inline(
                     break
                 report.retries += 1
             else:
+                spool.write_shard(spec.index, packed)
                 fold.offer(spec.index, lambda payload=packed: unpack_record(payload))
                 report.executed.append(spec.index)
                 break
@@ -380,7 +371,6 @@ def _execute_pool(
 ) -> None:
     ctx = _mp_context()
     result_queue = ctx.Queue()
-    spool_root = str(spool.root)
     pool: Dict[int, _WorkerHandle] = {}
     next_worker_id = 0
 
@@ -393,17 +383,13 @@ def _execute_pool(
     def spawn_worker() -> None:
         nonlocal next_worker_id
         pool[next_worker_id] = _WorkerHandle(
-            next_worker_id, ctx, result_queue, spool_root, spec_by_index
+            next_worker_id, ctx, result_queue, spec_by_index
         )
         next_worker_id += 1
 
     def record_failure(spec: ShardSpec, reason: str) -> None:
         failures[spec.index] = failures.get(spec.index, 0) + 1
         if failures[spec.index] > max_retries:
-            # A worker killed on deadline may already have checkpointed the
-            # shard before the kill landed; a surviving file would let a
-            # later resume silently adopt a quarantined shard as done.
-            spool.discard_shard(spec.index)
             quarantined_indexes.add(spec.index)
             fold.skip(spec.index)
             report.quarantined.append(
@@ -424,15 +410,13 @@ def _execute_pool(
             if handle.inflight and handle.inflight[0].index == shard_index:
                 handle.inflight.popleft()
         if kind == "done":
-            if shard_index in quarantined_indexes:
-                # A late completion from a worker we already gave up on:
-                # the shard stays quarantined, so its checkpoint must not
-                # survive into a resume either.
-                spool.discard_shard(shard_index)
-                return
-            if shard_index in done:
+            # A late completion from a worker we already gave up on leaves
+            # the shard quarantined, and a repeated one was accepted
+            # already: neither reaches the spool or the fold.
+            if shard_index in quarantined_indexes or shard_index in done:
                 return
             done.add(shard_index)
+            spool.write_shard(shard_index, detail)
             fold.offer(shard_index, lambda packed=detail: unpack_record(packed))
         elif shard_index not in done and shard_index not in quarantined_indexes:
             record_failure(spec_by_index[shard_index], detail)

@@ -21,7 +21,7 @@ class SpoolMismatchError(FleetError):
 
 
 class SpoolVersionError(SpoolMismatchError):
-    """A checkpoint (or manifest) was written by a different spool format.
+    """A spool segment (or manifest) was written by a different spool format.
 
     Old pickle-era spools used to die inside ``pickle.load`` with an
     opaque unpickling traceback; the versioned record header turns that

@@ -74,7 +74,7 @@ class OrderedFold:
 
     def offer_resident(self, shard_index: int) -> None:
         """Register a record that lives in stable storage (a spool
-        checkpoint): the constructor's *reader* loads it only when the
+        segment): the constructor's *reader* loads it only when the
         cursor reaches it, so resumed shards cost an index in a set, never
         a buffered record."""
         if self._reader is None:

@@ -1,30 +1,43 @@
-"""The checkpoint spool: one record file per completed shard, plus a manifest.
+"""The checkpoint spool: one append-only segment of shard records per run, plus a manifest.
 
 Layout of a spool directory::
 
-    manifest.json      -- study name, seed, population, params, shard count
-    shard-00000.rec    -- versioned header + packed spec + packed result
-    shard-00001.rec
+    manifest.json      -- study name, seed, population, params, shard count,
+                          spool format version
+    segment-00000.log  -- the records of the first run, in acceptance order
+    segment-00001.log  -- the records of the first resume
     ...
 
-Each checkpoint file is a fixed header followed by two records in the
-canonical JSON of :mod:`repro.fleet.records`::
+A segment is a sequence of frames.  Each frame is a fixed header followed
+by one shard's result record in the canonical JSON of
+:mod:`repro.fleet.records` -- exactly the bytes a pool worker sends home
+in its "done" message::
 
-    [0:4)   magic  b"OVSP"
-    [4:6)   <H  spool format version
-    [6:10)  <I  byte length of the packed spec record
-    [10:..) packed spec record, then packed result record
+    [0:4)    magic  b"OVSG"
+    [4:6)    <H  spool format version
+    [6:10)   <I  shard index
+    [10:14)  <I  byte length of the record
+    [14:18)  <I  CRC-32 of bytes [0:14) followed by the record
+    [18:..)  the record
 
-Splitting spec and result lets :meth:`read_shard_packed` hand the result
-bytes to the fold without touching the spec.
+The driver (or the inline executor) is the spool's only writer.  It
+appends a shard's record when it accepts the shard into the fold, with
+one ``write`` of the whole frame, so a record is in the kernel's hands
+before the fold sees it and outlives the death of any fleet process
+(nothing is fsynced: a power loss can still cut the tail).  Workers only
+compute, and a quarantined shard is simply never written.
 
-Writes are atomic (``.tmp`` + :func:`os.replace`), so a run killed
-mid-shard leaves either a complete checkpoint or none -- never a torn one.
-A resumed run re-executes exactly the shards whose files are missing or
-corrupt; everything else is served from disk.  A checkpoint written by a
-*different format version* is not treated as corruption: it raises
-:class:`~repro.fleet.errors.SpoolVersionError` naming both versions, where
-the pickle era died inside ``pickle.load`` with an opaque traceback.
+A resume scans every segment in order and appends to a new one.  A torn
+frame (a run killed mid-append) or a frame whose CRC fails ends the scan
+of its segment: the shards after it re-execute, so corruption costs a
+re-execution and never a wrong aggregate.  The scan reads the index from
+each header and parses no JSON; the fold parses each resumed record once,
+when its turn comes.  The first valid frame of an index wins, and a later
+duplicate is ignored.
+
+A spool of another format -- a manifest of another version, or a frame
+that passes its CRC under another version -- refuses to resume with a
+:class:`~repro.fleet.errors.SpoolVersionError` naming both versions.
 """
 
 from __future__ import annotations
@@ -33,34 +46,40 @@ import json
 import os
 import re
 import struct
+import zlib
 from pathlib import Path
-from typing import Any, Dict, Optional, Set
+from typing import Any, BinaryIO, Dict, List, Optional, Set, Tuple
 
 from repro.fleet.errors import SpoolMismatchError, SpoolVersionError
-from repro.fleet.records import pack_record, unpack_record
 
-#: Bumped when the checkpoint layout changes; old spools refuse to resume
-#: with a :class:`SpoolVersionError`.  Version 1 was one pickle per shard,
-#: version 2 a tag-length-value record codec.
-SPOOL_VERSION = 3
+#: Bumped when the spool layout changes; old spools refuse to resume with a
+#: :class:`SpoolVersionError`.  Version 1 was one pickle per shard, version 2
+#: a tag-length-value record file per shard, version 3 a canonical-JSON
+#: record file per shard.
+SPOOL_VERSION = 4
 
-_MAGIC = b"OVSP"
-_HEADER = struct.Struct("<4sHI")
+_MAGIC = b"OVSG"
+#: The CRC-covered part of a frame header: magic, version, index, length.
+_HEAD = struct.Struct("<4sHII")
+_CRC = struct.Struct("<I")
+_FRAME_HEADER_SIZE = _HEAD.size + _CRC.size
 
-#: First byte of every pickle protocol >= 2 stream -- how we recognise a
-#: format-1 checkpoint and name it, instead of calling it corruption.
-_PICKLE_PROTO = 0x80
-
-_SHARD_FILE = re.compile(r"^shard-(\d{5,})\.rec$")
+_SEGMENT_FILE = re.compile(r"^segment-(\d{5,})\.log$")
 
 
 class Spool:
-    """A directory of per-shard result checkpoints."""
+    """A directory of shard-record segments behind a manifest."""
 
     MANIFEST_NAME = "manifest.json"
 
     def __init__(self, root: os.PathLike) -> None:
         self.root = Path(root)
+        #: Where each completed shard's record lives, as the last scan found
+        #: it: index -> (segment, record offset, record length).
+        self._records: Dict[int, Tuple[Path, int, int]] = {}
+        #: This run's segment, created at its first append.
+        self._segment: Optional[BinaryIO] = None
+        self._readers: Dict[Path, BinaryIO] = {}
 
     # -- manifest ----------------------------------------------------------
 
@@ -74,7 +93,8 @@ class Spool:
         values, so key order does not matter.  A manifest from a different
         spool *format* raises :class:`SpoolVersionError` (the actionable
         subset of mismatch: delete the spool or rerun with the old build);
-        any other difference raises :class:`SpoolMismatchError`.
+        any other difference raises :class:`SpoolMismatchError`.  A new
+        manifest is written atomically (``.tmp`` + :func:`os.replace`).
         """
         self.root.mkdir(parents=True, exist_ok=True)
         manifest = dict(manifest, version=SPOOL_VERSION)
@@ -93,10 +113,10 @@ class Spool:
                     f"existing manifest {existing!r} != requested {manifest!r}"
                 )
             return
-        self._atomic_write_bytes(
-            self.manifest_path(),
-            (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode(),
-        )
+        path = self.manifest_path()
+        tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
+        tmp.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        os.replace(tmp, path)
 
     def read_manifest(self) -> Optional[Dict[str, Any]]:
         path = self.manifest_path()
@@ -104,105 +124,76 @@ class Spool:
             return None
         return json.loads(path.read_text())
 
-    # -- shard checkpoints -------------------------------------------------
+    # -- segments ----------------------------------------------------------
 
-    def shard_path(self, index: int) -> Path:
-        return self.root / f"shard-{index:05d}.rec"
-
-    def write_shard(self, spec_dict: Dict[str, Any], result: Dict[str, Any]) -> bytes:
-        """Atomically checkpoint one completed shard; returns the packed
-        result bytes, which a pool worker also sends home in its report."""
-        packed_result = pack_record(result)
-        packed_spec = pack_record(spec_dict)
-        payload = b"".join(
-            (
-                _HEADER.pack(_MAGIC, SPOOL_VERSION, len(packed_spec)),
-                packed_spec,
-                packed_result,
-            )
-        )
-        self._atomic_write_bytes(self.shard_path(spec_dict["index"]), payload)
-        return packed_result
-
-    def _split_checkpoint(self, path: Path) -> tuple:
-        """(packed spec bytes, packed result bytes) of a checkpoint file.
-
-        Raises :class:`SpoolVersionError` for recognisable foreign formats
-        and plain exceptions for corruption.
-        """
-        data = path.read_bytes()
-        if len(data) >= 1 and data[0] == _PICKLE_PROTO:
-            raise SpoolVersionError(
-                f"checkpoint {path} is a format-1 pickle spool file, but "
-                f"this build speaks format {SPOOL_VERSION}; delete the "
-                f"spool directory to start fresh (or resume it with the "
-                f"build that wrote it)"
-            )
-        magic, version, spec_len = _HEADER.unpack_from(data, 0)
-        if magic != _MAGIC:
-            raise ValueError(f"checkpoint {path} has no spool magic")
-        if version != SPOOL_VERSION:
-            raise SpoolVersionError(
-                f"checkpoint {path} uses spool format {version}, but this "
-                f"build speaks format {SPOOL_VERSION}; delete the spool "
-                f"directory to start fresh (or resume it with the build "
-                f"that wrote it)"
-            )
-        spec_end = _HEADER.size + spec_len
-        if len(data) < spec_end:
-            raise ValueError(f"checkpoint {path} is truncated")
-        return data[_HEADER.size:spec_end], data[spec_end:]
-
-    def read_shard_packed(self, index: int) -> bytes:
-        """A completed shard's packed result bytes, for the engine's fold
-        to unpack when its turn comes."""
-        _, packed = self._split_checkpoint(self.shard_path(index))
-        return packed
-
-    def discard_shard(self, index: int) -> None:
-        """Drop a shard's checkpoint, if any.
-
-        The engine calls this when it quarantines a shard: a worker killed
-        mid-shard (e.g. on deadline) may have already written its
-        checkpoint, and a surviving file would make a later resume adopt
-        as *completed* a shard this run declared failed.
-        """
-        self.shard_path(index).unlink(missing_ok=True)
+    def segment_paths(self) -> List[Path]:
+        """Every segment in the directory, oldest first."""
+        if not self.root.is_dir():
+            return []
+        numbered = []
+        for entry in self.root.iterdir():
+            match = _SEGMENT_FILE.match(entry.name)
+            if match:
+                numbered.append((int(match.group(1)), entry))
+        return [path for _, path in sorted(numbered)]
 
     def completed_indexes(self) -> Set[int]:
-        """Indexes of shards with a *readable* checkpoint on disk.
+        """Indexes of shards with a valid record in some segment."""
+        self._records = {}
+        for path in self.segment_paths():
+            self._scan(path)
+        return set(self._records)
 
-        Corrupt files (e.g. truncated by a hard kill before the rename, or
-        a stray partial copy) are deleted so the engine recomputes them.
-        Files in a recognisable *foreign format* are not corruption --
-        they raise :class:`SpoolVersionError` so a format upgrade is loud,
-        never a silent full re-execution of a million-shard spool.
-        """
-        completed: Set[int] = set()
-        if not self.root.is_dir():
-            return completed
-        for entry in sorted(self.root.iterdir()):
-            match = _SHARD_FILE.match(entry.name)
-            if not match:
-                continue
-            index = int(match.group(1))
-            try:
-                packed_spec, packed_result = self._split_checkpoint(entry)
-                spec = unpack_record(packed_spec)
-                if spec["index"] != index:
-                    raise ValueError("index mismatch")
-                unpack_record(packed_result)
-            except SpoolVersionError:
-                raise
-            except Exception:
-                entry.unlink(missing_ok=True)
-                continue
-            completed.add(index)
-        return completed
+    def _scan(self, path: Path) -> None:
+        """Index *path*'s frames up to the first torn or CRC-failing one."""
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            offset = 0
+            while offset + _FRAME_HEADER_SIZE <= size:
+                header = handle.read(_FRAME_HEADER_SIZE)
+                magic, version, index, length = _HEAD.unpack_from(header)
+                (crc,) = _CRC.unpack_from(header, _HEAD.size)
+                start = offset + _FRAME_HEADER_SIZE
+                if magic != _MAGIC or start + length > size:
+                    return
+                record = handle.read(length)
+                if zlib.crc32(record, zlib.crc32(header[:_HEAD.size])) != crc:
+                    return
+                if version != SPOOL_VERSION:
+                    raise SpoolVersionError(
+                        f"segment {path} holds spool format {version}, but "
+                        f"this build speaks format {SPOOL_VERSION}; delete the "
+                        f"spool directory to start fresh (or resume it with "
+                        f"the build that wrote it)"
+                    )
+                self._records.setdefault(index, (path, start, length))
+                offset = start + length
 
-    # -- internals ---------------------------------------------------------
+    def write_shard(self, index: int, packed: bytes) -> None:
+        """Append shard *index*'s packed record to this run's segment."""
+        if self._segment is None:
+            existing = self.segment_paths()
+            number = int(_SEGMENT_FILE.match(existing[-1].name).group(1)) + 1 if existing else 0
+            self._segment = open(self.root / f"segment-{number:05d}.log", "xb")
+        head = _HEAD.pack(_MAGIC, SPOOL_VERSION, index, len(packed))
+        crc = _CRC.pack(zlib.crc32(packed, zlib.crc32(head)))
+        self._segment.write(b"".join((head, crc, packed)))
+        self._segment.flush()
 
-    def _atomic_write_bytes(self, path: Path, data: bytes) -> None:
-        tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+    def read_shard_packed(self, index: int) -> bytes:
+        """A completed shard's packed record, as :meth:`completed_indexes`
+        found it, for the fold to unpack when its turn comes."""
+        path, offset, length = self._records[index]
+        reader = self._readers.get(path)
+        if reader is None:
+            reader = self._readers[path] = open(path, "rb")
+        reader.seek(offset)
+        return reader.read(length)
+
+    def close(self) -> None:
+        """Close this run's segment and every segment opened for reading."""
+        for handle in [self._segment, *self._readers.values()]:
+            if handle is not None:
+                handle.close()
+        self._segment = None
+        self._readers = {}

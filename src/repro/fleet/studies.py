@@ -59,14 +59,6 @@ class ShardSpec:
                 return value
         return default
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "study": self.study,
-            "index": self.index,
-            "seed": self.seed,
-            "params": {name: value for name, value in sorted(self.params)},
-        }
-
 
 @dataclass(frozen=True)
 class StudyDefinition:

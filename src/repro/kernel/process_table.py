@@ -23,6 +23,15 @@ from repro.sim.scheduler import EventScheduler
 INIT_PID = 1
 
 
+def _check_exe_path(exe_path: str) -> None:
+    if not exe_path.startswith("/"):
+        raise InvalidArgument(f"exec path must be absolute: {exe_path!r}")
+
+
+def _default_comm(exe_path: str) -> str:
+    return exe_path.rsplit("/", 1)[-1]
+
+
 class ProcessTable:
     """Owns every :class:`Task` on the simulated machine."""
 
@@ -100,10 +109,9 @@ class ProcessTable:
         """
         if not task.is_alive:
             raise NoSuchProcess(f"exec in dead pid {task.pid}")
-        if not exe_path.startswith("/"):
-            raise InvalidArgument(f"exec path must be absolute: {exe_path!r}")
+        _check_exe_path(exe_path)
         task.exe_path = exe_path
-        task.comm = comm if comm is not None else exe_path.rsplit("/", 1)[-1]
+        task.comm = comm if comm is not None else _default_comm(exe_path)
         task.address_space = AddressSpace()  # type: ignore[attr-defined]
         task.address_space.map_executable(exe_path)  # type: ignore[attr-defined]
         return task
@@ -115,11 +123,24 @@ class ProcessTable:
         comm: Optional[str] = None,
         creds: Optional[Credentials] = None,
     ) -> Task:
-        """fork + exec convenience used by launchers, shells, and tests."""
-        child = self.fork(parent)
-        if creds is not None:
-            child.creds = creds
-        return self.exec(child, exe_path, comm)
+        """fork + exec convenience used by launchers, shells, and tests.
+
+        Builds the child the exec would leave -- fresh image, the parent's
+        interaction timestamp (P1) -- without cloning the parent's address
+        space first, and checks the path before the child takes a pid.
+        """
+        if not parent.is_alive:
+            raise NoSuchProcess(f"fork from dead pid {parent.pid}")
+        _check_exe_path(exe_path)
+        child = self._create_task(
+            parent=parent,
+            comm=comm if comm is not None else _default_comm(exe_path),
+            creds=creds if creds is not None else parent.creds,
+            exe_path=exe_path,
+        )
+        # P1: duplicating the task_struct carries the interaction timestamp.
+        child.interaction_ts = parent.interaction_ts
+        return child
 
     # -- lookup --------------------------------------------------------------
 

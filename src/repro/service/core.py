@@ -67,8 +67,10 @@ from repro.service.protocol import (
 
 #: Tenant ids are short path/metric-safe tokens (they appear in counter
 #: names and logs).
-_TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.:-]{0,63}$")
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
+#: Whole-string patterns (``fullmatch``): a ``$`` anchor would also accept a
+#: trailing newline.
+_TENANT_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.:-]{0,63}")
+_NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]{0,63}")
 
 
 class RequestError(Exception):
@@ -80,7 +82,7 @@ class RequestError(Exception):
 
 
 def _check_tenant_id(tenant_id: Any) -> None:
-    if not isinstance(tenant_id, str) or not _TENANT_RE.match(tenant_id):
+    if not isinstance(tenant_id, str) or not _TENANT_RE.fullmatch(tenant_id):
         raise RequestError(
             E_BAD_REQUEST,
             "'tenant' must be a 1-64 char token of [A-Za-z0-9_.:-]",
@@ -413,7 +415,7 @@ class PermissionService:
             if op == "spawn":
                 tenant = self._tenant_for(request)
                 name = request.get("name")
-                if not isinstance(name, str) or not _NAME_RE.match(name):
+                if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
                     raise RequestError(
                         E_BAD_REQUEST, "'name' must be a 1-64 char token of [A-Za-z0-9_.-]"
                     )

@@ -55,7 +55,15 @@ class RandomSource:
             raise DeterminismError(f"RandomSource seed must be an int, got {seed!r}")
         self._seed = seed
         self._name = name
-        self._rng = random.Random(seed)
+        #: Seeded at the first draw (``self._rng or self._seeded()``), so a
+        #: source that only derives children (:meth:`fork`, :meth:`spawn`)
+        #: never builds one.  A plain attribute keeps a draw's lookup as
+        #: cheap as an eagerly seeded one.
+        self._rng: Optional[random.Random] = None
+
+    def _seeded(self) -> random.Random:
+        self._rng = random.Random(self._seed)
+        return self._rng
 
     @property
     def seed(self) -> int:
@@ -105,45 +113,45 @@ class RandomSource:
 
     def uniform(self, low: float, high: float) -> float:
         """Uniform float in [low, high]."""
-        return self._rng.uniform(low, high)
+        return (self._rng or self._seeded()).uniform(low, high)
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high], inclusive."""
-        return self._rng.randint(low, high)
+        return (self._rng or self._seeded()).randint(low, high)
 
     def random(self) -> float:
         """Uniform float in [0, 1)."""
-        return self._rng.random()
+        return (self._rng or self._seeded()).random()
 
     def chance(self, probability: float) -> bool:
         """Bernoulli draw: True with the given *probability*."""
         if not 0.0 <= probability <= 1.0:
             raise DeterminismError(f"probability out of range: {probability}")
-        return self._rng.random() < probability
+        return (self._rng or self._seeded()).random() < probability
 
     def choice(self, options: Sequence[T]) -> T:
         """Pick one element of *options* uniformly."""
         if not options:
             raise DeterminismError("cannot choose from an empty sequence")
-        return self._rng.choice(options)
+        return (self._rng or self._seeded()).choice(options)
 
     def sample(self, options: Sequence[T], count: int) -> List[T]:
         """Pick *count* distinct elements of *options* uniformly."""
-        return self._rng.sample(list(options), count)
+        return (self._rng or self._seeded()).sample(list(options), count)
 
     def shuffle(self, items: List[T]) -> List[T]:
         """Return a new list with *items* in shuffled order."""
         shuffled = list(items)
-        self._rng.shuffle(shuffled)
+        (self._rng or self._seeded()).shuffle(shuffled)
         return shuffled
 
     def gauss(self, mean: float, stddev: float) -> float:
         """Normal draw."""
-        return self._rng.gauss(mean, stddev)
+        return (self._rng or self._seeded()).gauss(mean, stddev)
 
     def expovariate(self, rate: float) -> float:
         """Exponential draw with the given *rate* (events per unit)."""
-        return self._rng.expovariate(rate)
+        return (self._rng or self._seeded()).expovariate(rate)
 
     # -- simulation-flavoured draws ----------------------------------------
 
@@ -159,7 +167,7 @@ class RandomSource:
         underpins the paper's observation that Overhaul's per-operation
         overhead is "overshadowed by human-reaction times" (Section V-A).
         """
-        seconds = max(floor_seconds, self._rng.gauss(mean_seconds, stddev_seconds))
+        seconds = max(floor_seconds, self.gauss(mean_seconds, stddev_seconds))
         return from_seconds(seconds)
 
     def jittered_delay(self, base_seconds: float, jitter_fraction: float = 0.1) -> Timestamp:
@@ -167,7 +175,7 @@ class RandomSource:
         if base_seconds < 0:
             raise DeterminismError(f"base delay must be non-negative: {base_seconds}")
         jitter = base_seconds * jitter_fraction
-        return from_seconds(max(0.0, self._rng.uniform(base_seconds - jitter, base_seconds + jitter)))
+        return from_seconds(max(0.0, self.uniform(base_seconds - jitter, base_seconds + jitter)))
 
     def __repr__(self) -> str:
         return f"RandomSource(name={self._name!r}, seed={self._seed})"

@@ -8,7 +8,7 @@
 3. Fleet shards agree with the single-process reference implementations.
 """
 
-from repro.fleet import Spool, run_fleet
+from repro.fleet import run_fleet
 from repro.workloads.longterm import run_longterm_study
 from repro.workloads.usability import run_usability_study
 
@@ -35,15 +35,13 @@ class TestWorkerCountInvariance:
 
 
 class TestResumeOnRealStudy:
-    def test_killed_run_resumes_only_unfinished_shards(self, tmp_path):
+    def test_killed_run_resumes_only_unfinished_shards(self, drop_spool_records, tmp_path):
         spool_dir = str(tmp_path / "spool")
         reference = run_fleet(
             "longterm", population=4, seed=3, params={"days": 1}, spool_dir=spool_dir
         )
-        # Simulate the kill: two shards never checkpointed.
-        spool = Spool(spool_dir)
-        spool.shard_path(0).unlink()
-        spool.shard_path(3).unlink()
+        # Simulate the kill: two shards never reached the spool.
+        drop_spool_records(spool_dir, [0, 3])
         resumed = run_fleet(
             "longterm", population=4, seed=3, params={"days": 1}, spool_dir=spool_dir
         )

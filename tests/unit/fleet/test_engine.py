@@ -9,6 +9,7 @@ import multiprocessing
 import multiprocessing.queues
 import os
 import queue as queue_module
+import shutil
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ import repro.fleet
 from repro.fleet import engine
 from repro.fleet.engine import run_fleet
 from repro.fleet.errors import FleetError, UnknownStudyError
-from repro.fleet.records import unpack_record
+from repro.fleet.records import pack_record
 from repro.fleet.spool import Spool
 from repro.fleet.studies import (
     ShardSpec,
@@ -111,33 +112,31 @@ def _run_bulky(spec):
     return record
 
 
-def _worker_reporting_shard_0_late(worker_id, task_queue, result_queue, spool_root, specs):
-    """A pool worker that reports shard 0 failed, waits until the driver
-    has quarantined it (its checkpoint is discarded), checkpoints it again
-    and then reports it done with its record."""
-    spool = Spool(spool_root)
+def _worker_reporting_shard_0_late(worker_id, task_queue, result_queue, specs):
+    """A pool worker that reports shard 0 failed and then done with its
+    record; the driver reads the failure first and quarantines the shard."""
     for index in iter(task_queue.get, None):
-        spec = specs[index]
-        packed = spool.write_shard(spec.to_dict(), _run_square(spec))
+        packed = pack_record(_run_square(specs[index]))
         if index == 0:
             result_queue.put(("error", worker_id, index, "RuntimeError: lost"))
-            deadline = time.monotonic() + 10.0
-            while spool.shard_path(index).exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            packed = spool.write_shard(spec.to_dict(), _run_square(spec))
         result_queue.put(("done", worker_id, index, packed))
 
 
-def _worker_reporting_every_shard_twice(
-    worker_id, task_queue, result_queue, spool_root, specs
-):
+def _worker_reporting_every_shard_twice(worker_id, task_queue, result_queue, specs):
     """A pool worker that sends each shard's "done" message twice."""
-    spool = Spool(spool_root)
     for index in iter(task_queue.get, None):
-        spec = specs[index]
-        packed = spool.write_shard(spec.to_dict(), _run_square(spec))
+        packed = pack_record(_run_square(specs[index]))
         for _ in range(2):
             result_queue.put(("done", worker_id, index, packed))
+
+
+def _frames_bytes(specs, indexes):
+    """Size of a segment holding one square record per index in *indexes*."""
+    return sum(18 + len(pack_record(_run_square(specs[index]))) for index in indexes)
+
+
+def _segment_bytes(spool_dir):
+    return sum(path.stat().st_size for path in Spool(spool_dir).segment_paths())
 
 
 class _SquareState:
@@ -579,7 +578,10 @@ class TestRecordsInTheDoneMessage:
             "t-bulky", population=6, seed=2, workers=2, params=params,
             spool_dir=spool_dir,
         )
-        assert len(Spool(spool_dir).read_shard_packed(0)) > 4096
+        spool = Spool(spool_dir)
+        assert 0 in spool.completed_indexes()
+        assert len(spool.read_shard_packed(0)) > 4096
+        spool.close()
         inline = run_fleet("t-bulky", population=6, seed=2, params=params)
         assert pooled.quarantined == []
         assert pooled.aggregate == inline.aggregate
@@ -601,11 +603,13 @@ class TestRecordsInTheDoneMessage:
         assert report.executed == list(range(12))
         assert reads == []
 
-    def test_worker_sends_the_checkpointed_record_in_its_done_message(
-        self, synthetic_studies, tmp_path
+    def test_worker_sends_its_packed_record_and_writes_no_file(
+        self, synthetic_studies, monkeypatch, tmp_path
     ):
         """Run in-process: the worker takes shard indexes, looks the specs
-        up in its table, and reports the bytes its checkpoint holds."""
+        up in its table, and reports each packed record; the driver is the
+        spool's only writer."""
+        monkeypatch.chdir(tmp_path)
         specs = {
             spec.index: spec
             for spec in _build(3, 10, _params("t-square"))
@@ -613,32 +617,33 @@ class TestRecordsInTheDoneMessage:
         tasks, results = queue_module.Queue(), queue_module.Queue()
         for item in (2, 0, None):
             tasks.put(item)
-        engine._worker_loop(7, tasks, results, str(tmp_path), specs)
-        spool = Spool(tmp_path)
+        engine._worker_loop(7, tasks, results, specs)
         reports = [results.get_nowait() for _ in range(2)]
         assert [report[:3] for report in reports] == [("done", 7, 2), ("done", 7, 0)]
         for _, _, index, packed in reports:
-            assert packed == spool.read_shard_packed(index)
-            assert unpack_record(packed) == _run_square(specs[index])
+            assert packed == pack_record(_run_square(specs[index]))
         assert results.empty()
+        assert list(tmp_path.iterdir()) == []
 
-    def test_late_done_of_a_quarantined_shard_discards_and_folds_nothing(
+    def test_late_done_of_a_quarantined_shard_appends_and_folds_nothing(
         self, synthetic_studies, monkeypatch, tmp_path
     ):
         monkeypatch.setattr(engine, "_worker_loop", _worker_reporting_shard_0_late)
         spool_dir = str(tmp_path / "spool")
+        params = _params("t-square")
         report = run_fleet(
             "t-square", population=4, seed=3, workers=2,
-            params=_params("t-square"), spool_dir=spool_dir, max_retries=0,
+            params=params, spool_dir=spool_dir, max_retries=0,
         )
         assert [shard.index for shard in report.quarantined] == [0]
         assert report.executed == [1, 2, 3]
         assert report.aggregate["values"] == [16, 25, 36]
         assert report.aggregate["quarantined"] == [0]
-        assert not Spool(spool_dir).shard_path(0).exists()
         assert Spool(spool_dir).completed_indexes() == {1, 2, 3}
+        specs = {spec.index: spec for spec in _build(4, 3, params)}
+        assert _segment_bytes(spool_dir) == _frames_bytes(specs, [1, 2, 3])
 
-    def test_worker_reports_a_failing_shard_with_no_checkpoint(
+    def test_worker_reports_a_failing_shard_and_goes_on(
         self, synthetic_studies, tmp_path
     ):
         specs = {
@@ -648,26 +653,30 @@ class TestRecordsInTheDoneMessage:
         tasks, results = queue_module.Queue(), queue_module.Queue()
         for item in (1, 0, None):
             tasks.put(item)
-        engine._worker_loop(3, tasks, results, str(tmp_path), specs)
+        engine._worker_loop(3, tasks, results, specs)
         failed, finished = results.get_nowait(), results.get_nowait()
         assert failed == ("error", 3, 1, "ValueError: this shard always fails")
-        assert finished[:3] == ("done", 3, 0)
-        assert Spool(tmp_path).completed_indexes() == {0}
+        assert finished == ("done", 3, 0, pack_record(_run_square(specs[0])))
         assert results.empty()
 
-    def test_duplicate_done_folds_the_shard_once(
-        self, synthetic_studies, monkeypatch
+    def test_duplicate_done_folds_and_appends_the_shard_once(
+        self, synthetic_studies, monkeypatch, tmp_path
     ):
         monkeypatch.setattr(
             engine, "_worker_loop", _worker_reporting_every_shard_twice
         )
+        spool_dir = str(tmp_path / "spool")
+        params = _params("t-square")
         pooled = run_fleet(
-            "t-square", population=6, seed=5, workers=2, params=_params("t-square")
+            "t-square", population=6, seed=5, workers=2, params=params,
+            spool_dir=spool_dir,
         )
-        inline = run_fleet("t-square", population=6, seed=5, params=_params("t-square"))
+        inline = run_fleet("t-square", population=6, seed=5, params=params)
         assert pooled.executed == list(range(6))
         assert pooled.quarantined == []
         assert pooled.aggregate == inline.aggregate
+        specs = {spec.index: spec for spec in _build(6, 5, params)}
+        assert _segment_bytes(spool_dir) == _frames_bytes(specs, range(6))
 
     def test_retried_shards_fold_the_record_of_their_successful_run(
         self, synthetic_studies, monkeypatch, tmp_path
@@ -688,15 +697,14 @@ class TestRecordsInTheDoneMessage:
         assert pooled.aggregate["values"] == inline.aggregate["values"]
 
     def test_pool_resume_reads_back_only_the_resumed_shards(
-        self, synthetic_studies, monkeypatch, tmp_path
+        self, synthetic_studies, monkeypatch, drop_spool_records, tmp_path
     ):
         spool_dir = str(tmp_path / "spool")
         first = run_fleet(
             "t-square", population=6, seed=4, params=_params("t-square"),
             spool_dir=spool_dir,
         )
-        Spool(spool_dir).shard_path(2).unlink()
-        Spool(spool_dir).shard_path(5).unlink()
+        drop_spool_records(spool_dir, [2, 5])
         reads = []
         read = Spool.read_shard_packed
 
@@ -820,7 +828,9 @@ class TestDriverExit:
 
 
 class TestResume:
-    def test_resume_skips_completed_shards(self, synthetic_studies, tmp_path):
+    def test_resume_skips_completed_shards(
+        self, synthetic_studies, drop_spool_records, tmp_path
+    ):
         spool_dir = tmp_path / "spool"
         first = run_fleet(
             "t-square", population=6, seed=4, params=_params("t-square"),
@@ -828,10 +838,8 @@ class TestResume:
         )
         assert len(first.executed) == 6
 
-        # Simulate a killed run: drop two checkpoints, keep the rest.
-        spool = Spool(spool_dir)
-        spool.shard_path(1).unlink()
-        spool.shard_path(4).unlink()
+        # Simulate a killed run: drop two records, keep the rest.
+        drop_spool_records(spool_dir, [1, 4])
 
         second = run_fleet(
             "t-square", population=6, seed=4, params=_params("t-square"),
@@ -840,6 +848,51 @@ class TestResume:
         assert second.executed == [1, 4]
         assert second.resumed == [0, 2, 3, 5]
         assert second.aggregate == first.aggregate
+
+    def test_torn_last_frame_reexecutes_exactly_that_shard(
+        self, synthetic_studies, tmp_path
+    ):
+        """A kill mid-append leaves the newest segment's last frame cut at
+        any byte; the resume re-executes that shard alone."""
+        params = _params("t-square")
+        reference = tmp_path / "reference"
+        first = run_fleet("t-square", population=4, seed=2, params=params,
+                          spool_dir=str(reference))
+        specs = {spec.index: spec for spec in _build(4, 2, params)}
+        last = _frames_bytes(specs, [3])
+        for cut in range(1, last + 1):
+            spool_dir = tmp_path / f"cut-{cut}"
+            shutil.copytree(reference, spool_dir)
+            segment = Spool(spool_dir).segment_paths()[-1]
+            os.truncate(segment, segment.stat().st_size - cut)
+            resumed = run_fleet("t-square", population=4, seed=2, params=params,
+                                spool_dir=str(spool_dir))
+            assert (resumed.executed, resumed.resumed) == ([3], [0, 1, 2]), cut
+            assert resumed.aggregate == first.aggregate
+
+    def test_crc_flip_never_changes_the_aggregate(self, synthetic_studies, tmp_path):
+        """One flipped byte anywhere in a segment ends its scan at that
+        frame: the shards from there on re-execute, and the aggregate
+        stays the uninterrupted run's."""
+        params = _params("t-square")
+        reference = tmp_path / "reference"
+        first = run_fleet("t-square", population=4, seed=2, params=params,
+                          spool_dir=str(reference))
+        specs = {spec.index: spec for spec in _build(4, 2, params)}
+        ends = [_frames_bytes(specs, range(k + 1)) for k in range(4)]
+        for position in range(ends[-1]):
+            spool_dir = tmp_path / f"flip-{position}"
+            shutil.copytree(reference, spool_dir)
+            segment = Spool(spool_dir).segment_paths()[-1]
+            data = bytearray(segment.read_bytes())
+            data[position] ^= 0x20
+            segment.write_bytes(bytes(data))
+            resumed = run_fleet("t-square", population=4, seed=2, params=params,
+                                spool_dir=str(spool_dir))
+            torn = next(k for k, end in enumerate(ends) if position < end)
+            assert resumed.executed == list(range(torn, 4)), position
+            assert resumed.aggregate == first.aggregate
+            shutil.rmtree(spool_dir)
 
     def test_resume_with_different_config_rejected(self, synthetic_studies, tmp_path):
         spool_dir = str(tmp_path / "spool")
@@ -876,13 +929,15 @@ class TestFoldReduce:
         assert report.aggregate["values"] == [4, 9, 25]
         assert report.aggregate["quarantined"] == [2]
 
-    def test_pool_resume_reads_spool_lazily(self, synthetic_studies, tmp_path):
+    def test_pool_resume_reads_spool_lazily(
+        self, synthetic_studies, drop_spool_records, tmp_path
+    ):
         spool_dir = str(tmp_path / "spool")
         first = run_fleet(
             "t-square", population=6, seed=4, params=_params("t-square"),
             spool_dir=spool_dir,
         )
-        Spool(spool_dir).shard_path(1).unlink()
+        drop_spool_records(spool_dir, [1])
         second = run_fleet(
             "t-square", population=6, seed=4, params=_params("t-square"),
             spool_dir=spool_dir, workers=2,

@@ -1,16 +1,18 @@
-"""Regression: quarantined shards must not leave checkpoints behind.
+"""Regression: a quarantined shard never reaches the spool.
 
-The hazard: a worker can write its shard checkpoint and *then* die (or be
-killed on deadline) before the driver hears "done".  If retries exhaust,
-the shard is quarantined -- but without cleanup its stale checkpoint
-survives on disk, and a later ``--resume`` of the same spool silently
-adopts the shard as completed.  The run that declared the shard failed
-and the run that resumed it would then disagree about what the aggregate
-covers, and merged counters would include a shard no run vouches for.
+The hazard: a shard that fails until its retries run out is quarantined,
+and the aggregate lists it as absent.  If a record of it survived in the
+spool anyway -- from the failing attempt, or from a worker that reported
+"done" after the driver gave up on it -- a later ``--resume`` of the same
+spool would silently adopt the shard as completed, and the run that
+declared it failed and the run that resumed it would disagree about what
+the aggregate covers.
 
-The synthetic study below reproduces the exact half-written state
-in-process: ``run_shard`` checkpoints itself (as the real worker loop
-does) and then raises.
+The driver is the spool's only writer and appends a shard only when it
+accepts its "done", so a quarantined shard is never written.  The study
+below fails its first attempt of one shard with a *poisoned* result in
+hand; a marker file makes the next run's attempt succeed, so a resumed
+spool can tell "re-executed properly" from "adopted a stale record".
 """
 
 import pytest
@@ -35,12 +37,7 @@ def _build(population, seed, params):
 
 
 def _run_traitor(spec):
-    """Checkpoint the shard, then fail -- the killed-after-write worker.
-
-    A marker file makes the *next* run's attempt succeed, so a resumed
-    spool can distinguish "re-executed properly" from "adopted the stale
-    checkpoint": the stale result carries ``poisoned: True``.
-    """
+    """Compute a poisoned result for the traitor shard, then fail."""
     import os
 
     result = {"index": spec.index, "value": spec.seed, "poisoned": False}
@@ -49,10 +46,8 @@ def _run_traitor(spec):
         if not os.path.exists(marker):
             with open(marker, "w") as handle:
                 handle.write("first attempt")
-            Spool(spec.param("spool")).write_shard(
-                spec.to_dict(), dict(result, poisoned=True)
-            )
-            raise RuntimeError("worker died after writing its checkpoint")
+            result["poisoned"] = True
+            raise RuntimeError(f"shard died holding {result}")
     return result
 
 
@@ -84,7 +79,7 @@ def traitor_study():
     register_study(
         StudyDefinition(
             name="t-traitor",
-            description="synthetic study that checkpoints then dies",
+            description="synthetic study whose first attempt of one shard dies",
             build_shards=_build,
             run_shard=_run_traitor,
             reducer=_TraitorState,
@@ -96,23 +91,17 @@ def traitor_study():
 
 
 def _params(tmp_path):
-    spool_dir = str(tmp_path / "spool")
-    return spool_dir, {
-        "scratch": str(tmp_path),
-        "spool": spool_dir,
-        "traitor_index": 1,
-    }
+    return str(tmp_path / "spool"), {"scratch": str(tmp_path), "traitor_index": 1}
 
 
-def test_quarantine_discards_the_stale_checkpoint(traitor_study, tmp_path):
+def test_quarantined_shard_is_never_written(traitor_study, tmp_path):
     spool_dir, params = _params(tmp_path)
     report = run_fleet(
         "t-traitor", population=3, seed=5, params=params,
         spool_dir=spool_dir, max_retries=0,
     )
     assert [shard.index for shard in report.quarantined] == [1]
-    # The half-written checkpoint is gone: the shard is not "completed".
-    assert not Spool(spool_dir).shard_path(1).exists()
+    # The spool holds the two healthy shards and nothing of shard 1.
     assert Spool(spool_dir).completed_indexes() == {0, 2}
     # And the aggregate neither contains the poisoned envelope nor counts it.
     assert report.aggregate["poisoned"] == []
@@ -133,7 +122,7 @@ def test_resume_reexecutes_the_quarantined_shard(traitor_study, tmp_path):
         spool_dir=spool_dir, max_retries=0,
     )
     # The marker file makes the re-execution succeed this time; the shard
-    # must be freshly executed, never adopted from the stale checkpoint.
+    # must be freshly executed, never adopted from a stale record.
     assert second.executed == [1]
     assert second.resumed == [0, 2]
     assert second.quarantined == []
@@ -144,12 +133,12 @@ def test_resume_reexecutes_the_quarantined_shard(traitor_study, tmp_path):
     assert second.aggregate["counters"]["fleet.shards"] == 3
 
 
-def test_pool_quarantine_also_discards(traitor_study, tmp_path):
+def test_pool_quarantine_writes_nothing_either(traitor_study, tmp_path):
     spool_dir, params = _params(tmp_path)
     report = run_fleet(
         "t-traitor", population=4, seed=2, params=params,
         spool_dir=spool_dir, max_retries=0, workers=2,
     )
     assert [shard.index for shard in report.quarantined] == [1]
-    assert not Spool(spool_dir).shard_path(1).exists()
+    assert Spool(spool_dir).completed_indexes() == {0, 2, 3}
     assert report.aggregate["poisoned"] == []

@@ -29,15 +29,6 @@ class TestShardSpec:
         assert spec.param("days") == 3
         assert spec.param("missing", 42) == 42
 
-    def test_to_dict(self):
-        spec = ShardSpec(study="s", index=2, seed=5, params=(("b", 1), ("a", 2)))
-        assert spec.to_dict() == {
-            "study": "s",
-            "index": 2,
-            "seed": 5,
-            "params": {"a": 2, "b": 1},
-        }
-
 
 class TestRegistry:
     def test_builtin_studies_present(self):

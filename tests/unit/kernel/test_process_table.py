@@ -3,9 +3,11 @@
 import pytest
 
 from repro.kernel.credentials import DEFAULT_USER, ROOT
-from repro.kernel.errors import NoSuchProcess
+from repro.kernel.errors import InvalidArgument, NoSuchProcess
+from repro.kernel.mm import PageProtection
 from repro.kernel.process_table import INIT_PID, ProcessTable
 from repro.kernel.task import TaskState
+from repro.sim.scheduler import EventScheduler
 from repro.sim.time import NEVER
 
 
@@ -86,6 +88,78 @@ class TestExec:
 
         with pytest.raises(InvalidArgument):
             table.exec(task, "relative/path")
+
+
+def _observable(task):
+    """Every field of a task a caller can see, with its image's mappings."""
+    space = task.address_space
+    return {
+        "pid": task.pid,
+        "parent": task.parent.pid if task.parent is not None else None,
+        "comm": task.comm,
+        "creds": task.creds,
+        "exe_path": task.exe_path,
+        "start_time": task.start_time,
+        "state": task.state,
+        "exit_code": task.exit_code,
+        "children": [child.pid for child in task.children],
+        "interaction_ts": task.interaction_ts,
+        "last_input_descriptor": task.last_input_descriptor,
+        "fds": task.open_fds(),
+        "traced_by": task.traced_by,
+        "tracees": task.tracees,
+        "is_display_manager": task.is_display_manager,
+        "next_free_page": space._next_free_page,
+        "areas": [
+            (area.start_page, area.num_pages, area.prot, area.original_prot,
+             area.shared, area.backing_path, area.backing_object,
+             area.protection_revoked)
+            for area in space.areas
+        ],
+    }
+
+
+def _table_with_busy_parent():
+    """A table whose parent has an interaction and extra mappings, so a
+    clone of its address space would differ from a fresh image."""
+    scheduler = EventScheduler()
+    table = ProcessTable(scheduler)
+    parent = table.spawn(table.init, "/usr/bin/launcher", creds=DEFAULT_USER)
+    parent.record_interaction(4242)
+    parent.address_space.map_area(8, PageProtection.rw(), shared=True, backing_path="/dev/shm/x")
+    scheduler.run_until(1000)
+    return table, parent
+
+
+class TestSpawn:
+    @pytest.mark.parametrize(
+        "comm, creds", [(None, None), ("tool", None), (None, ROOT), ("tool", ROOT)]
+    )
+    def test_spawn_equals_fork_then_exec(self, comm, creds):
+        forked_table, forked_parent = _table_with_busy_parent()
+        spawned_table, spawned_parent = _table_with_busy_parent()
+        child = forked_table.fork(forked_parent)
+        if creds is not None:
+            child.creds = creds
+        forked_table.exec(child, "/usr/bin/screenshot", comm)
+        spawned = spawned_table.spawn(spawned_parent, "/usr/bin/screenshot", comm, creds)
+        assert _observable(spawned) == _observable(child)
+        assert _observable(spawned_parent) == _observable(forked_parent)
+        assert spawned.interaction_ts == 4242
+        assert spawned_table.fork(spawned_parent).pid == forked_table.fork(forked_parent).pid
+
+    def test_relative_path_registers_no_child(self, table):
+        with pytest.raises(InvalidArgument):
+            table.spawn(table.init, "relative/path")
+        assert table.init.children == []
+        assert len(table) == 1
+        assert table.spawn(table.init, "/usr/bin/app").pid == INIT_PID + 1
+
+    def test_spawn_from_dead_parent_rejected(self, table):
+        parent = table.spawn(table.init, "/usr/bin/app")
+        table.exit(parent)
+        with pytest.raises(NoSuchProcess):
+            table.spawn(parent, "/usr/bin/other")
 
 
 class TestExitAndWait:

@@ -117,6 +117,12 @@ class TestValidation:
         response = PermissionService().apply(req("spawn", tenant="../etc", name="alpha"))
         assert response["error"] == E_BAD_REQUEST
 
+    def test_name_with_a_trailing_newline_rejected(self):
+        service = PermissionService()
+        response = service.apply(req("spawn", tenant="t0", name="alpha\n"))
+        assert response["error"] == E_BAD_REQUEST
+        assert service.apply(req("spawn", tenant="t0", name="alpha"))["ok"]
+
     def test_non_integer_pid_rejected(self):
         response = PermissionService().apply(
             req("query", tenant="t0", pid="12", operation="paste")
@@ -160,7 +166,8 @@ class TestValidation:
 
 #: Ids the tenant token refuses: wrong type, empty, too long, a leading
 #: separator, a path, whitespace.
-BAD_TENANT_IDS = [None, 7, ["t0"], {"t": 0}, "", "x" * 65, "-t0", "../etc", "t 0", "t0/"]
+BAD_TENANT_IDS = [None, 7, ["t0"], {"t": 0}, "", "x" * 65, "-t0", "../etc", "t 0", "t0/",
+                  "t0\n"]
 
 
 class TestTenantIdValidation:

@@ -1,5 +1,8 @@
 """Unit tests for the seeded random sources."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.sim.errors import DeterminismError
@@ -138,3 +141,56 @@ class TestSpawn:
             root.spawn(True)  # type: ignore[arg-type]
         with pytest.raises(DeterminismError):
             root.spawn(("a", [1]))  # type: ignore[arg-type]
+
+
+def _eager_fork_seed(seed, label):
+    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
+
+
+def _eager_spawn_seed(seed, canonical_key):
+    digest = hashlib.sha256(f"spawn|{seed}|{canonical_key}".encode()).digest()
+    return int.from_bytes(digest[:8], "big") & 0x7FFF_FFFF_FFFF_FFFF
+
+
+def _draws(rng):
+    """One of every draw kind, on a RandomSource or a random.Random."""
+    return [
+        rng.random(), rng.uniform(-2.0, 3.0), rng.randint(1, 1000),
+        rng.gauss(0.0, 1.0), rng.expovariate(2.0), rng.choice("abcdef"),
+        rng.sample(range(50), 4), rng.random(),
+    ]
+
+
+class TestLazySeeding:
+    """The generator is built at a source's first draw; the draws are the
+    ones a generator seeded at construction gives."""
+
+    def test_fork_chain_draws_match_eager_seeding(self):
+        source = RandomSource(2016).fork("usability-study").fork("participant-7")
+        seed = _eager_fork_seed(_eager_fork_seed(2016, "usability-study"), "participant-7")
+        assert source.seed == seed
+        assert _draws(source) == _draws(random.Random(seed))
+
+    def test_spawn_chain_draws_match_eager_seeding(self):
+        source = RandomSource(7).spawn("fleet").spawn(("machine", 2))
+        seed = _eager_spawn_seed(_eager_spawn_seed(7, "s:fleet"), "(s:machine,i:2)")
+        assert source.seed == seed
+        assert _draws(source) == _draws(random.Random(seed))
+
+    def test_parent_draws_unchanged_by_children_made_before_or_between(self):
+        eager = random.Random(11)
+        parent = RandomSource(11)
+        parent.fork("a")
+        first = parent.random()
+        parent.spawn(("b", 1)).random()
+        assert [first, parent.random()] == [eager.random(), eager.random()]
+
+    def test_a_chain_with_no_draw_builds_no_generator(self):
+        root = RandomSource(3)
+        middle = root.fork("study")
+        leaf = middle.spawn(("machine", 4))
+        assert [source._rng for source in (root, middle, leaf)] == [None, None, None]
+        leaf.random()
+        assert isinstance(leaf._rng, random.Random)
+        assert root._rng is None and middle._rng is None
