@@ -35,6 +35,8 @@ from repro.xserver.events import EventKind, XEvent
 from repro.xserver.server import XServer
 from repro.xserver.window import Window
 
+_MOTION = EventKind.MOTION  # a global reads in a few ns, an enum member in tens
+
 
 @dataclass(frozen=True)
 class SuppressedInteraction:
@@ -88,7 +90,7 @@ class DisplayManagerExtension:
         """
         now = event.timestamp
         tracer = self._xserver.tracer
-        if event.kind is EventKind.MOTION:
+        if event.kind is _MOTION:
             # Pointer motion alone is not an intentional interaction with an
             # application -- only presses/releases/keys express user intent
             # (the paper's examples: clicking a button, a paste keystroke).
@@ -185,44 +187,44 @@ class DisplayManagerExtension:
 
     # -- display-resource permission queries -------------------------------------
 
-    def _query(self, client: XClient, operation: str, now: Timestamp) -> bool:
-        """Q_{A,t} -> R_{A,t} over the netlink channel.
+    def authorize_selection_op(self, client: XClient, operation: str, now: Timestamp) -> bool:
+        """Clipboard copy/paste gate (Figure 2 steps 5-6): Q_{A,t} -> R_{A,t}.
 
         An unanswerable query (channel torn down) is a denial: the display
-        manager never fails open.
+        manager never fails open.  No alerts for clipboard operations --
+        logged by the kernel monitor only (Section V-C's usability
+        rationale).
         """
         self.queries_sent += 1
         try:
-            response = self._channel.send_to_kernel(
+            return self._channel.send_to_kernel(
                 self._task,
                 MSG_PERMISSION_QUERY,
                 {"pid": client.pid, "operation": operation, "timestamp": now},
-            )
+            )["granted"]
         except KernelError:
             self.channel_failures += 1
             return False
-        return bool(response["granted"])
-
-    def authorize_selection_op(self, client: XClient, operation: str, now: Timestamp) -> bool:
-        """Clipboard copy/paste gate (Figure 2 steps 5-6).
-
-        No alerts for clipboard operations -- logged by the kernel monitor
-        only (Section V-C's usability rationale).
-        """
-        return self._query(client, operation, now)
 
     def authorize_screen_capture(self, client: XClient, now: Timestamp) -> bool:
-        """Screen-content gate.
+        """Screen-content gate: the same query as a selection, for ``screen``.
 
         The display manager can identify the requesting process itself here
         (no kernel-initiated V_{A,op} needed), so it renders the alert
         directly on grant or denial.
         """
-        granted = self._query(client, "screen", now)
-        if granted and self.config.alert_on_screen_capture:
-            self._display_alert(client.pid, client.comm, "screen", blocked=False)
-        elif not granted and self.config.alert_on_denial:
-            self._display_alert(client.pid, client.comm, "screen", blocked=True)
+        self.queries_sent += 1
+        try:
+            granted = self._channel.send_to_kernel(
+                self._task,
+                MSG_PERMISSION_QUERY,
+                {"pid": client.pid, "operation": "screen", "timestamp": now},
+            )["granted"]
+        except KernelError:
+            self.channel_failures += 1
+            granted = False
+        if self.config.alert_on_screen_capture if granted else self.config.alert_on_denial:
+            self._display_alert(client.pid, client.comm, "screen", blocked=not granted)
         return granted
 
     # -- trusted output path ---------------------------------------------------------

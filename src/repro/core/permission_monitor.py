@@ -22,18 +22,18 @@ Table I methodology.
 Hot-path structure
 ------------------
 
-Every mediated operation runs one decision, :meth:`_decide_core`: the
-ptrace verdict, read on every call as the paper's §IV-B patch does, then
-the rule :meth:`_rule` (the temporal check, then the gray-box and prompt
-extensions when configured).  Nothing is memoized.
+Every mediated operation runs one decision in one frame, :meth:`_rule`:
+the ptrace verdict, read on every call as the paper's §IV-B patch does,
+the temporal check, then the gray-box and prompt extensions when
+configured.  Nothing is memoized.
 
 - :meth:`authorize` (device opens) calls it on either configuration.
 - The netlink display queries reach it through :meth:`_handle_query`,
-  which wraps it in a
-  :class:`~repro.core.notifications.PermissionResponse` and appends the
-  audit record eagerly (``OverhaulConfig.fast_paths=False``), or through
-  the fast handlers (:meth:`_fast_handle_interaction`,
-  :meth:`_fast_handle_query`), which skip datagram construction entirely.
+  which wraps it in a :class:`~repro.core.notifications.PermissionResponse`
+  (:meth:`decide`) and appends the audit record eagerly
+  (``OverhaulConfig.fast_paths=False``), or through the fast handlers
+  (:meth:`_fast_handle_interaction`, :meth:`_fast_handle_query`), which
+  the netlink send calls directly, with no datagram built.
 
 Tracing, prompt mode and gray-box run on whichever path the configuration
 selects: both paths emit the same ``monitor.record`` and
@@ -88,6 +88,8 @@ class Decision(NamedTuple):
 #: the guard below is a backstop against adversarial operation churn.
 _CATEGORY_CACHE: Dict[str, AuditCategory] = {}
 _CATEGORY_CACHE_LIMIT = 4096
+#: Hot-path enum members as globals: a global reads in a few ns, a member in tens.
+_GRANTED, _DENIED, _RUNNING = AuditDecision.GRANTED, AuditDecision.DENIED, TaskState.RUNNING
 
 
 def _category_for(operation: str) -> AuditCategory:
@@ -116,6 +118,8 @@ class PermissionMonitor:
     def __init__(self, kernel: "Kernel", config: OverhaulConfig) -> None:
         self._kernel = kernel
         self._tracer = kernel.tracer
+        self._ptrace = kernel.ptrace
+        self._audit = kernel.audit
         self.config = config
         #: The process table's pid -> task dict, which it never replaces:
         #: the fast handlers resolve a pid with one probe of it.
@@ -145,8 +149,7 @@ class PermissionMonitor:
             from repro.core.graybox import GrayBoxRegistry
 
             self.graybox = GrayBoxRegistry()
-        #: Whether the fast netlink handlers run; they call
-        #: :meth:`_decide_core`.
+        #: Whether the fast netlink handlers run; they call :meth:`_rule`.
         self._fast = config.fast_paths
 
     # -- netlink wiring --------------------------------------------------------
@@ -233,7 +236,7 @@ class PermissionMonitor:
         # ProcessTable.get_live, inlined; its ESRCH/zombie error would be
         # swallowed here anyway.
         task = self._tasks.get(pid)
-        if task is None or task.state is not TaskState.RUNNING:
+        if task is None or task.state is not _RUNNING:
             return  # the client raced with its own exit; nothing to record
         # record_interaction, inlined (single write path semantics kept:
         # newer timestamps win).
@@ -255,18 +258,18 @@ class PermissionMonitor:
         operation = payload["operation"]
         timestamp = payload["timestamp"]
         task = self._tasks.get(pid)  # ProcessTable.get_live, inlined
-        if task is None or task.state is not TaskState.RUNNING:
+        if task is None or task.state is not _RUNNING:
             return {"granted": False, "reason": f"no such process {pid}",
                     "interaction_age": None}
-        granted, reason, age = self._decide_core(task, timestamp, operation)
+        granted, reason, age = self._rule(task, timestamp, operation)
         self.queries_answered += 1
         category = _CATEGORY_CACHE.get(operation)
         if category is None:
             category = _category_for(operation)
-        self._kernel.audit.record_deferred(
+        self._audit.record_deferred(
             timestamp,
             category,
-            AuditDecision.GRANTED if granted else AuditDecision.DENIED,
+            _GRANTED if granted else _DENIED,
             pid,
             task.comm,
             operation,
@@ -285,52 +288,32 @@ class PermissionMonitor:
 
     # -- the decision rule ---------------------------------------------------------
 
-    def _decide_core(self, task: Task, op_time: Timestamp, operation: str) -> Tuple[bool, str, Timestamp]:
-        """The decision: ``(granted, reason, age)``, traced when enabled."""
-        rule = self._traced_rule if self._tracer.enabled else self._rule
-        return rule(task, op_time, operation, self._kernel.ptrace.permissions_disabled(task))
-
     def decide(self, task: Task, op_time: Timestamp, operation: str) -> PermissionResponse:
-        """The reference decision, as a :class:`PermissionResponse`.
-
-        :meth:`_decide_core` is the tuple form the fast netlink handler uses.
-        """
-        granted, reason, age = self._decide_core(task, op_time, operation)
+        """The reference decision: :meth:`_rule` as a :class:`PermissionResponse`."""
+        granted, reason, age = self._rule(task, op_time, operation)
         return PermissionResponse(granted, reason, interaction_age=age)
 
-    def _traced_rule(
-        self, task: Task, op_time: Timestamp, operation: str, disabled: bool
-    ) -> Tuple[bool, str, Timestamp]:
-        """:meth:`_rule` inside a ``monitor.decide`` span."""
-        tracer = self._tracer
-        span = tracer.start(
-            "monitor.decide",
-            "decision",
-            pid=task.pid,
-            comm=task.comm,
-            operation=operation,
-            age=task.interaction_age(op_time),
-            threshold=self.config.interaction_threshold,
-        )
-        granted, reason, age = self._rule(task, op_time, operation, disabled)
-        tracer.finish(span, granted=granted, reason=reason)
-        return granted, reason, age
-
-    def _rule(
-        self, task: Task, op_time: Timestamp, operation: str, disabled: bool
-    ) -> Tuple[bool, str, Timestamp]:
-        """The temporal-proximity rule: grant iff ``0 <= n < delta``.
+    def _rule(self, task: Task, op_time: Timestamp, operation: str) -> Tuple[bool, str, Timestamp]:
+        """The decision ``(granted, reason, age)``: grant iff ``0 <= n < delta``.
 
         ``n`` is the time between the task's most recent authentic
         interaction and the privileged operation.  Interactions *after* the
         operation never count (n < 0 is a deny), and a task whose
-        permissions are *disabled* (ptrace'd, hardening on) is denied
-        outright.  The gray-box and prompt extensions apply on top, then
-        ``force_grant``; the outcome is counted and logged.  Reasons are
-        constant strings: the age is logged beside them.
+        permissions are *disabled* (ptrace'd, hardening on: ptrace's
+        ``permissions_disabled``, inlined) is denied outright.  The gray-box
+        and prompt extensions apply on top, then ``force_grant``; the
+        outcome is counted and logged, inside a ``monitor.decide`` span when
+        tracing.  Reasons are constant strings: the age is logged beside them.
         """
+        tracer = self._tracer
+        span = None
+        if tracer.enabled:
+            span = tracer.start("monitor.decide", "decision", pid=task.pid, comm=task.comm,
+                                operation=operation, age=task.interaction_age(op_time),
+                                threshold=self.config.interaction_threshold)
         interaction_ts = task.interaction_ts
         age = op_time - interaction_ts
+        disabled = self._ptrace.protection_enabled and task.traced_by is not None
         if disabled:
             granted = False
             reason = "permissions disabled: task is being traced"
@@ -387,13 +370,15 @@ class PermissionMonitor:
         )
         if len(decisions) > self.DECISION_LOG_LIMIT:
             del decisions[: -self.DECISION_LOG_LIMIT // 2]
+        if span is not None:
+            tracer.finish(span, granted=granted, reason=reason)
         return granted, reason, age
 
     # -- the Kernel-facing mediation interface ----------------------------------------
 
     def authorize(self, task: Task, now: Timestamp, operation: str) -> bool:
         """Device-mediation entry point (called from the augmented open)."""
-        return self._decide_core(task, now, operation)[0]
+        return self._rule(task, now, operation)[0]
 
     def request_visual_alert(
         self, task: Task, operation: str, blocked: bool = False

@@ -41,6 +41,7 @@ from repro.sim.time import Timestamp
 #: Canonical trusted binary locations (superuser-owned in a stock install).
 DISPLAY_MANAGER_PATH = "/usr/lib/xorg/Xorg"
 UDEV_HELPER_PATH = "/usr/sbin/overhaul-devmapd"
+_RUNNING = TaskState.RUNNING  # a global reads in a few ns, an enum member in tens
 
 
 @dataclass
@@ -73,21 +74,25 @@ class NetlinkChannel:
         malicious process from piggybacking on the X server's link even if
         it somehow obtained a reference to it.
 
-        Delivery takes one of two lanes (:meth:`_deliver`): the
-        payload-level **fast handler** registered for the dominant message
-        types, which builds no datagram at all (the zero-copy lane), or
-        one fresh :class:`NetlinkMessage` for the regular handler -- the
-        only lane when the fast path is toggled off.  Tracing picks no
-        lane: with the tracer on, the same lane runs inside a
-        ``netlink.to_kernel`` span.
+        The sender checks run inline (:meth:`_check_sender` only raises).
+        Delivery takes one of two lanes: the payload-level **fast handler**
+        registered for the dominant message types, called right here with
+        no datagram built (the zero-copy lane), or one fresh
+        :class:`NetlinkMessage` for the regular handler (:meth:`_deliver`),
+        the only lane with the fast path off.  Tracing picks no lane: with
+        the tracer on, the same lane runs inside a ``netlink.to_kernel`` span.
         """
-        self._check_sender(task)
+        if self.closed or task.pid != self.owner.pid or task.state is not _RUNNING:
+            self._check_sender(task)  # raises canonically
         self.sent_to_kernel += 1
         subsystem = self._subsystem
         subsystem.messages_to_kernel += 1
         tracer = subsystem.tracer
         if tracer.enabled:
             return self._traced_deliver(tracer, task.pid, msg_type, payload)
+        fast = subsystem._fast_handlers.get(msg_type) if subsystem.fast_path else None
+        if fast is not None:
+            return fast(self, payload, task.pid)
         return self._deliver(task.pid, msg_type, payload)
 
     def send_many_to_kernel(
@@ -99,10 +104,11 @@ class NetlinkChannel:
         batch; each payload then dispatches in order on the lane
         :meth:`send_to_kernel` would pick, so counters, handler effects and
         spans (one ``netlink.to_kernel`` per payload) are identical to a
-        loop of single sends.  Used by the udev helper to push the
-        boot-time device map in one flush.
+        loop of single sends.  Used by the udev helper's boot-time device
+        map and by the service core's query batches.
         """
-        self._check_sender(task)
+        if self.closed or task.pid != self.owner.pid or task.state is not _RUNNING:
+            self._check_sender(task)  # raises canonically
         count = len(payloads)
         self.sent_to_kernel += count
         subsystem = self._subsystem
@@ -111,6 +117,9 @@ class NetlinkChannel:
         tracer = subsystem.tracer
         if tracer.enabled:
             return [self._traced_deliver(tracer, pid, msg_type, p) for p in payloads]
+        fast = subsystem._fast_handlers.get(msg_type) if subsystem.fast_path else None
+        if fast is not None:
+            return [fast(self, p, pid) for p in payloads]
         return [self._deliver(pid, msg_type, p) for p in payloads]
 
     def _check_sender(self, task: Task) -> None:

@@ -5,10 +5,11 @@ fast handlers resolve the target pid with one process-table probe instead
 of ``ProcessTable.get_live``.  The random scripts of
 ``test_fastpath_equivalence`` rarely reach the paths where those checks
 fail, so each one is driven here on a fast and a reference machine: a
-missing, a zombie and a reaped target pid, a dead channel owner, and a
-channel that is not the display manager's.  Return value, exception type
-and message, monitor counters, the decision log and the audit log must all
-be identical.
+missing, a zombie and a reaped target pid, a dead channel owner, a closed
+channel, a live sender that is not the channel's owner, and a channel that
+is not the display manager's.  Return value, exception type and message,
+the channel's and the subsystem's message counters, monitor counters, the
+decision log and the audit log must all be identical.
 """
 
 import pytest
@@ -18,6 +19,8 @@ from repro.core.notifications import MSG_INTERACTION, MSG_PERMISSION_QUERY
 
 _TARGETS = ("missing", "zombie", "reaped", "live")
 _MESSAGES = ("interaction", "query", "query-batch")
+_SCENARIOS = ("display-manager", "dead-owner", "closed-channel", "foreign-sender",
+              "udev-channel")
 
 
 def _build(config):
@@ -61,9 +64,13 @@ def _send(channel, sender, message, pid, now):
         return ("raised", type(exc).__name__, str(exc))
 
 
-def _observable(machine):
+def _observable(machine, channel, counted):
+    """Everything a send can change; the message counters as the number
+    of messages counted since *counted* was read."""
     monitor = machine.monitor
     return {
+        "sent_to_kernel": channel.sent_to_kernel - counted[0],
+        "messages_to_kernel": machine.kernel.netlink.messages_to_kernel - counted[1],
         "notifications_received": monitor.notifications_received,
         "queries_answered": monitor.queries_answered,
         "grant_count": monitor.grant_count,
@@ -81,19 +88,25 @@ def _run(config, scenario, target, message):
     if scenario == "dead-owner":
         machine.kernel.process_table.exit(sender)
         assert not channel.closed  # only the liveness test stands in the way
+    elif scenario == "closed-channel":
+        channel.close()
+    elif scenario == "foreign-sender":
+        # Live, but not the task the channel was authenticated for.
+        sender, _ = machine.launch("/usr/bin/app1", comm="intruder")
     elif scenario == "udev-channel":
         channel = machine.kernel.netlink.channel_for("udev-helper")
         sender = channel.owner
     pid = _target_pid(machine, app, target)
+    counted = (channel.sent_to_kernel, machine.kernel.netlink.messages_to_kernel)
     # An interaction first, so a live target's query reaches the rule.
     outcome = [_send(channel, sender, "interaction", pid, machine.now)]
     outcome.append(_send(channel, sender, message, pid, machine.now + 1))
-    return outcome, _observable(machine)
+    return outcome, _observable(machine, channel, counted)
 
 
 @pytest.mark.parametrize("message", _MESSAGES)
 @pytest.mark.parametrize("target", _TARGETS)
-@pytest.mark.parametrize("scenario", ("display-manager", "dead-owner", "udev-channel"))
+@pytest.mark.parametrize("scenario", _SCENARIOS)
 def test_fast_guards_match_reference(scenario, target, message):
     fast = _run(paper_config(), scenario, target, message)
     reference = _run(reference_config(), scenario, target, message)
@@ -119,3 +132,19 @@ def test_dead_owner_and_foreign_channel_are_refused(message):
     (_, foreign), _ = _run(paper_config(), "udev-channel", "live", message)
     assert foreign[:2] == ("raised", "NoSuchProcess")
     assert "display manager channel" in foreign[2]
+
+
+@pytest.mark.parametrize("config", [paper_config, reference_config],
+                         ids=["fast", "reference"])
+@pytest.mark.parametrize("message", _MESSAGES)
+@pytest.mark.parametrize("scenario, error, text", [
+    ("closed-channel", "InvalidArgument", "netlink channel 'display-manager' is closed"),
+    ("foreign-sender", "OperationNotPermitted", "is not the authenticated owner"),
+])
+def test_refused_sender_counts_no_message(config, message, scenario, error, text):
+    """A refused send raises before either message counter moves."""
+    (_, refused), state = _run(config(), scenario, "live", message)
+    assert refused[:2] == ("raised", error)
+    assert text in refused[2]
+    assert state["sent_to_kernel"] == state["messages_to_kernel"] == 0
+    assert state["notifications_received"] == state["queries_answered"] == 0

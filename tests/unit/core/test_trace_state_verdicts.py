@@ -122,17 +122,29 @@ def test_tracer_exit_restores_every_tracee(fast_paths):
 
 
 @pytest.mark.parametrize("fast_paths", [True, False])
-def test_decide_is_the_decision_core_as_a_response(fast_paths):
-    """``decide`` and ``_decide_core`` are one decision in two shapes, for
-    a granted and for a traced (denied) task alike."""
+def test_decide_authorize_and_the_query_are_one_decision(fast_paths):
+    """``decide``, ``authorize`` and the netlink query (the fast handler on
+    the fast machine) give one decision in three shapes, for a granted and
+    for a traced (denied) task alike, and each logs it once."""
     machine, tracer, (child, sibling) = _rig(fast_paths)
     machine.kernel.ptrace.attach(tracer, sibling)
     monitor = machine.monitor
     for task, granted in ((child, True), (sibling, False)):
-        core = monitor._decide_core(task, machine.now, "mic")
+        logged = len(monitor.decisions)
         response = monitor.decide(task, machine.now, "mic")
-        assert core[0] is granted
-        assert (response.granted, response.reason, response.interaction_age) == core
+        device = monitor.authorize(task, machine.now, "mic")
+        query = machine.overhaul.channel.send_to_kernel(
+            machine.xserver_task,
+            MSG_PERMISSION_QUERY,
+            {"pid": task.pid, "operation": "mic", "timestamp": machine.now},
+        )
+        decision = (response.granted, response.reason, response.interaction_age)
+        assert response.granted is granted and device is granted
+        assert (query["granted"], query["reason"], query["interaction_age"]) == decision
+        entries = monitor.decisions[logged:]
+        assert [(d.pid, d.granted, d.reason, d.interaction_age) for d in entries] == [
+            (task.pid, *decision)
+        ] * 3
 
 
 @pytest.mark.parametrize("fast_paths", [True, False])
