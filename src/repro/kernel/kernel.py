@@ -237,7 +237,7 @@ class Kernel:
         interaction lookup.
         """
         fs = self.filesystem
-        if mode & OpenMode.CREATE and not fs.exists(path):
+        if mode.wants_create and not fs.exists(path):
             parent, _ = fs.resolve_parent(path)
             parent.check_access(task.creds, 0o2)
             fs.create_file(path, owner=task.creds, now=self.now)

@@ -30,6 +30,10 @@ from repro.kernel.task import Task
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
 
+# Read per sensitive open: a global reads in a few ns, an enum member in tens.
+_DEVICE = AuditCategory.DEVICE
+_GRANTED, _DENIED = AuditDecision.GRANTED, AuditDecision.DENIED
+
 
 class DeviceMediator:
     """Gatekeeper consulted by ``sys_open`` for device-node opens."""
@@ -88,8 +92,8 @@ class DeviceMediator:
             append = audit.record_deferred if self.use_deferred_audit else audit.record
             append(
                 now,
-                AuditCategory.DEVICE,
-                AuditDecision.GRANTED if granted else AuditDecision.DENIED,
+                _DEVICE,
+                _GRANTED if granted else _DENIED,
                 task.pid,
                 task.comm,
                 operation,

@@ -63,9 +63,14 @@ class OpenMode(enum.Flag):
     def wants_write(self) -> bool:
         return bool(self._value_ & _WRITE_BIT)
 
+    @property
+    def wants_create(self) -> bool:
+        return bool(self._value_ & _CREATE_BIT)
+
 
 _READ_BIT = OpenMode.READ.value
 _WRITE_BIT = OpenMode.WRITE.value
+_CREATE_BIT = OpenMode.CREATE.value
 
 
 _inode_numbers = itertools.count(1)

@@ -42,6 +42,15 @@ checks and handler lookup run once per run of queries instead of once per
 query.  Batch boundaries are *not observable*: the netlink batch dispatches
 payloads in order with semantics identical to a loop of single sends, so
 any partitioning of a request sequence produces the same responses.
+
+A packed ``query`` or ``interact`` (wire v2) arrives as the tuple
+:func:`repro.service.protocol.unpack_body` decodes, not as a dict.  It
+takes the same checks, batching and :class:`TenantState` calls as its
+JSON twin, and its success answer is the verdict tuple the front end
+packs (:func:`repro.service.protocol.encode_response_frame`), not an
+envelope.  The per-request code uses plain loops, not comprehensions:
+on Python 3.11 each comprehension is a function call of its own, and at
+the daemon's nominal rate each request runs this code with cold caches.
 """
 
 from __future__ import annotations
@@ -60,6 +69,9 @@ from repro.service.protocol import (
     E_INTERNAL,
     E_TENANT_LIMIT,
     E_UNSUPPORTED_VERSION,
+    PK_INTERACT_OK,
+    PK_QUERY,
+    PK_QUERY_OK,
     canonical_json,
     error_response,
     ok_response,
@@ -89,19 +101,12 @@ def _check_tenant_id(tenant_id: Any) -> None:
         )
 
 
-def _field_int(request: Dict[str, Any], name: str, minimum: Optional[int] = None) -> int:
-    value = request.get(name)
+def _checked_int(name: str, value: Any, minimum: Optional[int] = None) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise RequestError(E_BAD_REQUEST, f"{name!r} must be an integer")
     if minimum is not None and value < minimum:
         raise RequestError(E_BAD_REQUEST, f"{name!r} must be >= {minimum}")
     return value
-
-
-def _field_opt_int(request: Dict[str, Any], name: str, minimum: int = 0) -> Optional[int]:
-    if name not in request or request[name] is None:
-        return None
-    return _field_int(request, name, minimum)
 
 
 class TenantState:
@@ -118,6 +123,7 @@ class TenantState:
         self.machine = Machine.with_overhaul(factory(), name=f"tenant:{tenant_id}")
         overhaul = self.machine.overhaul
         assert overhaul is not None
+        self._scheduler = self.machine.scheduler
         self._channel = overhaul.channel
         self._xtask = self.machine.xserver_task
         self._monitor = overhaul.monitor
@@ -147,33 +153,37 @@ class TenantState:
         self._apps[name] = task.pid
         return {"pid": task.pid, "name": name, "created": True}
 
-    def interact(self, pid: int, at: Optional[int]) -> Dict[str, Any]:
-        """Record N_{A,t} through the display manager's netlink channel."""
-        timestamp = at if at is not None else self.machine.now
+    def interact(self, pid: int, at: Optional[int]) -> int:
+        """Record N_{A,t} through the display manager's netlink channel; return t."""
+        timestamp = at if at is not None else self._scheduler.now
         self._channel.send_to_kernel(
             self._xtask, MSG_INTERACTION, {"pid": pid, "timestamp": timestamp}
         )
-        return {"time": timestamp}
+        return timestamp
 
-    def query_payload(self, pid: int, operation: str, at: Optional[int]) -> Dict[str, Any]:
-        """The netlink payload for one Q_{A,t} (shared by single and batch)."""
-        timestamp = at if at is not None else self.machine.now
-        return {"pid": pid, "operation": operation, "timestamp": timestamp}
+    def query_many(
+        self, queries: List[Tuple[int, str, Optional[int]]]
+    ) -> List[Tuple[bool, str, Optional[int], int]]:
+        """Answer a run of ``(pid, operation, at)`` queries in one netlink flush.
 
-    def query_many(self, payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        """Answer a run of queries in one authenticated netlink flush."""
+        Each answer is ``(granted, reason, interaction_age, time)``.  An
+        ``at`` of None is the tenant's clock now, when the run flushes.
+        """
+        now = self._scheduler.now
+        payloads = []
+        for pid, operation, at in queries:
+            payloads.append(
+                {"pid": pid, "operation": operation, "timestamp": now if at is None else at}
+            )
         replies = self._channel.send_many_to_kernel(
             self._xtask, MSG_PERMISSION_QUERY, payloads
         )
-        return [
-            {
-                "granted": reply["granted"],
-                "reason": reply["reason"],
-                "interaction_age": reply["interaction_age"],
-                "time": payload["timestamp"],
-            }
-            for payload, reply in zip(payloads, replies)
-        ]
+        verdicts = []
+        for payload, reply in zip(payloads, replies):
+            verdicts.append(
+                (reply["granted"], reply["reason"], reply["interaction_age"], payload["timestamp"])
+            )
+        return verdicts
 
     def advance(self, dt: int) -> Dict[str, Any]:
         """Advance this tenant's sim clock by *dt* microseconds."""
@@ -221,9 +231,10 @@ class TenantState:
 
 
 #: Parsed-request shapes produced by ``PermissionService._parse``.
-_KIND_RESPONSE = 0  # (response,) -- already final (errors, ping, stats...)
-_KIND_QUERY = 1     # (request_id, tenant, pid, operation, at) -- batchable
-_KIND_ACTION = 2    # (request_id, thunk) -- run in order, not batchable
+_KIND_RESPONSE = 0  # response -- already final (errors, ping, stats...)
+_KIND_QUERY = 1     # (request_id, packed, tenant, query) -- batchable
+_KIND_INTERACT = 2  # (request_id, packed, tenant, pid, at) -- run in order
+_KIND_ACTION = 3    # (request_id, thunk) -- run in order, not batchable
 
 
 class PermissionService:
@@ -256,7 +267,7 @@ class PermissionService:
     def tenant_ids(self) -> List[str]:
         return sorted(self._tenants)
 
-    def tenant(self, tenant_id: str) -> TenantState:
+    def tenant(self, tenant_id: Any) -> TenantState:
         """The tenant's partition, created on first touch.
 
         The id is validated here, once, when its partition is created: every
@@ -289,80 +300,109 @@ class PermissionService:
             self.counters.inc("service.tenants_reset")
         return state
 
-    def _tenant_for(self, request: Dict[str, Any]) -> TenantState:
-        tenant_id = request.get("tenant")
-        if type(tenant_id) is str:
-            state = self._tenants.get(tenant_id)
-            if state is not None:
-                return state
-        return self.tenant(tenant_id)
-
     # -- request engine ------------------------------------------------------
 
     def apply(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Serve one request (the unbatched path)."""
         return self.apply_many([request])[0]
 
-    def apply_many(self, requests: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    def apply_many(self, requests: List[Any]) -> List[Any]:
         """Serve a batch; responses line up with *requests* by position.
 
-        Consecutive queries for the same tenant collapse into one netlink
-        flush.  Every other verb executes in arrival order, so a batch is
-        observably identical to a loop of single applies.
+        A request is an envelope dict, or a packed query or interact as
+        :func:`repro.service.protocol.unpack_body` decodes it, whose answer
+        is its verdict tuple (or an error envelope) rather than a success
+        envelope.  Consecutive queries for the same tenant collapse into
+        one netlink flush.  Every other verb executes in arrival order, so
+        a batch is observably identical to a loop of single applies.
         """
-        parsed = [self._parse(request) for request in requests]
-        responses: List[Optional[Dict[str, Any]]] = [None] * len(parsed)
+        parse = self._parse
+        parsed = []
+        for request in requests:
+            parsed.append(parse(request))
+        responses: List[Any] = []
         index = 0
         count = len(parsed)
         while index < count:
             kind, data = parsed[index]
-            if kind == _KIND_RESPONSE:
-                responses[index] = data
-                index += 1
-                continue
-            if kind == _KIND_ACTION:
-                request_id, thunk = data
-                responses[index] = self._run_action(request_id, thunk)
-                index += 1
-                continue
-            # A run of batchable queries against one tenant.
-            tenant = data[1]
-            end = index
-            while end < count and parsed[end][0] == _KIND_QUERY and parsed[end][1][1] is tenant:
-                end += 1
-            run = parsed[index:end]
-            payloads = [
-                tenant.query_payload(entry[1][2], entry[1][3], entry[1][4])
-                for entry in run
-            ]
-            try:
-                results = tenant.query_many(payloads)
-            except Exception as error:  # kernel-side invariant violation
-                for offset, entry in enumerate(run):
-                    responses[index + offset] = error_response(
-                        entry[1][0], E_INTERNAL, f"query failed: {error}"
-                    )
+            index += 1
+            if kind == _KIND_QUERY:
+                # A run of batchable queries against one tenant.
+                tenant = data[2]
+                run = [data]
+                queries = [data[3]]
+                while index < count:
+                    kind, data = parsed[index]
+                    if kind != _KIND_QUERY or data[2] is not tenant:
+                        break
+                    run.append(data)
+                    queries.append(data[3])
+                    index += 1
+                self._answer_queries(tenant, run, queries, responses)
+            elif kind == _KIND_RESPONSE:
+                responses.append(data)
+            elif kind == _KIND_INTERACT:
+                responses.append(self._run_interact(*data))
             else:
-                tenant.requests_applied += len(run)
-                if tenant.journal is not None:
-                    for entry in run:
-                        _, _, pid, operation, at = entry[1]
-                        record: Dict[str, Any] = {
-                            "op": "query",
-                            "tenant": tenant.tenant_id,
-                            "pid": pid,
-                            "operation": operation,
-                        }
-                        if at is not None:
-                            record["at"] = at
-                        tenant.journal.append(record)
-                for offset, (entry, result) in enumerate(zip(run, results)):
-                    responses[index + offset] = ok_response(entry[1][0], result)
-            index = end
+                responses.append(self._run_action(*data))
         while self._retired:
             self._retired.pop().machine.close()
         self.counters.inc("service.requests", len(requests))
-        return responses  # type: ignore[return-value]
+        return responses
+
+    def _answer_queries(
+        self,
+        tenant: TenantState,
+        run: List[Tuple[Any, ...]],
+        queries: List[Tuple[int, str, Optional[int]]],
+        responses: List[Any],
+    ) -> None:
+        """Answer one tenant's run of parsed queries through one netlink flush."""
+        try:
+            verdicts = tenant.query_many(queries)
+        except Exception as error:  # kernel-side invariant violation
+            for entry in run:
+                responses.append(error_response(entry[0], E_INTERNAL, f"query failed: {error}"))
+            return
+        tenant.requests_applied += len(run)
+        journal = tenant.journal
+        if journal is not None:
+            for pid, operation, at in queries:
+                record: Dict[str, Any] = {
+                    "op": "query",
+                    "tenant": tenant.tenant_id,
+                    "pid": pid,
+                    "operation": operation,
+                }
+                if at is not None:
+                    record["at"] = at
+                journal.append(record)
+        for (request_id, packed, _, _), verdict in zip(run, verdicts):
+            if packed:
+                responses.append((PK_QUERY_OK, request_id) + verdict)
+            else:
+                granted, reason, age, time = verdict
+                responses.append(ok_response(request_id, {
+                    "granted": granted, "reason": reason, "interaction_age": age, "time": time,
+                }))
+
+    def _run_interact(
+        self, request_id: Any, packed: bool, tenant: TenantState, pid: int, at: Optional[int]
+    ) -> Any:
+        try:
+            time = tenant.interact(pid, at)
+        except Exception as error:
+            self.counters.inc("service.errors")
+            return error_response(request_id, E_INTERNAL, f"{type(error).__name__}: {error}")
+        tenant.requests_applied += 1
+        if tenant.journal is not None:
+            entry = {"op": "interact", "tenant": tenant.tenant_id, "pid": pid}
+            if at is not None:
+                entry["at"] = at
+            tenant.journal.append(entry)
+        if packed:
+            return PK_INTERACT_OK, request_id, time
+        return ok_response(request_id, {"time": time})
 
     def _run_action(self, request_id: Any, thunk: Callable[[], Dict[str, Any]]) -> Dict[str, Any]:
         try:
@@ -378,7 +418,15 @@ class PermissionService:
     # -- parsing -------------------------------------------------------------
 
     def _parse(self, request: Any) -> Tuple[int, Any]:
-        """Classify one request into a final response, a query, or an action."""
+        """Classify one request into a final response, a query, an interaction or an action."""
+        if type(request) is tuple:  # a packed query or interact
+            tag, request_id, tenant_id, pid, operation, at = request
+            try:
+                if tag == PK_QUERY:
+                    return self._parse_query(request_id, True, tenant_id, pid, operation, at)
+                return self._parse_interact(request_id, True, tenant_id, pid, at)
+            except RequestError as error:
+                return self._refused(request_id, error)
         if not isinstance(request, dict):
             self.counters.inc("service.errors")
             return _KIND_RESPONSE, error_response(
@@ -396,24 +444,16 @@ class PermissionService:
         op = request.get("op")
         try:
             if op == "query":
-                tenant = self._tenant_for(request)
-                pid = _field_int(request, "pid")
-                operation = request.get("operation")
-                if not isinstance(operation, str) or not operation:
-                    raise RequestError(E_BAD_REQUEST, "'operation' must be a non-empty string")
-                at = _field_opt_int(request, "at")
-                self.counters.inc("service.queries")
-                # The payload is built at *flush* time, not here: an ``at``
-                # of None means "the tenant's clock when this query runs",
-                # and an earlier action in the same batch (an ``advance``)
-                # may still move that clock.
-                return _KIND_QUERY, (request_id, tenant, pid, operation, at)
+                return self._parse_query(
+                    request_id, False, request.get("tenant"), request.get("pid"),
+                    request.get("operation"), request.get("at"),
+                )
             if op == "ping":
                 return _KIND_RESPONSE, ok_response(
                     request_id, {"pong": True, "version": PROTOCOL_VERSION}
                 )
             if op == "spawn":
-                tenant = self._tenant_for(request)
+                tenant = self.tenant(request.get("tenant"))
                 name = request.get("name")
                 if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
                     raise RequestError(
@@ -424,28 +464,23 @@ class PermissionService:
                     entry={"op": "spawn", "tenant": tenant.tenant_id, "name": name},
                 )
             if op == "interact":
-                tenant = self._tenant_for(request)
-                pid = _field_int(request, "pid")
-                at = _field_opt_int(request, "at")
-                entry = {"op": "interact", "tenant": tenant.tenant_id, "pid": pid}
-                if at is not None:
-                    entry["at"] = at
-                return self._action(
-                    request_id, tenant, lambda: tenant.interact(pid, at), entry=entry
+                return self._parse_interact(
+                    request_id, False, request.get("tenant"), request.get("pid"),
+                    request.get("at"),
                 )
             if op == "advance":
-                tenant = self._tenant_for(request)
-                dt = _field_int(request, "dt", minimum=0)
+                tenant = self.tenant(request.get("tenant"))
+                dt = _checked_int("dt", request.get("dt"), 0)
                 return self._action(
                     request_id, tenant, lambda: tenant.advance(dt),
                     entry={"op": "advance", "tenant": tenant.tenant_id, "dt": dt},
                 )
             if op == "digest":
-                tenant = self._tenant_for(request)
+                tenant = self.tenant(request.get("tenant"))
                 return self._action(request_id, tenant, tenant.digest)
             if op == "stats":
-                if "tenant" in request and request["tenant"] is not None:
-                    tenant = self._tenant_for(request)
+                if request.get("tenant") is not None:
+                    tenant = self.tenant(request["tenant"])
                     return self._action(request_id, tenant, tenant.stats)
                 return _KIND_RESPONSE, ok_response(
                     request_id,
@@ -463,8 +498,40 @@ class PermissionService:
                 return _KIND_RESPONSE, ok_response(request_id, {"reset": True})
             raise RequestError(E_BAD_REQUEST, f"unknown op {op!r}")
         except RequestError as error:
-            self.counters.inc("service.errors")
-            return _KIND_RESPONSE, error_response(request_id, error.code, str(error))
+            return self._refused(request_id, error)
+
+    # A JSON request and its packed twin reach these with the same values,
+    # so both pass the same checks in the same order.
+
+    def _parse_query(
+        self, request_id: Any, packed: bool, tenant_id: Any, pid: Any, operation: Any, at: Any
+    ) -> Tuple[int, Any]:
+        tenant = self.tenant(tenant_id)
+        if type(pid) is not int:
+            _checked_int("pid", pid)
+        if not isinstance(operation, str) or not operation:
+            raise RequestError(E_BAD_REQUEST, "'operation' must be a non-empty string")
+        if at is not None:
+            _checked_int("at", at, 0)
+        self.counters.inc("service.queries")
+        # The payload is built at *flush* time, not here: an ``at`` of None
+        # means "the tenant's clock when this query runs", and an earlier
+        # action in the same batch (an ``advance``) may still move that clock.
+        return _KIND_QUERY, (request_id, packed, tenant, (pid, operation, at))
+
+    def _parse_interact(
+        self, request_id: Any, packed: bool, tenant_id: Any, pid: Any, at: Any
+    ) -> Tuple[int, Any]:
+        tenant = self.tenant(tenant_id)
+        if type(pid) is not int:
+            _checked_int("pid", pid)
+        if at is not None:
+            _checked_int("at", at, 0)
+        return _KIND_INTERACT, (request_id, packed, tenant, pid, at)
+
+    def _refused(self, request_id: Any, error: RequestError) -> Tuple[int, Any]:
+        self.counters.inc("service.errors")
+        return _KIND_RESPONSE, error_response(request_id, error.code, str(error))
 
     def _action(
         self,

@@ -25,7 +25,11 @@ Batching
     held by the test gate, to finish a drain, or to go on with a queue
     longer than ``batch_limit``; a scheduled pass hands up to
     ``batch_limit`` requests to the backend and re-schedules itself while
-    work remains, so reads that arrive meanwhile coalesce into it.
+    work remains, so reads that arrive meanwhile coalesce into it.  A
+    packed ``query`` or ``interact`` rides the pass without a dict: the
+    backend's ``unpack`` decodes it (in process, to the fields the core
+    parses out of its JSON twin), ``apply_many`` answers it with its
+    verdict tuple, and :func:`encode_response_frame` packs that.
 
 Backpressure
     Each connection has a bounded in-flight budget (``max_pending``).  A
@@ -118,45 +122,26 @@ class _Connection(asyncio.BufferedProtocol):
     def data_received(self, data: Any) -> None:
         """Queue every request completed by *data*; answer the rest now."""
         daemon = self.daemon
-        counters = daemon.counters
         queue = daemon._queue
         unpack = daemon._unpack
+        budget = 0 if daemon._draining else daemon.max_pending
         replies: List[bytes] = []
         self.buffer += data
+        frames, refused = split_frames(self.buffer, daemon.max_frame)
         try:
-            for packed, body in split_frames(self.buffer, daemon.max_frame):
+            for packed, body in frames:
                 request = unpack(body) if packed else decode_body(body)
-                if daemon._draining:
-                    counters.inc("service.refused_draining")
-                    replies.append(encode_response_frame(error_response(
-                        request.get("id"), E_SHUTTING_DOWN, "daemon is draining"
-                    ), packed))
-                elif request.get("op") == "hello":
-                    # Wire-encoding negotiation is a transport concern the
-                    # core never sees; each side answers frames in kind.
-                    offered = request.get("encodings")
-                    takes_packed = isinstance(offered, list) and "packed" in offered
-                    replies.append(encode_response_frame(ok_response(request.get("id"), {
-                        "encoding": "packed" if takes_packed else "json",
-                        "wire_version": WIRE_VERSION if takes_packed else 1,
-                        "version": PROTOCOL_VERSION,
-                    })))
-                elif self.pending >= daemon.max_pending:
-                    # Backpressure: answer now, buffer nothing.
-                    counters.inc("service.retry_later")
-                    replies.append(encode_response_frame(error_response(
-                        request.get("id"),
-                        E_RETRY_LATER,
-                        f"connection has {self.pending} requests in flight "
-                        f"(budget {daemon.max_pending}); retry later",
-                    ), packed))
-                else:
+                if self.pending < budget and (packed or request.get("op") != "hello"):
                     self.pending += 1
                     queue.append((self, request, packed))
+                else:
+                    replies.append(self._answer_now(request, packed))
+            if refused is not None:
+                raise refused
         except FrameError as error:
             # An oversized prefix (refused before its body is buffered) or a
             # garbage body: one diagnostic, after any answers owed, then the boot.
-            counters.inc("service.frames_rejected")
+            daemon.counters.inc("service.frames_rejected")
             self.farewell = encode_response_frame(error_response(None, error.code, str(error)))
             self.transport.pause_reading()
         if replies or self.farewell is not None:
@@ -167,17 +152,49 @@ class _Connection(asyncio.BufferedProtocol):
             else:
                 daemon._dispatch()  # answer this read now, in this callback
 
+    def _answer_now(self, request: Any, packed: bool) -> bytes:
+        """The answer to a request the core never sees: a refusal, or ``hello``."""
+        daemon = self.daemon
+        counters = daemon.counters
+        request_id = _request_id(request, packed)
+        if daemon._draining:
+            counters.inc("service.refused_draining")
+            return encode_response_frame(error_response(
+                request_id, E_SHUTTING_DOWN, "daemon is draining"
+            ), packed)
+        if not packed and request.get("op") == "hello":
+            # Wire-encoding negotiation is a transport concern the core
+            # never sees; each side answers frames in kind.
+            offered = request.get("encodings")
+            takes_packed = isinstance(offered, list) and "packed" in offered
+            return encode_response_frame(ok_response(request_id, {
+                "encoding": "packed" if takes_packed else "json",
+                "wire_version": WIRE_VERSION if takes_packed else 1,
+                "version": PROTOCOL_VERSION,
+            }))
+        # Backpressure: answer now, buffer nothing.
+        counters.inc("service.retry_later")
+        return encode_response_frame(error_response(
+            request_id,
+            E_RETRY_LATER,
+            f"connection has {self.pending} requests in flight "
+            f"(budget {daemon.max_pending}); retry later",
+        ), packed)
+
     def connection_lost(self, exc: Optional[BaseException]) -> None:
         self.closed = True
-        daemon = self.daemon
-        daemon._connections.discard(self)
-        if daemon._all_closed is not None and not daemon._connections:
-            daemon._all_closed.set()
+        self.daemon._connection_lost(self)
 
 
-#: One admitted request: its connection, its request dict, and whether it
-#: arrived packed (answers go back in kind).
-Admitted = Tuple[_Connection, Dict[str, Any], bool]
+#: One admitted request: its connection, the request (a JSON frame's dict,
+#: or what the backend's ``unpack`` made of a packed frame), and whether
+#: it arrived packed (answers go back in kind).
+Admitted = Tuple[_Connection, Any, bool]
+
+
+def _request_id(request: Any, packed: bool) -> Any:
+    """The correlation id of an admitted request."""
+    return request[1] if packed else request.get("id")
 
 
 class Backend:
@@ -189,8 +206,9 @@ class Backend:
     """
 
     counters: Counters
-    #: Turns a packed request body into the dict the front end admits.
-    unpack: Callable[[bytes], Dict[str, Any]]
+    #: Turns a packed request body into the tuple the front end admits;
+    #: its first three items are the tag, the correlation id and the tenant.
+    unpack: Callable[[bytes], Tuple[Any, ...]]
 
     async def start(self, front: "ServiceDaemon") -> None:
         """Get ready to answer; runs before the listeners bind."""
@@ -228,11 +246,14 @@ class _InProcess(Backend):
             self.counters.inc("service.tenants_restored", len(restored))
 
     def dispatch(self, front: "ServiceDaemon", batch: List[Admitted]) -> None:
-        responses = self.service.apply_many([req for _, req, _ in batch])
-        front.deliver([
-            (conn, encode_response_frame(response, packed))
-            for (conn, _, packed), response in zip(batch, responses)
-        ])
+        # Plain loops, not comprehensions: see ``repro.service.core``, "Batching".
+        requests = []
+        for _, request, _ in batch:
+            requests.append(request)
+        answers = []
+        for (conn, _, packed), response in zip(batch, self.service.apply_many(requests)):
+            answers.append((conn, encode_response_frame(response, packed)))
+        front.deliver(answers)
 
     async def stop(self, front: "ServiceDaemon") -> None:
         if front.snapshot_dir is not None:
@@ -383,7 +404,11 @@ class ServiceDaemon:
             if depth > self._depth_high:
                 self._depth_high = depth
                 counters.set("service.queue_depth_high", depth)
-            batch = [queue.popleft() for _ in range(min(depth, self.batch_limit))]
+            if depth <= self.batch_limit:
+                batch = list(queue)
+                queue.clear()
+            else:
+                batch = [queue.popleft() for _ in range(self.batch_limit)]
             size = len(batch)
             counters.inc("service.batches")
             counters.inc("service.batched_requests", size)
@@ -399,7 +424,7 @@ class ServiceDaemon:
                 counters.inc("service.dispatch_errors")
                 detail = f"batch dispatch failed: {type(error).__name__}: {error}"
                 self.deliver([(conn, encode_response_frame(
-                    error_response(request.get("id"), E_INTERNAL, detail), packed
+                    error_response(_request_id(request, packed), E_INTERNAL, detail), packed
                 )) for conn, request, packed in batch])
         if queue:
             self._schedule()  # past batch_limit: yield to readers, then go on
@@ -460,6 +485,11 @@ class ServiceDaemon:
             await server.wait_closed()
         await self.backend.stop(self)
         self._stopped.set()
+
+    def _connection_lost(self, conn: _Connection) -> None:
+        self._connections.discard(conn)
+        if self._all_closed is not None and not self._connections:
+            self._all_closed.set()
 
     # -- introspection ---------------------------------------------------------
 

@@ -21,9 +21,16 @@ Wire v2: packed frames
 The top bit of the length prefix selects the body encoding: clear means
 UTF-8 JSON (wire v1, always accepted), set means a *packed* struct body
 (wire v2) for the hot verbs -- ``query`` and ``interact`` requests and
-their success responses.  A packed body decodes to exactly the dict its
-JSON twin would have produced, so everything above the framing layer
-(the request engine, the determinism transcripts) is encoding-blind.
+their success responses.  No dict stands between a packed request and its
+packed answer: a request body decodes to the fields the request engine
+parses out of its JSON twin, the tuple ``(tag, id, tenant, pid, operation,
+at)`` (``operation`` is None for an interact, ``at`` None when absent),
+and the engine answers it with the verdict fields, ``(PK_QUERY_OK, id,
+granted, reason, interaction_age, time)`` or ``(PK_INTERACT_OK, id,
+time)``, which :func:`encode_response_frame` packs.  The engine runs the
+same checks on both forms, so a packed frame and its JSON twin get the
+same answer, and a client decodes a packed response into the envelope
+dict its JSON twin carries.
 
 Packed layouts (network byte order) put the correlation id at a fixed
 offset and the tenant immediately after it, so a shard router can route
@@ -35,8 +42,8 @@ and re-correlate by peeking a handful of bytes without decoding::
     PK_INTERACT_OK  tag:B  id:q  time:q
 
 ``at?``/``age?`` are a presence flag byte followed by the value (zero
-when absent -- ``at`` omitted from the decoded request, ``null`` age in
-the decoded response).  Packed correlation ids must be signed 64-bit
+when absent -- ``at`` None in the decoded request, ``null`` age in the
+decoded response).  Packed correlation ids must be signed 64-bit
 integers; anything unpackable (huge strings, non-int ids) silently falls
 back to JSON, which every peer accepts per-frame.
 
@@ -88,7 +95,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Version of the request/response envelope.  Bump on breaking changes;
 #: the daemon answers old versions with E_UNSUPPORTED_VERSION rather than
@@ -163,8 +170,9 @@ _PK_HEAD = struct.Struct("!Bq")      # tag, correlation id
 _PK_ID = struct.Struct("!q")
 _PK_PID_AT = struct.Struct("!IBq")   # pid, at-flag, at
 _PK_U16 = struct.Struct("!H")
-_PK_QUERY_OK_FIX = struct.Struct("!BBqq")  # granted, age-flag, age, time
-_PK_TIME = struct.Struct("!q")
+#: tag, id, granted, age-flag, age, time, reason length
+_PK_QUERY_OK_HEAD = struct.Struct("!BqBBqqH")
+_PK_INTERACT_OK = struct.Struct("!Bqq")  # tag, id, time
 
 #: Byte offset of the ``!q`` correlation id in *every* packed body -- the
 #: shard router rewrites ids in place at this offset instead of decoding.
@@ -217,23 +225,19 @@ def pack_query_ok(
     time: int,
 ) -> bytes:
     r = reason.encode("utf-8")
-    return b"".join(
-        (
-            _PK_HEAD.pack(PK_QUERY_OK, request_id),
-            _PK_QUERY_OK_FIX.pack(
-                1 if granted else 0,
-                0 if interaction_age is None else 1,
-                interaction_age if interaction_age is not None else 0,
-                time,
-            ),
-            _PK_U16.pack(len(r)),
-            r,
-        )
-    )
+    return _PK_QUERY_OK_HEAD.pack(
+        PK_QUERY_OK,
+        request_id,
+        1 if granted else 0,
+        0 if interaction_age is None else 1,
+        interaction_age if interaction_age is not None else 0,
+        time,
+        len(r),
+    ) + r
 
 
 def pack_interact_ok(request_id: int, time: int) -> bytes:
-    return _PK_HEAD.pack(PK_INTERACT_OK, request_id) + _PK_TIME.pack(time)
+    return _PK_INTERACT_OK.pack(PK_INTERACT_OK, request_id, time)
 
 
 def packed_request_id(body: bytes) -> int:
@@ -251,7 +255,7 @@ def packed_tenant(body: bytes) -> str:
     try:
         if body[0] not in (PK_QUERY, PK_INTERACT):
             raise FrameError(E_BAD_REQUEST, f"packed tag {body[0]:#x} carries no tenant")
-        return _packed_request_fields(body)[0]
+        return _packed_request_fields(body)[2]
     except (struct.error, IndexError, UnicodeDecodeError) as error:
         raise FrameError(E_BAD_REQUEST, f"malformed packed body: {error}")
 
@@ -261,60 +265,55 @@ def rewrite_packed_id(body: bytearray, request_id: int) -> None:
     _PK_ID.pack_into(body, PACKED_ID_OFFSET, request_id)
 
 
-def _packed_request_fields(body: bytes) -> Tuple[str, int, int, int, Optional[str]]:
-    """Walk a packed query/interact body: (tenant, pid, at-flag, at, operation).
+def _packed_request_fields(
+    body: bytes,
+) -> Tuple[int, int, str, int, Optional[str], Optional[int]]:
+    """Walk a packed query/interact body into ``(tag, id, tenant, pid, operation, at)``.
 
     The one parser of the request layout.  Raises :class:`FrameError` on a
     length mismatch and lets ``struct``/index/decode errors escape for the
     caller to wrap.
     """
-    pos = PACKED_TENANT_OFFSET
-    tlen = body[pos]
-    pos += 1
-    tenant = bytes(body[pos : pos + tlen]).decode("utf-8")
-    if tlen != len(tenant.encode("utf-8")):
+    tag, request_id = _PK_HEAD.unpack_from(body, 0)
+    tlen = body[PACKED_TENANT_OFFSET]
+    pos = PACKED_TENANT_OFFSET + 1
+    raw = body[pos : pos + tlen]
+    tenant = raw.decode()
+    if len(raw) != tlen:
         raise FrameError(E_BAD_REQUEST, "packed body truncated inside tenant")
     pos += tlen
     pid, at_flag, at = _PK_PID_AT.unpack_from(body, pos)
     pos += _PK_PID_AT.size
     operation = None
-    if body[0] == PK_QUERY:
+    if tag == PK_QUERY:
         (olen,) = _PK_U16.unpack_from(body, pos)
         pos += _PK_U16.size
-        operation = bytes(body[pos : pos + olen]).decode("utf-8")
+        operation = body[pos : pos + olen].decode()
         pos += olen
     if pos != len(body):
         raise FrameError(E_BAD_REQUEST, "packed body has trailing bytes")
-    return tenant, pid, at_flag, at, operation
+    return tag, request_id, tenant, pid, operation, at if at_flag else None
 
 
-def unpack_body(body: bytes) -> Dict[str, Any]:
-    """Decode a packed body into the exact dict its JSON twin would carry."""
+def unpack_body(body: bytes) -> Any:
+    """Decode a packed body.
+
+    A request decodes to ``(tag, id, tenant, pid, operation, at)``, the
+    fields the request engine parses out of its JSON twin (``operation``
+    None for an interact, ``at`` None when absent); a response decodes to
+    the envelope dict its JSON twin carries.
+    """
     try:
-        tag, request_id = _PK_HEAD.unpack_from(body, 0)
-        pos = _PK_HEAD.size
+        tag = body[0]
         if tag == PK_QUERY or tag == PK_INTERACT:
-            tenant, pid, at_flag, at, operation = _packed_request_fields(body)
-            request: Dict[str, Any] = {
-                "v": PROTOCOL_VERSION,
-                "id": request_id,
-                "op": "query" if tag == PK_QUERY else "interact",
-                "tenant": tenant,
-                "pid": pid,
-            }
-            if operation is not None:
-                request["operation"] = operation
-            if at_flag:
-                request["at"] = at
-            return request
+            return _packed_request_fields(body)
         if tag == PK_QUERY_OK:
-            granted, age_flag, age, time = _PK_QUERY_OK_FIX.unpack_from(body, pos)
-            pos += _PK_QUERY_OK_FIX.size
-            (rlen,) = _PK_U16.unpack_from(body, pos)
-            pos += _PK_U16.size
-            reason = bytes(body[pos : pos + rlen]).decode("utf-8")
-            pos += rlen
-            if pos != len(body):
+            _, request_id, granted, age_flag, age, time, rlen = (
+                _PK_QUERY_OK_HEAD.unpack_from(body, 0)
+            )
+            pos = _PK_QUERY_OK_HEAD.size
+            reason = body[pos : pos + rlen].decode()
+            if pos + rlen != len(body):
                 raise FrameError(E_BAD_REQUEST, "packed body has trailing bytes")
             return {
                 "v": PROTOCOL_VERSION,
@@ -328,9 +327,8 @@ def unpack_body(body: bytes) -> Dict[str, Any]:
                 },
             }
         if tag == PK_INTERACT_OK:
-            (time,) = _PK_TIME.unpack_from(body, pos)
-            pos += _PK_TIME.size
-            if pos != len(body):
+            _, request_id, time = _PK_INTERACT_OK.unpack_from(body, 0)
+            if _PK_INTERACT_OK.size != len(body):
                 raise FrameError(E_BAD_REQUEST, "packed body has trailing bytes")
             return {
                 "v": PROTOCOL_VERSION,
@@ -397,14 +395,29 @@ _QUERY_OK_KEYS = frozenset({"granted", "reason", "interaction_age", "time"})
 _INTERACT_OK_KEYS = frozenset({"time"})
 
 
-def encode_response_frame(response: Dict[str, Any], packed: bool = False) -> bytes:
+def encode_response_frame(response: Any, packed: bool = False) -> bytes:
     """Encode a response, packing recognised success shapes when *packed*.
 
+    *response* is an envelope dict, or the verdict answer to a packed
+    request (``(PK_QUERY_OK, id, granted, reason, interaction_age, time)``
+    or ``(PK_INTERACT_OK, id, time)``), which packs without an envelope.
     Only responses to requests that themselves arrived packed should pass
     ``packed=True`` -- answer-in-kind keeps both sides encoding-agnostic
     without any per-connection mode state.  Error envelopes and unpackable
     values fall back to JSON.
     """
+    if type(response) is tuple:
+        if packed:
+            try:
+                if response[0] == PK_QUERY_OK:
+                    _, request_id, granted, reason, age, time = response
+                    return encode_packed_frame(
+                        pack_query_ok(request_id, granted, reason, age, time)
+                    )
+                return encode_packed_frame(pack_interact_ok(response[1], response[2]))
+            except (struct.error, UnicodeEncodeError, TypeError):
+                pass
+        return encode_frame(_answer_envelope(response))
     if packed and response.get("ok"):
         request_id = response.get("id")
         result = response.get("result")
@@ -434,6 +447,16 @@ def encode_response_frame(response: Dict[str, Any], packed: bool = False) -> byt
     return encode_frame(response)
 
 
+def _answer_envelope(answer: Tuple[Any, ...]) -> Dict[str, Any]:
+    """The success envelope of a packed request's verdict answer."""
+    if answer[0] == PK_QUERY_OK:
+        _, request_id, granted, reason, age, time = answer
+        return ok_response(request_id, {
+            "granted": granted, "reason": reason, "interaction_age": age, "time": time,
+        })
+    return ok_response(answer[1], {"time": answer[2]})
+
+
 def ok_response(request_id: Any, result: Dict[str, Any]) -> Dict[str, Any]:
     """Build a success envelope echoing the request's correlation id."""
     return {"v": PROTOCOL_VERSION, "id": request_id, "ok": True, "result": result}
@@ -450,50 +473,59 @@ def error_response(request_id: Any, code: str, message: str) -> Dict[str, Any]:
     }
 
 
-def split_frames(buffer: bytearray, max_frame: int) -> Iterator[Tuple[bool, bytes]]:
-    """Yield each complete ``(packed, body)`` frame at the head of *buffer*.
+def split_frames(
+    buffer: bytearray, max_frame: int
+) -> Tuple[List[Tuple[bool, bytearray]], Optional[FrameError]]:
+    """Take every complete ``(packed, body)`` frame off the head of *buffer*.
 
-    The consumed bytes leave *buffer* when the iteration ends, however it
-    ends.  An oversized length prefix raises :class:`FrameError` as soon as
-    its header is in, before any of its body is buffered.
+    Returns the frames, each body its own copy, and the :class:`FrameError`
+    that stopped the split, if one did: an oversized length prefix is
+    refused as soon as its header is in, before any of its body is
+    buffered, and the frames ahead of it still come back.
     """
+    frames = []
+    refused = None
     pos = 0
     size = len(buffer)
-    try:
-        while size - pos >= HEADER_SIZE:
-            (raw,) = _HEADER.unpack_from(buffer, pos)
-            length = raw & LENGTH_MASK
-            if length > max_frame:
-                raise FrameError(E_FRAME_TOO_LARGE,
+    while size - pos >= HEADER_SIZE:
+        (raw,) = _HEADER.unpack_from(buffer, pos)
+        length = raw & LENGTH_MASK
+        if length > max_frame:
+            refused = FrameError(E_FRAME_TOO_LARGE,
                                  f"frame of {length} bytes exceeds the {max_frame}-byte bound")
-            start = pos + HEADER_SIZE
-            if size - start < length:
-                return
-            pos = start + length
-            yield bool(raw & PACKED_BIT), bytes(buffer[start:pos])
-    finally:
-        del buffer[:pos]
+            break
+        start = pos + HEADER_SIZE
+        if size - start < length:
+            break
+        pos = start + length
+        frames.append((bool(raw & PACKED_BIT), buffer[start:pos]))
+    del buffer[:pos]
+    return frames, refused
 
 
 class FrameDecoder:
     """Incremental frame parser for the blocking client and load generators.
 
     Feed it raw bytes as they arrive; it yields complete envelope dicts --
-    JSON and packed (wire v2) frames alike, transparently.  The daemon
-    splits its receive buffer with the same :func:`split_frames`.
+    JSON and packed (wire v2) responses alike, transparently (a packed
+    request comes out as its field tuple, see :func:`unpack_body`).
+    The daemon splits its receive buffer with the same :func:`split_frames`.
     """
 
     def __init__(self, max_frame: int = DEFAULT_MAX_FRAME) -> None:
         self.max_frame = max_frame
         self._buffer = bytearray()
 
-    def feed(self, data: bytes) -> List[Dict[str, Any]]:
+    def feed(self, data: bytes) -> List[Any]:
         """Append *data*; return every complete envelope now available."""
         self._buffer.extend(data)
-        return [
-            unpack_body(body) if packed else decode_body(body)
-            for packed, body in split_frames(self._buffer, self.max_frame)
+        frames, refused = split_frames(self._buffer, self.max_frame)
+        envelopes = [
+            unpack_body(body) if packed else decode_body(body) for packed, body in frames
         ]
+        if refused is not None:
+            raise refused
+        return envelopes
 
     @property
     def pending_bytes(self) -> int:

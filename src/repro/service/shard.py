@@ -38,7 +38,10 @@ daemon may be started from a thread (the benchmark rig does), where
 forking an asyncio process is undefined behaviour.  On drain the front
 end waits until the pool owes no answer, flushes and closes the client
 connections, and then the pool SIGTERMs the workers, whose own graceful
-drain writes the tenant snapshots for a warm restart.
+drain writes the tenant snapshots for a warm restart.  A worker whose pipe
+closes without that (the front end was killed) drains the same way on its
+own; each worker removes its socket on the way out, and the last one the
+pool's socket directory.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ from repro.service.snapshot import tenant_shard
 
 #: How long the pool waits for a freshly spawned worker's socket.
 _WORKER_START_TIMEOUT = 15.0
+#: Prefix of the private directory that holds a pool's worker sockets.
+_SOCKET_DIR_PREFIX = "overhaul-shard-"
 #: A worker's pipe carries *every* client's traffic for its shard, so its
 #: per-connection budget must dwarf a client's: budgets are the front
 #: end's job.
@@ -158,7 +163,7 @@ class WorkerPool(Backend):
     async def start(self, front: ServiceDaemon) -> None:
         """Spawn the workers and open one pipe to each."""
         self._front = front
-        self._socket_dir = tempfile.mkdtemp(prefix="overhaul-shard-")
+        self._socket_dir = tempfile.mkdtemp(prefix=_SOCKET_DIR_PREFIX)
         env = dict(os.environ)
         src_root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
         env["PYTHONPATH"] = (
@@ -249,10 +254,10 @@ class WorkerPool(Backend):
 
     # -- routing ---------------------------------------------------------------
 
-    def unpack(self, body: bytes) -> Dict[str, Any]:
-        """Admit a packed request by peeking its id and tenant, never decoding it."""
+    def unpack(self, body: bytes) -> Tuple[int, int, str, bytes]:
+        """Admit a packed request as (tag, id, tenant, body), never decoding it."""
         tenant = packed_tenant(body)  # checks the layout first
-        return {"id": packed_request_id(body), "tenant": tenant, "body": body}
+        return body[0], packed_request_id(body), tenant, body
 
     def dispatch(self, front: ServiceDaemon, batch: List[Admitted]) -> None:
         """Forward each request to its tenant's worker, one write per worker."""
@@ -263,11 +268,12 @@ class WorkerPool(Backend):
         count = self.worker_count
         routed = routed_packed = 0
         for conn, request, packed in batch:
-            request_id = request.get("id")
-            tenant = request.get("tenant")
             if packed:
+                _, request_id, tenant, body = request
                 worker = workers[tenant_shard(tenant, count)]
             else:
+                request_id = request.get("id")
+                tenant = request.get("tenant")
                 op = request.get("op")
                 if op == "ping" and request.get("v") == PROTOCOL_VERSION:
                     # Tenant-less; answered here, byte-identical to a worker's answer.
@@ -290,9 +296,9 @@ class WorkerPool(Backend):
             self._next_wid += 1
             wid = self._next_wid
             if packed:
-                body = bytearray(request["body"])
-                rewrite_packed_id(body, wid)
-                frame = encode_packed_frame(body)
+                rewritten = bytearray(body)
+                rewrite_packed_id(rewritten, wid)
+                frame = encode_packed_frame(rewritten)
                 routed_packed += 1
             else:
                 frame = encode_frame(dict(request, id=wid))
@@ -363,8 +369,10 @@ class WorkerPool(Backend):
         answers: List[Tuple[Any, bytes]] = []
         routes = self._routes
         try:
-            # The pipe is private and the worker trusted: no frame bound.
-            for packed, body in split_frames(worker.buffer, LENGTH_MASK):
+            # The pipe is private and the worker trusted: no frame bound,
+            # so no frame is refused.
+            frames, _ = split_frames(worker.buffer, LENGTH_MASK)
+            for packed, body in frames:
                 if packed:
                     route = routes.pop(packed_request_id(body), None)
                     if route is None:  # pragma: no cover - defensive
@@ -424,6 +432,19 @@ class WorkerPool(Backend):
 # -- worker entry point --------------------------------------------------------
 
 
+class _WorkerDaemon(ServiceDaemon):
+    """A shard worker: it drains and exits once the pool's pipe has closed.
+
+    The pipe is the worker's one client, and the kernel closes it however
+    the front end ends, a SIGKILL included, so no worker outlives its pool.
+    """
+
+    def _connection_lost(self, conn: Any) -> None:
+        super()._connection_lost(conn)
+        if not self._connections:
+            self.begin_drain()
+
+
 def worker_main(argv: Optional[List[str]] = None) -> int:
     """``python -m repro.service.shard``: run one shard worker daemon."""
     parser = argparse.ArgumentParser(
@@ -443,7 +464,7 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
     service = PermissionService(
         max_tenants=args.max_tenants, journal=args.snapshot_dir is not None
     )
-    daemon = ServiceDaemon(
+    daemon = _WorkerDaemon(
         service,
         unix_path=args.unix,
         max_pending=WORKER_MAX_PENDING,
@@ -464,6 +485,18 @@ def worker_main(argv: Optional[List[str]] = None) -> int:
         await daemon.run_until_signalled()
 
     asyncio.run(main())
+    # Leave nothing behind: this worker's socket, and the pool's private
+    # directory once the last worker out has emptied it.
+    try:
+        os.unlink(args.unix)
+    except FileNotFoundError:
+        pass
+    socket_dir = os.path.dirname(os.path.abspath(args.unix))
+    if os.path.basename(socket_dir).startswith(_SOCKET_DIR_PREFIX):
+        try:
+            os.rmdir(socket_dir)
+        except OSError:  # not empty: a worker is still in it
+            pass
     return 0
 
 

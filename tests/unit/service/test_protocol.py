@@ -132,20 +132,21 @@ class TestPackedRoundTrip:
             "tenant": "t0", "pid": 12, "operation": "paste", "at": 5_000_000,
         }
         body = pack_query(42, "t0", 12, "paste", 5_000_000)
-        assert unpack_body(body) == request
+        assert unpack_body(body) == (
+            PK_QUERY, request["id"], request["tenant"], request["pid"],
+            request["operation"], request["at"],
+        )
 
-    def test_query_without_at_omits_the_key(self):
+    def test_query_without_at_decodes_at_none(self):
         body = pack_query(7, "t1", 3, "screen_capture")
-        decoded = unpack_body(body)
-        assert "at" not in decoded
-        assert decoded["operation"] == "screen_capture"
+        assert unpack_body(body) == (PK_QUERY, 7, "t1", 3, "screen_capture", None)
 
     def test_interact_round_trips(self):
         body = pack_interact(9, "tenant.x", 4, at=123)
-        assert unpack_body(body) == {
-            "v": PROTOCOL_VERSION, "id": 9, "op": "interact",
-            "tenant": "tenant.x", "pid": 4, "at": 123,
-        }
+        assert unpack_body(body) == (PK_INTERACT, 9, "tenant.x", 4, None, 123)
+        assert unpack_body(pack_interact(9, "tenant.x", 4)) == (
+            PK_INTERACT, 9, "tenant.x", 4, None, None,
+        )
 
     def test_query_ok_round_trips_and_age_flag(self):
         body = pack_query_ok(5, True, "interaction fresh", 1234, 9999)
@@ -174,12 +175,7 @@ class TestPackedRoundTrip:
     )
     def test_query_round_trip_property(self, request_id, tenant, pid, operation, at):
         body = pack_query(request_id, tenant, pid, operation, at)
-        decoded = unpack_body(body)
-        assert decoded["id"] == request_id
-        assert decoded["tenant"] == tenant
-        assert decoded["pid"] == pid
-        assert decoded["operation"] == operation
-        assert decoded.get("at") == at if at is not None else "at" not in decoded
+        assert unpack_body(body) == (PK_QUERY, request_id, tenant, pid, operation, at)
 
 
 class TestPackedRejection:
@@ -230,9 +226,8 @@ class TestPackedPeekAndRewrite:
     def test_rewrite_id_in_place(self):
         body = bytearray(pack_interact(1, "t3", 2))
         rewrite_packed_id(body, 9_999_999_999)
-        decoded = unpack_body(bytes(body))
-        assert decoded["id"] == 9_999_999_999
-        assert decoded["tenant"] == "t3"  # everything else untouched
+        # Only the id changes; everything else is untouched.
+        assert unpack_body(bytes(body)) == (PK_INTERACT, 9_999_999_999, "t3", 2, None, None)
 
 
 class TestEncodeNegotiatedFrames:
@@ -242,7 +237,7 @@ class TestEncodeNegotiatedFrames:
         frame = encode_request_frame(request, packed=True)
         (raw,) = struct.unpack("!I", frame[:HEADER_SIZE])
         assert raw & PACKED_BIT
-        assert unpack_body(frame[HEADER_SIZE:]) == request
+        assert unpack_body(frame[HEADER_SIZE:]) == (PK_QUERY, 1, "t0", 2, "paste", None)
 
     def test_request_frame_falls_back_for_cold_verbs_and_odd_ids(self):
         for request in (

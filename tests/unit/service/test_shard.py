@@ -12,18 +12,21 @@ in ``test_daemon.py``.
 import asyncio
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
 import repro
-from repro.service.client import ServiceClient
+from repro.service.client import AsyncServiceClient, ServiceClient
 from repro.service.core import PermissionService
 from repro.service.daemon import ServiceDaemon
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
+    E_INTERNAL,
     PROTOCOL_VERSION,
     FrameDecoder,
     canonical_json,
@@ -37,6 +40,8 @@ from repro.service.scenario import (
 )
 from repro.service.shard import WorkerPool
 from repro.service.snapshot import tenant_shard
+
+from tests.unit.service.test_daemon import kill_workers
 
 TIMEOUT = 30.0
 
@@ -330,3 +335,122 @@ class TestWorkerBounds:
         finally:
             worker.terminate()
             worker.wait(timeout=TIMEOUT)
+
+
+class TestWorkerDeath:
+    """What the pool owes when one of its workers dies, and when it does."""
+
+    def test_a_dying_worker_fails_exactly_its_own_in_flight_request(self, tmp_path):
+        """The dead worker's request gets ``INTERNAL``; a live neighbour's is answered.
+
+        Both workers are stopped (SIGSTOP) while the two requests are routed,
+        so both are in flight when one worker is SIGKILLed.
+        """
+        tenants = {}
+        index = 0
+        while len(tenants) < 2:
+            tenants.setdefault(tenant_shard(f"t{index}", 2), f"t{index}")
+            index += 1
+        victim_tenant, live_tenant = tenants[0], tenants[1]
+        pool = WorkerPool(2)
+
+        async def body():
+            path = str(tmp_path / "death.sock")
+            daemon = ServiceDaemon(pool, unix_path=path)
+            await daemon.start()
+            client = await AsyncServiceClient.connect(unix_path=path)
+            victim, live = pool._workers
+            stopped = []
+            try:
+                pids = {}
+                for tenant in (victim_tenant, live_tenant):
+                    pids[tenant] = (await client.request("spawn", tenant=tenant, name="app"))["pid"]
+                for worker in (victim, live):
+                    os.kill(worker.process.pid, signal.SIGSTOP)
+                    stopped.append(worker)
+                doomed = asyncio.ensure_future(client.request_raw(
+                    "query", tenant=victim_tenant, pid=pids[victim_tenant], operation="copy"
+                ))
+                neighbour = asyncio.ensure_future(client.request_raw(
+                    "query", tenant=live_tenant, pid=pids[live_tenant], operation="copy"
+                ))
+                while len(pool._routes) < 2:
+                    await asyncio.sleep(0.005)
+                victim.process.kill()
+                dead = await asyncio.wait_for(doomed, timeout=10)
+                assert not neighbour.done()  # its worker is still stopped
+                os.kill(live.process.pid, signal.SIGCONT)
+                stopped.remove(live)
+                answered = await asyncio.wait_for(neighbour, timeout=10)
+            finally:
+                for worker in stopped:
+                    os.kill(worker.process.pid, signal.SIGCONT)
+                await client.close()
+                daemon.begin_drain()
+                await asyncio.wait_for(daemon.wait_stopped(), timeout=10)
+            return dead, answered
+
+        try:
+            dead, answered = asyncio.run(body())
+        finally:
+            kill_workers(pool)
+        assert dead["error"] == E_INTERNAL
+        assert dead["message"] == "shard worker 0 died mid-request"
+        assert answered["ok"] is True and answered["result"]["granted"] is False
+        assert pool.counters.get("shard.worker_deaths") == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+    def test_workers_of_a_sigkilled_front_end_exit_and_remove_their_directory(
+        self, tmp_path
+    ):
+        temp = tmp_path / "temp"
+        temp.mkdir()
+        env = dict(os.environ, TMPDIR=str(temp),
+                   PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        serve = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--unix", str(tmp_path / "s.sock"),
+             "--shard-workers", "2"],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert "overhaul service ready" in serve.stdout.readline()
+            (socket_dir,) = temp.glob("overhaul-shard-*")
+            workers = [pid for pid in _pids() if str(socket_dir) in _cmdline(pid)]
+            assert len(workers) == 2
+            serve.kill()
+            serve.wait(timeout=TIMEOUT)
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if not socket_dir.exists() and not any(_running(pid) for pid in workers):
+                    break
+                time.sleep(0.05)
+            assert not any(_running(pid) for pid in workers), "a worker outlived its pool"
+            assert not socket_dir.exists(), "the pool's socket directory was left behind"
+        finally:
+            if serve.poll() is None:
+                serve.kill()
+                serve.wait()
+            for pid in _pids():
+                if str(temp) in _cmdline(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _pids():
+    return [int(name) for name in os.listdir("/proc") if name.isdigit()]
+
+
+def _cmdline(pid):
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            return handle.read().replace(b"\0", b" ").decode(errors="replace")
+    except OSError:
+        return ""
+
+
+def _running(pid):
+    """True while *pid* exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            return handle.read().rsplit(b")", 1)[1].split()[0] != b"Z"
+    except OSError:
+        return False
