@@ -9,7 +9,7 @@ Two flavours:
   that assert on the raw error).
 - :class:`AsyncServiceClient` -- asyncio, pipelined: many requests may be
   in flight per connection, matched to responses by the envelope ``id``.
-  The benchmark and load-generation shape.
+  The shape the scripted service scenarios drive.
 
 Both speak the :mod:`repro.service.protocol` framing and raise
 :class:`ServiceError` (carrying the protocol error code) for error
@@ -26,6 +26,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.service.protocol import (
     DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
+    E_BAD_REQUEST,
     E_RETRY_LATER,
     FrameDecoder,
     FrameError,
@@ -217,38 +218,29 @@ class AsyncServiceClient(_Verbs):
         return client
 
     async def _read_loop(self) -> None:
-        from repro.service.protocol import (
-            HEADER_SIZE,
-            LENGTH_MASK,
-            PACKED_BIT,
-            decode_body,
-            unpack_body,
-        )
-        import struct
-
-        header_struct = struct.Struct("!I")
+        decoder = FrameDecoder(DEFAULT_MAX_FRAME)
         # Any exit from this loop strands every in-flight and future
-        # request, so every exit path -- EOF, reset, cancellation, and
-        # crucially a malformed frame (FrameError) or stray OSError, which
-        # used to kill the task *silently* and hang all callers forever --
-        # must record why and fail the pending futures.
+        # request, so every exit path -- EOF, reset, cancellation, an
+        # oversized or malformed frame (FrameError), a frame that is not a
+        # response envelope, or a stray OSError -- must record why and
+        # fail the pending futures.
         error = "daemon connection lost"
         try:
             while True:
-                header = await self._reader_stream.readexactly(HEADER_SIZE)
-                (raw,) = header_struct.unpack(header)
-                body = await self._reader_stream.readexactly(raw & LENGTH_MASK)
-                response = unpack_body(body) if raw & PACKED_BIT else decode_body(body)
-                future = self._pending.pop(response.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(response)
+                data = await self._reader_stream.read(65536)
+                if not data:
+                    break
+                for response in decoder.feed(data):
+                    if type(response) is not dict:
+                        raise FrameError(E_BAD_REQUEST, "frame is not a response envelope")
+                    future = self._pending.pop(response.get("id"), None)
+                    if future is not None and not future.done():
+                        future.set_result(response)
         except asyncio.CancelledError:
             error = "client is closed"
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            pass
         except FrameError as exc:
             error = f"daemon sent an undecodable frame: {exc}"
-        except (BrokenPipeError, OSError) as exc:
+        except OSError as exc:
             error = f"daemon connection lost: {exc}"
         self._conn_error = error
         for future in self._pending.values():

@@ -504,7 +504,7 @@ def split_frames(
 
 
 class FrameDecoder:
-    """Incremental frame parser for the blocking client and load generators.
+    """Incremental frame parser for both clients and the load generators.
 
     Feed it raw bytes as they arrive; it yields complete envelope dicts --
     JSON and packed (wire v2) responses alike, transparently (a packed

@@ -34,8 +34,8 @@ goes to the tenant's worker (worker 0 when no valid tenant is named).
 
 Workers are spawned as fresh interpreter processes (``python -m
 repro.service.shard --worker-index I ...``) rather than forked: the
-daemon may be started from a thread (the benchmark rig does), where
-forking an asyncio process is undefined behaviour.  On drain the front
+daemon may be started from a thread, where forking an asyncio process
+is undefined behaviour.  On drain the front
 end waits until the pool owes no answer, flushes and closes the client
 connections, and then the pool SIGTERMs the workers, whose own graceful
 drain writes the tenant snapshots for a warm restart.  A worker whose pipe

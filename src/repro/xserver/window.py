@@ -208,14 +208,13 @@ class Drawable:
     """Anything with content bytes: a window or a pixmap.
 
     Every drawable carries a **damage counter** (a generation number bumped
-    by any content mutation) plus the *pending damage rects* recorded since
-    the last snapshot refresh.  The counter is what makes the
+    by any content mutation) plus the *journal rects* recorded since the
+    last screen composition.  The counter is what makes the
     display-pipeline caches safe -- an immutable ``bytes`` snapshot of the
     content (:meth:`content_bytes`) and the server's composition cache are
     both keyed on it, so a stale frame can never be served after a paint.
-    The rects are what make them *cheap*: a region draw refreshes only the
-    dirty byte spans of the snapshot, and the server's incremental
-    composition patches only the dirty bands of the cached frame.
+    The rects are what make composition *cheap*: the server's incremental
+    composer patches only the dirty bands of the cached frame.
     """
 
     def __init__(self, owner_client_id: int) -> None:
@@ -224,13 +223,6 @@ class Drawable:
         self.content = bytearray()
         #: Content generation; bumped by every draw/append.
         self.damage = 0
-        #: Dirty rects recorded since the last snapshot refresh -- the
-        #: *snapshot splice* set, maintained only while a snapshot cache
-        #: exists to splice into (pure bookkeeping, never counted).
-        self.damage_rects: List[Rect] = []
-        #: True when pending snapshot damage covers the whole content
-        #: (full draws, appends, anything changing the content length).
-        self._damage_full = False
         #: Dirty rects since the last screen composition -- the *journal*
         #: set the server's incremental composer consumes and drains.
         #: Pure fast-path bookkeeping: the composer may also stop feeding
@@ -294,17 +286,12 @@ class Drawable:
 
         With a rect, the damage is region-granular: the rect folds into
         the **journal** set (what the incremental composer patches from,
-        unless the composer has proven the drawable invisible) and, while
-        a snapshot cache exists, into the **splice** set (what
-        :meth:`content_bytes` refreshes from).  Without a rect the damage
-        covers the whole drawable.  Either way the damage counter bumps
-        and the :attr:`damage_sink` (the server's journal) is notified on
-        first pending damage.
+        unless the composer has proven the drawable invisible).  Without a
+        rect the damage covers the whole drawable.  Either way the damage
+        counter bumps and the :attr:`damage_sink` (the server's journal)
+        is notified on first pending damage.
         """
         if rect is None:
-            self._damage_full = True
-            if self.damage_rects:
-                self.damage_rects.clear()
             if not self.composer_skip:
                 pending = self.journal_full or bool(self.journal_rects)
                 self.journal_full = True
@@ -318,8 +305,6 @@ class Drawable:
                 return
             self.damage += 1
             return
-        if self._content_cache is not None and not self._damage_full:
-            coalesce_rect(self.damage_rects, rect)
         self.damage += 1
         if self.composer_skip:
             return
@@ -396,53 +381,13 @@ class Drawable:
 
         Repeat reads of an undamaged drawable return the *same* ``bytes``
         object -- the zero-copy handoff GetImage/CopyArea fast paths use.
-        When the pending damage is region-granular, the refresh splices
-        only the dirty byte spans into the previous snapshot instead of
-        recopying the whole content.  The snapshot is immutable, so
-        sharing it with clients is safe.
+        A damaged drawable refreshes with one copy of the content.  The
+        snapshot is immutable, so sharing it with clients is safe.
         """
-        cached = self._content_cache
-        if cached is not None and self._content_cache_damage == self.damage:
-            return cached
-        content = self.content
-        rects = self.damage_rects
-        if (
-            cached is not None
-            and rects
-            and not self._damage_full
-            and len(cached) == len(content)
-        ):
-            # Row-granular refresh: copy back exactly the dirty rows of
-            # each pending rect (the 2D analogue of the PR-5 span splice,
-            # without the bounding-band over-copy between rows).
-            stride = self._stride()
-            size = len(content)
-            buf = bytearray(cached)
-            for rect in rects:
-                if stride == 0:
-                    off = rect.x
-                    rows = 1
-                else:
-                    off = rect.y * stride + rect.x
-                    rows = rect.height
-                rw = rect.width
-                for _ in range(rows):
-                    if off >= size:
-                        break
-                    end = off + rw
-                    if end > size:
-                        end = size
-                    buf[off:end] = content[off:end]
-                    off += stride
-            snapshot = bytes(buf)
-        else:
-            snapshot = bytes(content)
-        if rects:
-            rects.clear()
-        self._damage_full = False
-        self._content_cache = snapshot
-        self._content_cache_damage = self.damage
-        return snapshot
+        if self._content_cache_damage != self.damage:
+            self._content_cache = bytes(self.content)
+            self._content_cache_damage = self.damage
+        return self._content_cache
 
 
 class Pixmap(Drawable):

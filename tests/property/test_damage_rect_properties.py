@@ -2,12 +2,12 @@
 
 The display pipeline's caches are only as safe as the geometry under
 them: ``Rect.overlaps``/``union``/``span`` feed the per-drawable
-coalescer, and the coalescer's pending set is what the incremental
-snapshot splice trusts to cover every dirty byte.  These properties pin
-the algebra (symmetry, bounding, linear-only spans), the coalescer's
+coalescer, and the coalescer's journal set is what the incremental
+composer trusts to cover every dirty cell.  These properties pin the
+algebra (symmetry, bounding, linear-only spans), the coalescer's
 invariants (bounded pending set, full coverage), the coalescer's
-equivalence to its original area-based formulation, and the splice path's
-equivalence to a naive 2D cell model.
+equivalence to its original area-based formulation, and the snapshot
+path's equivalence to a naive 2D cell model.
 """
 
 import pytest
@@ -105,7 +105,7 @@ class TestRectAlgebra:
     @settings(max_examples=200, deadline=None)
     def test_overlap_implies_span_overlap(self, a, b):
         """On linear drawables a shared cell maps to a byte offset inside
-        both spans, so the splice path can never miss a dirty byte by
+        both spans, so the composer can never miss a dirty byte by
         treating rects independently."""
         if a.overlaps(b):
             alo, ahi = a.span()
@@ -237,15 +237,14 @@ class TestCoalescer:
         """After any damage sequence: at most ``_MAX_PENDING_RECTS``
         pending rects, jointly covering every cell ever damaged.  (The
         tight-union/least-waste coalescer may keep overlapping rects --
-        splice and blit are idempotent per cell, so coverage, not
-        disjointness, is the safety property.)"""
+        a blit is idempotent per cell, so coverage, not disjointness, is
+        the safety property.)"""
         window = Window(1, Geometry(0, 0, 24, 24))
-        window.content_bytes()  # seed the snapshot so rects accumulate
         submitted = set()
         for rect in damage:
             window.mark_damaged(rect)
             submitted |= cells(rect)
-        pending = window.damage_rects
+        pending = window.journal_rects
         assert len(pending) <= _MAX_PENDING_RECTS
         covered = set()
         for rect in pending:
@@ -262,14 +261,13 @@ class TestCoalescer:
         window.mark_damaged()
         for rect in damage:
             window.mark_damaged(rect)
-        assert window._damage_full
-        assert window.damage_rects == []
+        assert window.journal_full
+        assert window.journal_rects == []
         assert window.damage == 1 + len(damage)
 
 
-#: Scripts interleave region draws with snapshot reads, so the incremental
-#: splice path (refresh only dirty spans of the previous snapshot) is
-#: exercised mid-sequence, not just at the end.
+#: Scripts interleave region draws with snapshot reads, so the per-epoch
+#: snapshot cache is refreshed mid-sequence, not just at the end.
 draw_scripts = st.lists(
     st.one_of(
         st.tuples(st.just("draw"), raw_requests, st.binary(min_size=0, max_size=64)),

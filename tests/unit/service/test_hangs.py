@@ -5,7 +5,9 @@ Each of these deadlocked real deployments before the fix:
 1. ``ServiceClient.request_raw`` busy-looped forever when the daemon
    closed mid-frame (EOF only raised when *zero* bytes were buffered).
 2. ``AsyncServiceClient._read_loop`` died silently on a malformed
-   response frame, stranding every in-flight and future request.
+   response frame, stranding every in-flight and future request; it
+   also waited forever on a header that promised an oversized body, and
+   died on a packed *request* frame, which decodes to a tuple.
 3. An exception escaping ``PermissionService.apply_many`` killed the
    daemon's dispatcher task -- a zombie daemon that accepted frames and
    answered nothing.
@@ -24,7 +26,7 @@ import pytest
 from repro.service.client import AsyncServiceClient, ServiceClient
 from repro.service.core import PermissionService
 from repro.service.daemon import ServiceDaemon
-from repro.service.protocol import HEADER_SIZE, E_INTERNAL
+from repro.service.protocol import HEADER_SIZE, E_INTERNAL, encode_request_frame
 
 TIMEOUT = 10.0
 
@@ -113,6 +115,51 @@ class TestAsyncClientMalformedFrame:
                 with pytest.raises(ConnectionError):
                     await asyncio.wait_for(client.request_raw("ping"), timeout=TIMEOUT)
             finally:
+                await client.close()
+                server.close()
+                await server.wait_closed()
+
+        run(body)
+
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            pytest.param(struct.pack("!I", 0x7FFFFFF0), id="oversized-header"),
+            pytest.param(
+                encode_request_frame(
+                    {"v": 1, "id": 1, "op": "query", "tenant": "t0", "pid": 7,
+                     "operation": "paste"},
+                    packed=True,
+                ),
+                id="packed-request-frame",
+            ),
+        ],
+    )
+    def test_reply_that_is_no_response_fails_the_request(self, tmp_path, reply):
+        # The server keeps the connection open after its reply, so only the
+        # client's own frame checks can end the wait: pre-fix, the reader
+        # waited for 2 GiB that never came, or died on ``tuple.get`` with
+        # an AttributeError, and the request hung either way.
+        async def body():
+            path = str(tmp_path / "bad-reply.sock")
+            release = asyncio.Event()
+
+            async def handler(reader, writer):
+                await reader.readexactly(HEADER_SIZE)
+                writer.write(reply)
+                await writer.drain()
+                await release.wait()
+                writer.close()
+
+            server = await asyncio.start_unix_server(handler, path=path)
+            client = await AsyncServiceClient.connect(unix_path=path)
+            try:
+                with pytest.raises(ConnectionError) as excinfo:
+                    await asyncio.wait_for(client.request("ping"), timeout=2.0)
+                assert "undecodable frame" in str(excinfo.value)
+            finally:
+                release.set()
                 await client.close()
                 server.close()
                 await server.wait_closed()

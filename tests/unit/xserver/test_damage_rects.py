@@ -149,30 +149,28 @@ class TestDrawRectClipping:
 
 class TestDamageCoalescing:
     def _window(self):
-        window = Window(owner_client_id=1, geometry=Geometry(0, 0, 100, 100))
-        window.content_bytes()  # seed the snapshot so splice rects accumulate
-        return window
+        return Window(owner_client_id=1, geometry=Geometry(0, 0, 100, 100))
 
     def test_overlapping_draws_coalesce_to_one_rect(self):
         window = self._window()
         window.draw_rect(0, 0, 10, 1, b"a" * 10)
         window.draw_rect(5, 0, 10, 1, b"b" * 10)
-        assert window.damage_rects == [Rect(0, 0, 15, 1)]
+        assert window.journal_rects == [Rect(0, 0, 15, 1)]
 
     def test_transitive_coalescing(self):
         # The third rect bridges the first two; all three become one.
         window = self._window()
         window.draw_rect(0, 0, 4, 1, b"a" * 4)
         window.draw_rect(8, 0, 4, 1, b"b" * 4)
-        assert len(window.damage_rects) == 2
+        assert len(window.journal_rects) == 2
         window.draw_rect(3, 0, 6, 1, b"c" * 6)
-        assert window.damage_rects == [Rect(0, 0, 12, 1)]
+        assert window.journal_rects == [Rect(0, 0, 12, 1)]
 
     def test_non_overlapping_draws_stay_separate(self):
         window = self._window()
         window.draw_rect(0, 0, 4, 1, b"a" * 4)
         window.draw_rect(20, 0, 4, 1, b"b" * 4)
-        assert len(window.damage_rects) == 2
+        assert len(window.journal_rects) == 2
 
     def test_column_never_widens_into_a_band(self):
         # The tight-union rule: a 1-px column stacked on a disjoint row
@@ -181,14 +179,14 @@ class TestDamageCoalescing:
         window.draw_rect(50, 0, 1, 1, b"x")
         window.draw_rect(50, 1, 1, 1, b"y")  # stacks into a 1x2 column
         window.draw_rect(0, 50, 10, 1, b"z" * 10)  # disjoint row
-        assert sorted(window.damage_rects) == [Rect(0, 50, 10, 1), Rect(50, 0, 1, 2)]
+        assert sorted(window.journal_rects) == [Rect(0, 50, 10, 1), Rect(50, 0, 1, 2)]
 
     def test_cap_merges_least_waste_pairs_not_one_band(self):
         window = self._window()
         drawn = []
         for i in range(9):  # one past _MAX_PENDING_RECTS
             drawn.append(window.draw_rect(i * 10, 0, 2, 1, b"xy"))
-        pending = window.damage_rects
+        pending = window.journal_rects
         assert len(pending) == 8  # bounded...
         for rect in drawn:  # ...still covering every draw...
             assert any(p.contains_rect(rect) for p in pending)
@@ -199,8 +197,8 @@ class TestDamageCoalescing:
         window = self._window()
         window.draw_rect(0, 0, 4, 1, b"a" * 4)
         window.draw(b"z" * 16)  # whole-content damage
-        assert window.damage_rects == []
-        assert window._damage_full
+        assert window.journal_rects == []
+        assert window.journal_full
 
     def test_repeat_draw_keeps_one_pending_rect(self):
         window = self._window()
@@ -208,7 +206,6 @@ class TestDamageCoalescing:
         for _ in range(5):
             rect = window.draw_rect(3, 2, 6, 1, b"r" * 6)
         assert rect == Rect(3, 2, 6, 1)
-        assert window.damage_rects == [rect]
         assert window.journal_rects == [rect]
         assert window.damage == damage + 5
 
@@ -250,14 +247,6 @@ class TestSnapshotRegionRefresh:
         window.content_bytes()
         window.draw_rect(1, 0, 2, 4, b"abcdefgh")  # a column of rows
         assert window.content_bytes() == bytes(window.content)
-
-    def test_refresh_clears_pending_damage(self):
-        window = Window(owner_client_id=1, geometry=Geometry(0, 0, 8, 4))
-        window.draw(b"m" * 32)
-        window.draw_rect(0, 0, 4, 1, b"abcd")
-        window.content_bytes()
-        assert window.damage_rects == []
-        assert not window._damage_full
 
     def test_neighbour_windows_keep_their_snapshots(self):
         # An unchanged window must keep its bytes object across a partial
