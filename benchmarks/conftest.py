@@ -1,27 +1,20 @@
-"""Shared configuration for the Table I benchmark suite.
+"""Shared configuration for the pytest-benchmark rigs.
 
-Every benchmark compares the two configurations of the paper's Table I:
+The ``protected`` fixture runs a benchmark in both configurations of the
+paper's Table I:
 
 - ``baseline``  -- unmodified kernel + X server;
 - ``overhaul``  -- full Overhaul stack in the Section V-A measurement mode
   (``force_grant=True``: the complete decision path executes, then grants).
 
-Methodology mirrors the paper: five timed rounds per configuration
-(``benchmark.pedantic(..., rounds=5)``), means compared.  Absolute times are
-simulator times, not patched-C-kernel times; see EXPERIMENTS.md for the
-shape discussion.
+Table I itself is timed by ``python -m repro table1`` (interleaved pairs);
+these rigs are local profiling aids and CI smoke checks.
 """
 
 import pytest
 
-#: Operations per timed round, per row.  Scaled-down versions of the
-#: paper's counts (10 M opens, 100 k pastes, 1 k captures, 10 G writes,
-#: 102 400 files) chosen so the suite completes in tens of seconds.
+#: Device opens per timed round of the tracer-overhead rig.
 DEVICE_OPS = 1_000
-CLIPBOARD_OPS = 300
-SCREEN_OPS = 300
-SHM_OPS = 5_000
-FILE_OPS = 1_000
 
 CONFIGS = [False, True]
 CONFIG_IDS = ["baseline", "overhaul"]

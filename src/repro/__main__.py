@@ -63,7 +63,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     table1 = sub.add_parser("table1", help="regenerate Table I")
     table1.add_argument("--scale", type=float, default=1.0)
-    table1.add_argument("--repeats", type=int, default=5)
+    table1.add_argument("--repeats", type=int, default=10)
     table1.add_argument("--json", action="store_true", help="machine-readable output")
 
     usability = sub.add_parser("usability", help="Section V-B study")

@@ -1,10 +1,10 @@
 """Analysis and result regeneration.
 
-- :mod:`repro.analysis.benchops` -- the five Table I workloads as rigs
-  shared by the pytest-benchmark suite and the table renderer;
-- :mod:`repro.analysis.metrics` -- timing and overhead statistics;
-- :mod:`repro.analysis.tables` -- ``python -m repro.analysis.tables``
-  regenerates Table I;
+- :mod:`repro.analysis.benchops` -- the five Table I workloads as rigs,
+  plus the compose and decision-path rigs;
+- :mod:`repro.analysis.metrics` -- mean, spread and overhead statistics;
+- :mod:`repro.analysis.tables` -- the one Table I timer, interleaved
+  baseline/Overhaul pairs; ``python -m repro table1`` runs it;
 - :mod:`repro.analysis.population` -- population-level aggregation (rates
   with confidence intervals) for ``python -m repro fleet`` runs.
 """
@@ -17,13 +17,7 @@ from repro.analysis.benchops import (
     ScreenCaptureRig,
     SharedMemoryRig,
 )
-from repro.analysis.metrics import (
-    TimingResult,
-    mean,
-    overhead_percent,
-    stdev,
-    time_callable,
-)
+from repro.analysis.metrics import mean, overhead_percent, stdev
 from repro.analysis.population import proportion_summary, wilson_interval
 from repro.analysis.tables import TableIResult, TableRow, measure_row, measure_table_i
 
@@ -38,11 +32,9 @@ __all__ = [
     "SharedMemoryRig",
     "TableIResult",
     "TableRow",
-    "TimingResult",
     "mean",
     "measure_row",
     "measure_table_i",
     "overhead_percent",
     "stdev",
-    "time_callable",
 ]

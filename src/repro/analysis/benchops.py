@@ -9,9 +9,9 @@ Each rig builds a machine in one of the two Table I configurations --
   the entire execution path";
 
 and exposes a ``run(n)`` method performing *n* operations of the row's
-workload.  The pytest-benchmark suite and the Table I renderer both consume
-these rigs, so the numbers in EXPERIMENTS.md and ``pytest benchmarks/``
-measure literally the same code.
+workload.  ``python -m repro table1`` times the five Table I rigs in
+interleaved pairs; the tier-1 shape guards and the compose and
+tracer-overhead benchmarks drive the same rigs.
 """
 
 from __future__ import annotations
@@ -99,26 +99,37 @@ class ScreenCaptureRig:
     """Table I row 3: full-screen GetImage captures (imlib2-style).
 
     The paper took 1 000 captures, excluding file-save time; we exclude it
-    too by never writing the image anywhere.
+    too by never writing the image anywhere.  A live screen changes
+    between captures, and the paper's baseline is imlib2 pulling a full
+    image, so each ``run`` iteration first redraws one row of the top
+    window: the capture then patches that row and copies the whole frame
+    out, instead of returning the compose cache's unchanged image.
     """
 
     name = "Screen Capture"
     paper_overhead_percent = 2.34
 
+    #: Alternating one-row payloads for the top window's redraw.
+    _ROW_PAYLOADS = (b"\x03" * 640, b"\x04" * 640)
+
     def __init__(self, protected: bool, config: Optional[OverhaulConfig] = None) -> None:
         self.machine = _build_machine(protected, config)
         self.app = SimApp(self.machine, "/usr/bin/scrbench", comm="scrbench")
-        # Give the screen realistic content so composition does real work:
-        # a capture must copy window pixels, which is where the paper's
-        # baseline cost lives (imlib2 pulling a full-screen image).
+        # Four overlapping painted windows; the last one mapped is on top.
         for index in range(4):
             painter = SimApp(self.machine, f"/usr/bin/painter{index}", comm=f"painter{index}")
             painter.paint(bytes([index]) * (128 * 1024))
+        self._top = painter.window
         self.machine.settle()
 
     def run(self, n: int) -> None:
         capture = self.app.capture_screen
-        for _ in range(n):
+        draw_rect = self._top.draw_rect
+        geometry = self._top.geometry
+        width, height = geometry.width, geometry.height
+        payloads = self._ROW_PAYLOADS
+        for i in range(n):
+            draw_rect(0, i % height, width, 1, payloads[i & 1])
             capture()
 
 

@@ -1,11 +1,9 @@
-"""Measurement helpers: timing, statistics, overhead computation."""
+"""Measurement helpers: statistics and overhead computation."""
 
 from __future__ import annotations
 
 import statistics
-import time
-from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -28,46 +26,3 @@ def overhead_percent(baseline: float, modified: float) -> float:
     if baseline <= 0:
         raise ValueError(f"baseline duration must be positive, got {baseline}")
     return (modified - baseline) / baseline * 100.0
-
-
-@dataclass
-class TimingResult:
-    """Wall-clock timings of one repeated measurement."""
-
-    label: str
-    samples_seconds: List[float]
-
-    @property
-    def mean_seconds(self) -> float:
-        return mean(self.samples_seconds)
-
-    @property
-    def stdev_seconds(self) -> float:
-        return stdev(self.samples_seconds)
-
-    @property
-    def best_seconds(self) -> float:
-        return min(self.samples_seconds)
-
-
-def time_callable(
-    label: str,
-    fn: Callable[[], None],
-    repeats: int = 5,
-    warmup: int = 1,
-) -> TimingResult:
-    """Run *fn* ``warmup + repeats`` times; keep wall-clock for the repeats.
-
-    Mirrors the paper's methodology of five timed runs per configuration
-    with averages compared.
-    """
-    if repeats < 1:
-        raise ValueError("need at least one timed repeat")
-    for _ in range(warmup):
-        fn()
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return TimingResult(label, samples)

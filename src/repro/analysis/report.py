@@ -1,20 +1,15 @@
 """One-shot regeneration of the full evaluation report.
 
-Usage::
-
-    python -m repro.analysis.report                   # quick (small scales)
-    python -m repro.analysis.report --full            # paper-scale studies
-
-Produces a Markdown report covering every evaluation artifact: Table I,
-the V-B usability study, the V-C applicability sweep, the V-D long-term
-comparison, and the figure scenario traces.  EXPERIMENTS.md is the curated
-version of this output.
+Run it as ``python -m repro report [--full]``.  It produces a Markdown
+report covering every evaluation artifact: Table I, the V-B usability
+study, the V-C applicability sweep, the V-D long-term comparison, and the
+figure scenario traces.  EXPERIMENTS.md is the curated version of this
+output.
 """
 
 from __future__ import annotations
 
-import argparse
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.tables import measure_table_i
 from repro.workloads.app_catalog import run_applicability_sweep
@@ -58,21 +53,3 @@ def build_report(
 
     return "\n".join(sections)
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate the evaluation report.")
-    parser.add_argument("--full", action="store_true",
-                        help="paper-scale runs (21-day study, 2x table ops)")
-    parser.add_argument("--seed", type=int, default=2016)
-    args = parser.parse_args(argv)
-    report = build_report(
-        table_scale=2.0 if args.full else 0.5,
-        longterm_days=21 if args.full else 5,
-        longterm_seed=args.seed,
-    )
-    print(report)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -1,27 +1,29 @@
 """Regenerate Table I (performance overhead of Overhaul).
 
-Usage::
+Run it as ``python -m repro table1 [--scale S] [--repeats N] [--json]``.
 
-    python -m repro.analysis.tables            # default scale
-    python -m repro.analysis.tables --scale 4  # 4x more ops per row
-
-For each row the harness builds a fresh baseline rig and a fresh Overhaul
-rig (force-grant methodology, Section V-A), runs the row's operation loop
-five times in each configuration, and reports mean runtimes and the
-relative overhead next to the paper's number.
+For each row the harness builds one baseline rig and one Overhaul rig
+(force-grant methodology, Section V-A) and runs each once to warm it up.
+It then times N interleaved pairs, alternating which side goes first, as
+``benchmarks/gate.py`` does: a drift in host speed lands on both sides of
+a pair, so each pair's ratio holds still where the sides' own times do
+not.  A row reports the median overhead over the pairs, its per-pair
+min-max, and the median added microseconds per operation -- the figure
+the Section V-A argument rests on.
 
 Absolute times are not comparable to the paper (a Python simulator vs a
 patched C kernel on an i7-930); the claim under reproduction is the *shape*:
-every row's overhead is small, and the Overhaul column is only marginally
-above baseline.  EXPERIMENTS.md records a measured-vs-paper table produced
-by exactly this harness.
+the added cost per operation is a small constant, and rows whose base
+operation does real work show near-zero overhead.  EXPERIMENTS.md records
+three runs of this harness.
 """
 
 from __future__ import annotations
 
-import argparse
+import statistics
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Tuple, Type
 
 from repro.analysis.benchops import (
     ALL_RIGS,
@@ -31,11 +33,11 @@ from repro.analysis.benchops import (
     ScreenCaptureRig,
     SharedMemoryRig,
 )
-from repro.analysis.metrics import TimingResult, overhead_percent, time_callable
+from repro.analysis.metrics import overhead_percent
 from repro.obs.counters import collect_counters
 
-#: Operations per run() call for each row at scale 1.  Chosen so a full
-#: table regeneration takes tens of seconds, not the paper's hours.
+#: Operations per run() call for each row at scale 1.  Chosen so the
+#: whole table takes seconds, not the paper's hours.
 DEFAULT_OPS = {
     DeviceAccessRig: 2_000,
     ClipboardRig: 400,
@@ -45,33 +47,65 @@ DEFAULT_OPS = {
 }
 
 
+def time_pairs(
+    rig_class: Type, operations: int, pairs: int
+) -> Tuple[List[Tuple[float, float]], Dict[str, int]]:
+    """Time *pairs* interleaved baseline/Overhaul runs of one row.
+
+    Builds one rig per side, warms each up with one untimed run, then
+    alternates which side runs first.  Returns the (baseline, Overhaul)
+    seconds per operation of every pair, and the Overhaul machine's
+    cross-layer counters after the runs.  Both machines are closed.
+    """
+    if pairs < 1:
+        raise ValueError("need at least one timed pair")
+    baseline = rig_class(protected=False)
+    overhaul = rig_class(protected=True)
+    try:
+        baseline.run(operations)
+        overhaul.run(operations)
+        samples = []
+        for pair in range(pairs):
+            order = (baseline, overhaul) if pair % 2 == 0 else (overhaul, baseline)
+            seconds = {}
+            for rig in order:
+                start = time.perf_counter()
+                rig.run(operations)
+                seconds[rig] = (time.perf_counter() - start) / operations
+            samples.append((seconds[baseline], seconds[overhaul]))
+        counters = collect_counters(overhaul.machine).snapshot()
+    finally:
+        baseline.machine.close()
+        overhaul.machine.close()
+    return samples, counters
+
+
 @dataclass
 class TableRow:
-    """One measured row of Table I."""
+    """One measured row of Table I: per-pair overheads and their spread."""
 
     name: str
     operations: int
-    baseline: TimingResult
-    overhaul: TimingResult
+    pairs: int
+    median_overhead_percent: float
+    min_overhead_percent: float
+    max_overhead_percent: float
+    median_added_us_per_op: float
     paper_overhead_percent: float
     #: Cross-layer operation counts from the Overhaul rig after its timed
     #: runs -- a faster round that silently did less work shows up here.
     counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def measured_overhead_percent(self) -> float:
-        return overhead_percent(self.baseline.mean_seconds, self.overhaul.mean_seconds)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe row for ``python -m repro table1 --json`` consumers."""
         return {
             "name": self.name,
             "operations": self.operations,
-            "baseline_mean_seconds": self.baseline.mean_seconds,
-            "baseline_stdev_seconds": self.baseline.stdev_seconds,
-            "overhaul_mean_seconds": self.overhaul.mean_seconds,
-            "overhaul_stdev_seconds": self.overhaul.stdev_seconds,
-            "measured_overhead_percent": self.measured_overhead_percent,
+            "pairs": self.pairs,
+            "median_overhead_percent": self.median_overhead_percent,
+            "min_overhead_percent": self.min_overhead_percent,
+            "max_overhead_percent": self.max_overhead_percent,
+            "median_added_us_per_op": self.median_added_us_per_op,
             "paper_overhead_percent": self.paper_overhead_percent,
             "counters": dict(sorted(self.counters.items())),
         }
@@ -85,18 +119,20 @@ class TableIResult:
 
     def render(self) -> str:
         header = (
-            f"{'Benchmark':<16} {'Ops':>8} {'Baseline':>12} {'Overhaul':>12} "
-            f"{'Overhead':>10} {'Paper':>8}"
+            f"{'Benchmark':<16} {'Ops':>6} {'Pairs':>5} {'Overhead':>9} "
+            f"{'Pair range':>19} {'Added':>12} {'Paper':>7}"
         )
         rule = "-" * len(header)
         lines = ["Table I: performance overhead of Overhaul (reproduced)", rule, header, rule]
         for row in self.rows:
+            spread = f"{row.min_overhead_percent:.1f} .. {row.max_overhead_percent:.1f}%"
             lines.append(
-                f"{row.name:<16} {row.operations:>8} "
-                f"{row.baseline.mean_seconds:>10.4f} s {row.overhaul.mean_seconds:>10.4f} s "
-                f"{row.measured_overhead_percent:>9.2f}% {row.paper_overhead_percent:>7.2f}%"
+                f"{row.name:<16} {row.operations:>6} {row.pairs:>5} "
+                f"{row.median_overhead_percent:>8.1f}% {spread:>19} "
+                f"{row.median_added_us_per_op:>6.2f} us/op {row.paper_overhead_percent:>6.2f}%"
             )
         lines.append(rule)
+        lines.append("Overhead and added cost are medians over interleaved pairs.")
         return "\n".join(lines)
 
     def to_dict(self) -> Dict[str, object]:
@@ -112,53 +148,28 @@ class TableIResult:
         return "\n".join(lines)
 
 
-def measure_row(
-    rig_class: Type,
-    operations: int,
-    repeats: int = 5,
-) -> TableRow:
-    """Measure one row: fresh rigs, five timed repeats per configuration."""
-    baseline_rig = rig_class(protected=False)
-    overhaul_rig = rig_class(protected=True)
-    try:
-        baseline = time_callable(
-            f"{rig_class.name}/baseline", lambda: baseline_rig.run(operations), repeats=repeats
-        )
-        overhaul = time_callable(
-            f"{rig_class.name}/overhaul", lambda: overhaul_rig.run(operations), repeats=repeats
-        )
-        counters = collect_counters(overhaul_rig.machine).snapshot()
-    finally:
-        baseline_rig.machine.close()
-        overhaul_rig.machine.close()
+def measure_row(rig_class: Type, operations: int, repeats: int = 10) -> TableRow:
+    """Measure one row over *repeats* interleaved pairs."""
+    samples, counters = time_pairs(rig_class, operations, repeats)
+    overheads = [overhead_percent(base, over) for base, over in samples]
     return TableRow(
         name=rig_class.name,
         operations=operations,
-        baseline=baseline,
-        overhaul=overhaul,
+        pairs=repeats,
+        median_overhead_percent=statistics.median(overheads),
+        min_overhead_percent=min(overheads),
+        max_overhead_percent=max(overheads),
+        median_added_us_per_op=statistics.median(
+            (over - base) * 1e6 for base, over in samples
+        ),
         paper_overhead_percent=rig_class.paper_overhead_percent,
         counters=counters,
     )
 
 
-def measure_table_i(scale: float = 1.0, repeats: int = 5) -> TableIResult:
+def measure_table_i(scale: float = 1.0, repeats: int = 10) -> TableIResult:
     """Regenerate the whole table."""
-    rows = []
-    for rig_class in ALL_RIGS:
-        operations = max(1, int(DEFAULT_OPS[rig_class] * scale))
-        rows.append(measure_row(rig_class, operations, repeats=repeats))
-    return TableIResult(rows)
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description="Regenerate Table I.")
-    parser.add_argument("--scale", type=float, default=1.0, help="ops multiplier per row")
-    parser.add_argument("--repeats", type=int, default=5, help="timed repeats per config")
-    args = parser.parse_args(argv)
-    result = measure_table_i(scale=args.scale, repeats=args.repeats)
-    print(result.render())
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    return TableIResult([
+        measure_row(rig_class, max(1, int(DEFAULT_OPS[rig_class] * scale)), repeats)
+        for rig_class in ALL_RIGS
+    ])

@@ -1,4 +1,4 @@
-"""Unit tests for timing metrics and the Table I benchmark rigs."""
+"""Unit tests for the overhead metrics, the Table I pair timer and its rigs."""
 
 import pytest
 
@@ -9,13 +9,8 @@ from repro.analysis.benchops import (
     ScreenCaptureRig,
     SharedMemoryRig,
 )
-from repro.analysis.metrics import (
-    TimingResult,
-    mean,
-    overhead_percent,
-    stdev,
-    time_callable,
-)
+from repro.analysis.metrics import mean, overhead_percent, stdev
+from repro.analysis.tables import time_pairs
 
 
 class TestMetrics:
@@ -37,17 +32,38 @@ class TestMetrics:
         with pytest.raises(ValueError):
             overhead_percent(0.0, 1.0)
 
-    def test_time_callable_runs_warmup_plus_repeats(self):
-        calls = []
-        result = time_callable("x", lambda: calls.append(1), repeats=3, warmup=2)
-        assert len(calls) == 5
-        assert len(result.samples_seconds) == 3
-        assert result.mean_seconds >= 0.0
-        assert result.best_seconds <= result.mean_seconds
 
-    def test_time_callable_needs_repeats(self):
+class TestPairTimer:
+    def test_pairs_alternate_order_and_close_both_machines(self):
+        runs, closed = [], []
+
+        class LoggedRig(DeviceAccessRig):
+            def __init__(self, protected):
+                super().__init__(protected)
+                close = self.machine.close
+
+                def logged_close():
+                    closed.append(protected)
+                    close()
+
+                self.machine.close = logged_close
+                self.protected = protected
+
+            def run(self, n):
+                runs.append(self.protected)
+                super().run(n)
+
+        samples, counters = time_pairs(LoggedRig, 3, pairs=4)
+        # One warm-up run per side, then base-first and Overhaul-first in turn.
+        assert runs == [False, True, False, True, True, False, False, True, True, False]
+        assert sorted(closed) == [False, True]
+        assert len(samples) == 4
+        assert all(base > 0 and over > 0 for base, over in samples)
+        assert counters["device.checks"] >= 5 * 3
+
+    def test_pairs_need_at_least_one_pair(self):
         with pytest.raises(ValueError):
-            time_callable("x", lambda: None, repeats=0)
+            time_pairs(DeviceAccessRig, 1, pairs=0)
 
 
 class TestRigs:
@@ -72,6 +88,20 @@ class TestRigs:
     def test_screen_rig_captures_content(self):
         rig = ScreenCaptureRig(protected=False)
         rig.run(1)
+
+    @pytest.mark.parametrize("protected", [False, True], ids=["baseline", "overhaul"])
+    def test_screen_rig_captures_are_not_cache_hits(self, protected):
+        """Each capture follows a one-row redraw, so it patches and copies
+        the frame; none returns the compose cache's unchanged image."""
+        rig = ScreenCaptureRig(protected)
+        xserver = rig.machine.xserver
+        rig.run(1)
+        hits, partial = xserver.compose_cache_hits, xserver.compose_partial_hits
+        rig.run(50)
+        assert xserver.compose_cache_hits == hits
+        assert xserver.compose_partial_hits == partial + 50
+        assert xserver.screen_captures_served >= 51
+        rig.machine.close()
 
     def test_shm_rig_faults_and_rearm(self):
         from repro.sim.time import from_millis

@@ -14,7 +14,6 @@ import weakref
 import pytest
 
 from repro.analysis.benchops import DeviceAccessRig
-from repro.analysis.decomposition import measure_components
 from repro.analysis.profiling import run_profile
 from repro.analysis.tables import measure_row
 from repro.core import Machine, OverhaulConfig
@@ -140,10 +139,6 @@ def test_figure_scenario(scenario):
 @pytest.mark.parametrize("scenario", FIGURES)
 def test_figure_scenario_on_its_own_machine(scenario):
     assert cyclic_garbage(scenario) == 0
-
-
-def test_decomposition_rig():
-    assert cyclic_garbage(lambda: measure_components(ops=20)) == 0
 
 
 @pytest.mark.parametrize("scenario", ["quickstart", "device-access"])

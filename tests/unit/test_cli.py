@@ -33,9 +33,12 @@ class TestCli:
         assert "applications exercised : 108" in output
 
     def test_table1_tiny(self, capsys):
-        assert main(["table1", "--scale", "0.02", "--repeats", "1"]) == 0
+        assert main(["table1", "--scale", "0.02", "--repeats", "2"]) == 0
         output = capsys.readouterr().out
         assert "Table I" in output
+        assert "Pair range" in output and "us/op" in output
+        for name in ("Device Access", "Clipboard", "Screen Capture", "Shared Memory", "Bonnie++"):
+            assert name in output
 
     def test_trace(self, capsys):
         assert main(["trace"]) == 0
@@ -83,11 +86,22 @@ class TestJsonFlags:
     def test_table1_json(self, capsys):
         import json
 
-        assert main(["table1", "--scale", "0.02", "--repeats", "1", "--json"]) == 0
+        assert main(["table1", "--scale", "0.02", "--repeats", "3", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["table"] == "I"
-        names = {row["name"] for row in payload["rows"]}
-        assert "device-access" in names or len(names) == 5
+        rows = payload["rows"]
+        assert [row["name"] for row in rows] == [
+            "Device Access", "Clipboard", "Screen Capture", "Shared Memory", "Bonnie++",
+        ]
+        for row in rows:
+            assert set(row) == {
+                "name", "operations", "pairs", "median_overhead_percent",
+                "min_overhead_percent", "max_overhead_percent",
+                "median_added_us_per_op", "paper_overhead_percent", "counters",
+            }
+            assert row["pairs"] == 3
+            assert (row["min_overhead_percent"] <= row["median_overhead_percent"]
+                    <= row["max_overhead_percent"])
 
 
 class TestFleetCommand:
