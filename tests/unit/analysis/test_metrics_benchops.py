@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis import tables
 from repro.analysis.benchops import (
+    ALL_RIGS,
     ClipboardRig,
     DeviceAccessRig,
     FilesystemRig,
@@ -64,6 +66,94 @@ class TestPairTimer:
     def test_pairs_need_at_least_one_pair(self):
         with pytest.raises(ValueError):
             time_pairs(DeviceAccessRig, 1, pairs=0)
+
+    def test_pairs_close_both_machines_when_a_run_fails(self):
+        closed = []
+
+        class FailingRig(DeviceAccessRig):
+            def __init__(self, protected):
+                super().__init__(protected)
+                close = self.machine.close
+
+                def logged_close():
+                    closed.append(protected)
+                    close()
+
+                self.machine.close = logged_close
+                self.protected = protected
+                self.calls = 0
+
+            def run(self, n):
+                self.calls += 1
+                if self.protected and self.calls == 2:
+                    raise RuntimeError("rig failed mid-pair")
+                super().run(n)
+
+        with pytest.raises(RuntimeError, match="mid-pair"):
+            time_pairs(FailingRig, 2, pairs=3)
+        assert sorted(closed) == [False, True]
+
+
+class TestTableRows:
+    """A row's figures are the medians and range of its pairs, not a mean."""
+
+    def test_row_takes_medians_and_range_over_pairs(self, monkeypatch):
+        # Overheads 100%, 0% and 50%; added 1.0, 0.0 and 0.5 us per op.
+        samples = [(1e-6, 2e-6), (2e-6, 2e-6), (1e-6, 1.5e-6)]
+        monkeypatch.setattr(
+            tables, "time_pairs", lambda rig_class, ops, pairs: (samples, {"x": 1})
+        )
+        row = tables.measure_row(ClipboardRig, 7, repeats=3)
+        assert (row.name, row.operations, row.pairs) == ("Clipboard", 7, 3)
+        assert row.median_overhead_percent == pytest.approx(50.0)
+        assert row.min_overhead_percent == pytest.approx(0.0)
+        assert row.max_overhead_percent == pytest.approx(100.0)
+        assert row.median_added_us_per_op == pytest.approx(0.5)
+        assert row.paper_overhead_percent == ClipboardRig.paper_overhead_percent
+        assert row.counters == {"x": 1}
+
+    def test_table_scales_each_row_with_a_floor_of_one_op(self, monkeypatch):
+        calls = []
+
+        def fake_pairs(rig_class, ops, pairs):
+            calls.append((rig_class, ops, pairs))
+            return [(1.0, 1.0)] * pairs, {}
+
+        monkeypatch.setattr(tables, "time_pairs", fake_pairs)
+        half = tables.measure_table_i(scale=0.5, repeats=2)
+        assert [row.name for row in half.rows] == [rig.name for rig in ALL_RIGS]
+        assert calls == [(rig, tables.DEFAULT_OPS[rig] // 2, 2) for rig in ALL_RIGS]
+        calls.clear()
+        tables.measure_table_i(scale=1e-9, repeats=1)
+        assert calls == [(rig, 1, 1) for rig in ALL_RIGS]
+
+    def test_render_shows_median_range_and_added_cost(self):
+        row = tables.TableRow(
+            name="Clipboard", operations=400, pairs=10,
+            median_overhead_percent=12.345, min_overhead_percent=-6.0,
+            max_overhead_percent=25.0, median_added_us_per_op=3.5,
+            paper_overhead_percent=2.96,
+        )
+        text = tables.TableIResult([row]).render()
+        assert ("Clipboard           400    10     12.3%       -6.0 .. 25.0%"
+                "   3.50 us/op   2.96%") in text.splitlines()
+        assert text.endswith("Overhead and added cost are medians over interleaved pairs.")
+
+    def test_counters_render_and_serialise_sorted(self):
+        row = tables.TableRow(
+            name="Device Access", operations=1, pairs=1,
+            median_overhead_percent=0.0, min_overhead_percent=0.0,
+            max_overhead_percent=0.0, median_added_us_per_op=0.0,
+            paper_overhead_percent=2.17, counters={"vfs.opens": 2, "device.checks": 5},
+        )
+        result = tables.TableIResult([row])
+        assert result.render_counters().splitlines() == [
+            "Operation counts (Overhaul configuration)",
+            "  Device Access:",
+            "    device.checks = 5",
+            "    vfs.opens = 2",
+        ]
+        assert list(result.to_dict()["rows"][0]["counters"]) == ["device.checks", "vfs.opens"]
 
 
 class TestRigs:
